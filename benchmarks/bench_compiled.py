@@ -1,11 +1,11 @@
-"""BENCH-COMPILED: the JIT kernel tier vs the array backend on the hot loops.
+"""BENCH-COMPILED: the C kernel tier vs the array backend on the hot loops.
 
 PR 9's tentpole: ``backend="compiled"`` replaces the four irregular hot
 loops — the simulator's event-loop drain, CSR route expansion + link-load
 accumulation, stacked scoring and the optimizer's move application — with
-JIT kernels (Numba where installed, C-via-cffi otherwise), selected through
-the ordinary runtime context.  The array backend stays the reference, and
-the contract is the usual differential one:
+C-via-cffi kernels, selected through the ordinary runtime context.  The
+array backend stays the reference, and the contract is the usual
+differential one:
 
 * results must be **bit-for-bit identical** — makespans, completion lists,
   search states, objectives;
@@ -19,25 +19,26 @@ The ``pytest-benchmark`` entries snapshot the compiled-path medians
 on a >2x median slowdown.  Refresh the snapshot with
 ``--benchmark-json=BENCH_compiled.json``.
 
-The whole module skips cleanly when no kernel toolchain is present, so the
-default no-numba lanes stay green.
+The whole module skips cleanly when no kernel toolchain (cffi plus a C
+compiler) is present.
 """
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.compiled import compiled_tier_available
 from repro.graphs.base import Mesh, Torus
 from repro.netsim.kernels import LinkIndexSpace, expand_routes
 from repro.netsim.simulator import simulate_phases_rounds
-from repro.numbering.arrays import indices_to_digits, require_numpy
+from repro.numbering.arrays import indices_to_digits
 from repro.optimize import OptimizeOptions, optimize_embedding
 from repro.runtime import use_context
 
 pytestmark = pytest.mark.skipif(
     not compiled_tier_available(),
-    reason="no kernel toolchain (numba or cffi + C compiler)",
+    reason="no kernel toolchain (cffi + C compiler)",
 )
 
 SPEEDUP_FLOOR = 2.0
@@ -54,7 +55,6 @@ OPT_OPTIONS = OptimizeOptions(objective="combined", budget=2000, population=16, 
 
 def _sim_phase():
     """One expanded 16k-message phase (deterministic endpoints/occupancies)."""
-    np = require_numpy()
     host = Torus(SIM_HOST_SHAPE)
     space = LinkIndexSpace(host)
     rng = np.random.default_rng(42)

@@ -13,8 +13,6 @@ Run with ``pytest benchmarks/bench_faults.py`` (add ``--benchmark-only`` to
 skip the equivalence assertion).
 """
 
-import pytest
-
 from repro.analysis.fault_tolerance import fault_dilation_summary, repair_embedding
 from repro.core.dispatch import embed
 from repro.graphs.base import Mesh, Torus
@@ -23,8 +21,6 @@ from repro.netsim.network import HostNetwork
 from repro.netsim.simulator import simulate_phase
 from repro.netsim.traffic import traffic_pattern
 from repro.netsim.weights import LinkWeightSpec
-
-pytest.importorskip("numpy")
 
 #: Table-sized degraded host: 256 processors, a handful of dead resources.
 HOST_SHAPE = (16, 16)

@@ -11,7 +11,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-torus-mesh-embeddings",
-    version="1.0.0",
+    version="2.0.0",
     description=(
         "Reproduction of 'Embeddings Among Toruses and Meshes' (Ma & Tao, "
         "ICPP 1987): Gray-code embeddings, vectorized cost metrics and a "
@@ -38,11 +38,11 @@ setup(
             "networkx",
             "ruff",
         ],
-        # The JIT kernel tier (backend="compiled").  Optional: without it the
-        # runtime degrades to the array backend (or uses the C-via-cffi tier
-        # when cffi and a C compiler are present).
+        # The C kernel tier (backend="compiled"), which also needs a C
+        # compiler.  Optional: without it the runtime degrades to the array
+        # backend.
         "compiled": [
-            "numba",
+            "cffi",
         ],
     },
     entry_points={

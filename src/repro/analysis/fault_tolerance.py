@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+import numpy as np
+
 from ..core.embedding import Embedding
 from ..exceptions import SimulationError, UnsupportedEmbeddingError
 from ..graphs.faults import Faults
-from ..numbering.arrays import require_numpy
 from ..runtime.context import use_array_path
 
 __all__ = ["repair_embedding", "fault_dilation_summary"]
@@ -71,7 +72,6 @@ def repair_embedding(embedding: Embedding, faults: Faults) -> Embedding:
     if faults.spec is not None:
         notes["faults"] = faults.spec.token
     if use_array_path():
-        np = require_numpy()
         return Embedding.from_index_array(
             guest,
             host,
@@ -112,7 +112,6 @@ def fault_dilation_summary(embedding: Embedding, faults: Faults) -> Tuple[int, f
         return 0, 0.0
 
     if use_array_path():
-        np = require_numpy()
         images = embedding.host_index_array()
         if faults.dead_nodes and bool(
             np.isin(images, np.asarray(sorted(faults.dead_nodes))).any()

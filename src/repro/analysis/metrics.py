@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..compiled.dispatch import active_kernels
 from ..core.embedding import Embedding
 from ..numbering.arrays import (
     compact_index_dtype,
-    require_numpy,
     stacked_edge_congestion,
 )
-from ..runtime.context import accepts_deprecated_method
 
 __all__ = [
     "dilation_cost",
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 
-@accepts_deprecated_method
 def dilation_cost(embedding: Embedding) -> int:
     """The measured dilation cost (maximum host distance over guest edges).
 
@@ -47,13 +46,11 @@ def dilation_cost(embedding: Embedding) -> int:
     return embedding.dilation()
 
 
-@accepts_deprecated_method
 def average_dilation_cost(embedding: Embedding) -> float:
     """The mean host distance over guest edges."""
     return embedding.average_dilation()
 
 
-@accepts_deprecated_method
 def edge_congestion_cost(embedding: Embedding) -> int:
     """Maximum number of guest edges routed through one host edge."""
     return embedding.edge_congestion()
@@ -91,7 +88,6 @@ class EmbeddingReport:
         }
 
 
-@accepts_deprecated_method
 def evaluate_embedding(
     embedding: Embedding, *, with_congestion: bool = False
 ) -> EmbeddingReport:
@@ -123,9 +119,8 @@ def stack_host_index_arrays(embeddings, host):
     result is a ``(batch, size)`` matrix in the smallest sufficient integer
     dtype (``int32`` whenever the host has fewer than ``2**31`` nodes —
     :func:`repro.numbering.arrays.compact_index_dtype` is the overflow
-    guard).  Requires NumPy.
+    guard).
     """
-    np = require_numpy()
     dtype = compact_index_dtype(max(host.size - 1, 0))
     return np.stack(
         [
@@ -143,7 +138,6 @@ def stacked_edge_dilations(host, edge_u, edge_v, images):
     is the ``(batch, E)`` ``int64`` distance matrix — row ``b`` equals
     ``Embedding.edge_dilation_array`` of the ``b``-th embedding exactly.
     """
-    np = require_numpy()
     images = np.asarray(images)
     return host.distance_indices(images[:, edge_u], images[:, edge_v])
 
@@ -157,7 +151,6 @@ def stacked_dilation_summary(host, edge_u, edge_v, images):
     distance matrix, so each row's result is bit-for-bit the per-embedding
     ``dilation()`` / ``average_dilation()`` value.
     """
-    np = require_numpy()
     images = np.asarray(images)
     batch = images.shape[0]
     edge_u = np.asarray(edge_u)
@@ -189,7 +182,6 @@ def stacked_objective_components(host, edge_u, edge_v, images, *, with_congestio
     Python.  Each row's values are bit-for-bit the per-embedding
     ``dilation()`` / ``sum(edge dilations)`` / ``edge_congestion()``.
     """
-    np = require_numpy()
     images = np.asarray(images)
     batch = images.shape[0]
     edge_u = np.asarray(edge_u)
@@ -199,7 +191,7 @@ def stacked_objective_components(host, edge_u, edge_v, images, *, with_congestio
     kernels = active_kernels()
     if kernels is not None:
         # Compiled backend: dilation max/sum and congestion in one fused
-        # JIT pass per row — all-integer, identical to the array kernels.
+        # C pass per row — all-integer, identical to the array kernels.
         return kernels.score_rows(
             images,
             edge_u,

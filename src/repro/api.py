@@ -1,10 +1,10 @@
 """The stable public surface of the package.
 
 Seven PRs of growth left the import surface incidental — callers reached
-into ``repro.survey.runner``, ``repro.core.dispatch`` or the deprecated
-``method=`` shim.  This module is the deliberate alternative: one facade
-with documented, stable signatures, re-exported as ``repro.api`` (and
-pinned by ``tests/test_api_surface.py`` so accidental drift fails CI).
+into ``repro.survey.runner`` or ``repro.core.dispatch``.  This module is the
+deliberate alternative: one facade with documented, stable signatures,
+re-exported as ``repro.api`` (and pinned by ``tests/test_api_surface.py`` so
+accidental drift fails CI).
 
 Every entry point accepts graphs either as live
 :class:`~repro.graphs.base.CartesianGraph` objects or as the CLI/service

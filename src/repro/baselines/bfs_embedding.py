@@ -20,10 +20,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List
 
+import numpy as np
+
 from ..core.embedding import Embedding
 from ..exceptions import ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import require_numpy
 from ..runtime.context import use_array_path
 from ..types import Node
 
@@ -59,9 +60,8 @@ def bfs_rank_order(graph: CartesianGraph):
     :meth:`CartesianGraph.neighbors` order), drops already-seen ranks and
     keeps the first occurrence of each novel rank — exactly the order the
     per-node queue of :func:`bfs_order` discovers them, because a BFS queue
-    drains each depth level completely before the next.  Requires NumPy.
+    drains each depth level completely before the next.
     """
-    np = require_numpy()
     neighbors, valid = graph.neighbor_rank_matrix()
     n = graph.size
     seen = np.zeros(n, dtype=bool)
@@ -93,7 +93,6 @@ def bfs_order_embedding(guest: CartesianGraph, host: CartesianGraph) -> Embeddin
             f"guest has {guest.size} nodes but host has {host.size}"
         )
     if use_array_path():
-        np = require_numpy()
         guest_ranks = bfs_rank_order(guest)
         host_ranks = bfs_rank_order(host)[: guest.size]
         host_indices = np.empty(guest.size, dtype=np.int64)

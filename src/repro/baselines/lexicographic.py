@@ -9,10 +9,11 @@ reflected sequence ``P'``/``f_L`` improves on.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.embedding import Embedding
 from ..exceptions import ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import require_numpy
 from ..runtime.context import use_array_path
 
 __all__ = ["lexicographic_embedding"]
@@ -31,7 +32,6 @@ def lexicographic_embedding(guest: CartesianGraph, host: CartesianGraph) -> Embe
             f"guest has {guest.size} nodes but host has {host.size}"
         )
     if use_array_path():
-        np = require_numpy()
         return Embedding.from_index_array(
             guest,
             host,

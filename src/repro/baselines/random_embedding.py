@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+import numpy as np
+
 from ..core.embedding import Embedding
 from ..exceptions import ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import require_numpy
 from ..runtime.context import use_array_path
 
 __all__ = ["random_embedding"]
@@ -36,7 +37,6 @@ def random_embedding(
         )
     rng = random.Random(seed)
     if use_array_path():
-        np = require_numpy()
         permutation = list(range(host.size))
         rng.shuffle(permutation)
         return Embedding.from_index_array(

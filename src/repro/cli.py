@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         help=(
             "runtime backend: array kernels, per-node loop reference, or "
-            "compiled JIT kernels for the hot loops"
+            "compiled C kernels for the hot loops"
         ),
     )
     p_embed.set_defaults(func=_cmd_embed)

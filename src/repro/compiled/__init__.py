@@ -1,19 +1,19 @@
-"""JIT kernel tier for the irregular hot loops (``backend="compiled"``).
+"""Compiled kernel tier for the irregular hot loops (``backend="compiled"``).
 
 The package ports the four hottest irregular kernels — the simulator's
 event-loop drain, CSR route expansion + link-load accumulation, stacked
 dilation/congestion scoring, and the optimizer's move application — to a
-compiled tier selected at runtime:
+compiled C tier:
 
-* :mod:`~repro.compiled.kernels_py` — the shared kernel sources (plain
-  Python in the njit-able subset; the algorithmic contract);
-* :mod:`~repro.compiled.jit` — Numba ``@njit(cache=True)`` tier;
+* :mod:`~repro.compiled.kernels_py` — the kernel sources (plain Python over
+  flat arrays; the algorithmic contract and the C tier's differential
+  reference);
 * :mod:`~repro.compiled.ckernels` — C-via-cffi tier (content-hashed shared
   library, built once per machine);
-* :mod:`~repro.compiled.dispatch` — tier selection and the
+* :mod:`~repro.compiled.dispatch` — tier loading and the
   :class:`~repro.compiled.dispatch.KernelSet` facade the hook sites call;
-* :mod:`~repro.compiled.toolchain` — detection flags, monkeypatchable for
-  degradation tests.
+* :mod:`~repro.compiled.toolchain` — the detection flag, monkeypatchable
+  for degradation tests.
 
 Results are pinned bit-for-bit against the array backend; when no toolchain
 is available the runtime context falls back to ``"array"`` with one
@@ -23,7 +23,7 @@ RuntimeWarning per process.
 from __future__ import annotations
 
 from .dispatch import KernelSet, active_kernels, interpreted_kernels, load_kernels
-from .toolchain import HAVE_CFFI, HAVE_NUMBA, compiled_tier_available, preferred_tier
+from .toolchain import HAVE_CFFI, compiled_tier_available
 
 __all__ = [
     "KernelSet",
@@ -31,7 +31,5 @@ __all__ = [
     "interpreted_kernels",
     "load_kernels",
     "HAVE_CFFI",
-    "HAVE_NUMBA",
     "compiled_tier_available",
-    "preferred_tier",
 ]

@@ -1,12 +1,11 @@
 """C tier: the kernel sources lowered to C, built once, ``dlopen``-ed.
 
-The fallback compiled tier for machines with cffi and a C compiler but no
-Numba (the ROADMAP's "generated C via cffi" option, in the spirit of Exo's
-``LoopIR_compiler`` lowering).  The C bodies below are line-for-line
-translations of :mod:`repro.compiled.kernels_py` — same loops, same
-float/integer operation order (``pymod`` reproduces Python's nonnegative
-``%`` where the sources rely on it) — so the two tiers are interchangeable
-under the differential tests.
+The compiled tier for machines with cffi and a C compiler (the ROADMAP's
+"generated C via cffi" option, in the spirit of Exo's ``LoopIR_compiler``
+lowering).  The C bodies below are line-for-line translations of
+:mod:`repro.compiled.kernels_py` — same loops, same float/integer operation
+order (``pymod`` reproduces Python's nonnegative ``%`` where the sources
+rely on it) — so the two are interchangeable under the differential tests.
 
 Build model: the source is hashed, compiled with ``$CC -O2 -shared -fPIC``
 into a content-addressed shared library under the user cache directory
@@ -26,7 +25,6 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Dict
 
-from ..numbering.arrays import require_numpy
 from .toolchain import find_c_compiler
 
 __all__ = ["function_table", "library_path"]
@@ -380,7 +378,6 @@ def function_table() -> Dict[str, Callable]:
     references to the arrays for the duration of the call, so the buffers
     cannot be collected mid-kernel.
     """
-    np = require_numpy()
     lib = _library()
     ffi = _FFI
 
@@ -510,8 +507,6 @@ def function_table() -> Dict[str, Callable]:
         )
         return 0
 
-    # `np` is closed over only to assert the import happened before any call.
-    assert np is not None
     return {
         "drain": drain,
         "expand_fill": expand_fill,

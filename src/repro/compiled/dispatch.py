@@ -9,23 +9,24 @@ configuration:
 * the ambient context must resolve to ``backend="compiled"`` (the context
   already warned and fell back to ``"array"`` when no toolchain exists, so
   reaching a hook site under ``"compiled"`` normally implies a tier); and
-* the tier must load — Numba first, the C/cffi library second.  A tier
-  whose *load* fails (a broken numba install, a compiler that errors out)
-  is reported with one RuntimeWarning and blacklisted for the process, and
-  the next tier (or the array path) takes over.
+* the C/cffi library must load.  A *load* failure (a compiler that errors
+  out) is reported with one RuntimeWarning and blacklisted for the process,
+  and the array path takes over.
 
 :class:`KernelSet` owns every array-normalization detail — contiguity,
-``int64``/``float64`` dtypes, scratch allocation — so the three tiers
-(numba, C, and the interpreted sources the tests drive) share one calling
-convention and the kernels themselves stay monomorphic.
+``int64``/``float64`` dtypes, scratch allocation — so the C tier and the
+interpreted sources the tests drive share one calling convention and the
+kernels themselves stay monomorphic.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-from ..numbering.arrays import digit_weights, require_numpy
+import numpy as np
+
+from ..numbering.arrays import digit_weights
 from . import toolchain
 from .kernels_py import KERNEL_NAMES
 
@@ -35,8 +36,8 @@ __all__ = ["KernelSet", "active_kernels", "load_kernels", "interpreted_kernels"]
 class KernelSet:
     """High-level entry points over one tier's kernel table.
 
-    ``tier`` is ``"numba"``, ``"cffi"`` or ``"python"`` (the interpreted
-    sources, used by tests); ``table`` maps the names of
+    ``tier`` is ``"cffi"`` or ``"python"`` (the interpreted sources, used by
+    tests); ``table`` maps the names of
     :data:`~repro.compiled.kernels_py.KERNEL_NAMES` to callables with the
     ``kernels_py`` signatures.
     """
@@ -73,7 +74,6 @@ class KernelSet:
         ``max_events`` (the caller raises).  ``completion`` is the merged
         per-message finish-time array; messages with no hops stay 0.0.
         """
-        np = require_numpy()
         next_hop = np.ascontiguousarray(first_hop, dtype=np.int64).copy()
         last = np.ascontiguousarray(last_hop, dtype=np.int64)
         ids = np.ascontiguousarray(link_ids, dtype=np.int64)
@@ -107,7 +107,6 @@ class KernelSet:
         self, src_digits, offsets, starts, shape, num_nodes: int, torus: bool
     ):
         """The per-hop ``link_ids`` array of the CSR route expansion."""
-        np = require_numpy()
         src = np.ascontiguousarray(src_digits, dtype=np.int64)
         offs = np.ascontiguousarray(offsets, dtype=np.int64)
         row_starts = np.ascontiguousarray(starts, dtype=np.int64)
@@ -132,7 +131,6 @@ class KernelSet:
         self, num_slots: int, starts, link_ids, sizes, occupancy, hop_occupancy=None
     ):
         """Fused ``(counts, volume, busy)`` accumulation over the CSR hops."""
-        np = require_numpy()
         row_starts = np.ascontiguousarray(starts, dtype=np.int64)
         ids = np.ascontiguousarray(link_ids, dtype=np.int64)
         message_sizes = np.ascontiguousarray(sizes, dtype=np.float64)
@@ -164,7 +162,6 @@ class KernelSet:
     # ------------------------------------------------------------------ #
     def score_rows(self, images, edge_u, edge_v, shape, torus: bool, *, with_congestion):
         """``(dil_max, dil_sum, congestion-or-None)`` per image row."""
-        np = require_numpy()
         matrix = np.ascontiguousarray(images, dtype=np.int64)
         if matrix.ndim == 1:
             matrix = matrix[None, :]
@@ -198,7 +195,6 @@ class KernelSet:
 
     def apply_moves(self, matrix, moves):
         """Candidate population from one ``(kind, lo, hi)`` move per member."""
-        np = require_numpy()
         population = np.ascontiguousarray(matrix, dtype=np.int64)
         move_rows = np.ascontiguousarray(
             np.asarray(list(moves), dtype=np.int64).reshape(len(moves), 3)
@@ -211,53 +207,34 @@ class KernelSet:
 # --------------------------------------------------------------------------- #
 # Tier loading
 # --------------------------------------------------------------------------- #
-_LOADED: Dict[str, KernelSet] = {}
-_BROKEN: List[str] = []
-
-
-def _tier_order() -> List[str]:
-    order = []
-    if toolchain._HAVE_NUMBA:
-        order.append("numba")
-    if toolchain._HAVE_CFFI:
-        order.append("cffi")
-    return order
+_LOADED: Optional[KernelSet] = None
+_BROKEN = False
 
 
 def load_kernels() -> Optional[KernelSet]:
-    """The best loadable kernel tier, or ``None`` when none exists.
+    """The C kernel tier, or ``None`` when it is absent or broken.
 
-    Load failures (as opposed to mere absence) warn once per tier per
-    process and blacklist that tier, so a broken toolchain degrades exactly
-    like a missing one instead of failing every call.
+    A load failure (as opposed to mere absence) warns once per process and
+    blacklists the tier, so a broken toolchain degrades exactly like a
+    missing one instead of failing every call.
     """
-    for tier in _tier_order():
-        if tier in _LOADED:
-            return _LOADED[tier]
-        if tier in _BROKEN:
-            continue
+    global _LOADED, _BROKEN
+    if not toolchain._HAVE_CFFI or _BROKEN:
+        return None
+    if _LOADED is None:
         try:
-            if tier == "numba":
-                from . import jit
+            from . import ckernels
 
-                table = jit.function_table()
-            else:
-                from . import ckernels
-
-                table = ckernels.function_table()
-            kernels = KernelSet(tier, table)
+            _LOADED = KernelSet("cffi", ckernels.function_table())
         except Exception as error:  # pragma: no cover - environment-specific
-            _BROKEN.append(tier)
+            _BROKEN = True
             warnings.warn(
-                f"the {tier} kernel tier failed to load ({error}); "
-                "falling back to the next compiled tier or the array backend",
+                f"the cffi kernel tier failed to load ({error}); "
+                "falling back to the array backend",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            continue
-        _LOADED[tier] = kernels
-        return kernels
-    return None
+    return _LOADED
 
 
 def active_kernels() -> Optional[KernelSet]:

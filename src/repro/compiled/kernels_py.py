@@ -1,8 +1,9 @@
-"""The compiled tier's kernel sources: plain Python, in the njit-able subset.
+"""The compiled tier's kernel sources: plain Python over flat arrays.
 
 These five functions are the *single algorithmic source of truth* of the
-compiled backend.  Each is written in the restricted subset Numba's
-``nopython`` mode compiles directly — preallocated NumPy arrays in and out,
+compiled backend, and the differential reference of its C lowering
+(:mod:`repro.compiled.ckernels`).  Each is written in a restricted subset
+that maps line for line onto C — preallocated NumPy arrays in and out,
 scalar locals, ``for``/``while`` loops, no Python objects — and each states
 the exact float/integer arithmetic order of the array/loop reference it
 replaces, so the bit-for-bit differential contract of PRs 2–8 carries over:
@@ -30,8 +31,8 @@ The functions are also *callable uncompiled* (they are ordinary Python), and
 every environment — so even a lane with no toolchain at all pins these
 sources against the array backend.
 
-Status returns are ``int`` codes rather than exceptions (``nopython`` code
-raises poorly): ``0`` is success, ``1`` means the event budget was exceeded
+Status returns are ``int`` codes rather than exceptions (C has none):
+``0`` is success, ``1`` means the event budget was exceeded
 (the caller raises :class:`~repro.exceptions.SimulationError`).
 """
 
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 #: The table of kernel entry points every tier must provide, in one place so
-#: the jit / C adapters and the dispatch facade can never drift apart.
+#: the C adapters and the dispatch facade can never drift apart.
 KERNEL_NAMES = ("drain", "expand_fill", "accumulate", "score_rows", "apply_moves")
 
 

@@ -1,20 +1,15 @@
-"""Compiled-tier toolchain detection: Numba first, C-via-cffi second.
+"""Compiled-tier toolchain detection: cffi plus a C compiler.
 
-The compiled backend (``ExecutionContext(backend="compiled")``) needs one of
-two toolchains at runtime:
+The compiled backend (``ExecutionContext(backend="compiled")``) needs cffi
+and a C compiler at runtime: the kernel sources of
+:mod:`repro.compiled.kernels_py` are hand lowered to C
+(:mod:`repro.compiled.ckernels`), built once into a shared library keyed by
+a content hash and ``dlopen``-ed (the ``LoopIR_compiler``-style lowering the
+ROADMAP names).
 
-* **Numba** — the primary tier: the shared kernel sources of
-  :mod:`repro.compiled.kernels_py` are ``@njit(cache=True)``-compiled on
-  first use (``pip install -e .[compiled]``);
-* **cffi + a C compiler** — the fallback tier: the same algorithms, hand
-  lowered to C (:mod:`repro.compiled.ckernels`), built once into a shared
-  library keyed by a content hash and ``dlopen``-ed (the
-  ``LoopIR_compiler``-style lowering the ROADMAP names).
-
-Neither is a hard dependency.  This module only *detects* them — module-spec
-lookups and a ``$CC``/``cc``/``gcc``/``clang`` search — and exposes the
-results as the monkeypatchable module globals ``_HAVE_NUMBA`` /
-``_HAVE_CFFI`` (the same seam as ``repro.runtime.context._HAVE_NUMPY``), so
+Neither is a hard dependency.  This module only *detects* them — a
+module-spec lookup and a ``$CC``/``cc``/``gcc``/``clang`` search — and
+exposes the result as the monkeypatchable module global ``_HAVE_CFFI``, so
 tests can simulate a toolchain-less environment without uninstalling
 anything.  Actual compilation is deferred to
 :func:`repro.compiled.dispatch.load_kernels`.
@@ -28,26 +23,21 @@ import shutil
 from typing import Optional
 
 __all__ = [
-    "HAVE_NUMBA",
     "HAVE_CFFI",
     "compiled_tier_available",
-    "preferred_tier",
     "find_c_compiler",
 ]
 
 
 def _module_exists(name: str) -> bool:
-    # find_spec instead of an import: detection must not drag the (heavy)
-    # toolchain modules into every `import repro`.  A module that exists but
-    # fails to import is caught at load time and blacklisted by
+    # find_spec instead of an import: detection must not drag the toolchain
+    # module into every `import repro`.  A module that exists but fails to
+    # import is caught at load time and blacklisted by
     # :func:`repro.compiled.dispatch.load_kernels`.
     try:
         return importlib.util.find_spec(name) is not None
     except (ImportError, ValueError):  # pragma: no cover - broken metadata
         return False
-
-
-HAVE_NUMBA = _module_exists("numba")
 
 
 def find_c_compiler() -> Optional[str]:
@@ -61,21 +51,11 @@ def find_c_compiler() -> Optional[str]:
 
 HAVE_CFFI = _module_exists("cffi") and find_c_compiler() is not None
 
-#: Patchable aliases (mirroring ``context._HAVE_NUMPY``): tests flip these to
-#: simulate a machine without any kernel toolchain.
-_HAVE_NUMBA = HAVE_NUMBA
+#: Patchable alias: tests flip it to simulate a machine without a kernel
+#: toolchain.
 _HAVE_CFFI = HAVE_CFFI
 
 
 def compiled_tier_available() -> bool:
     """Can ``backend="compiled"`` actually compile kernels on this machine?"""
-    return _HAVE_NUMBA or _HAVE_CFFI
-
-
-def preferred_tier() -> Optional[str]:
-    """``"numba"``, ``"cffi"`` or ``None`` — the tier selection order."""
-    if _HAVE_NUMBA:
-        return "numba"
-    if _HAVE_CFFI:
-        return "cffi"
-    return None
+    return _HAVE_CFFI

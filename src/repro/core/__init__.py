@@ -16,7 +16,7 @@ Submodules map one-to-one onto the paper's sections:
 * :mod:`~repro.core.dispatch` — automatic strategy selection.
 """
 
-from .embedding import CostMethod, Embedding, use_array_path
+from .embedding import Embedding, use_array_path
 from .basic import (
     f_sequence,
     f_value,
@@ -76,7 +76,6 @@ from .subshape import embed_subshape, find_subshape
 
 __all__ = [
     "Embedding",
-    "CostMethod",
     "use_array_path",
     "FunctionalEmbedding",
     "functional_embed",

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..exceptions import InvalidRadixError, UnsupportedEmbeddingError
 from ..graphs.base import CartesianGraph, Line, Ring
-from ..numbering.arrays import digits_to_indices, require_numpy
+from ..numbering.arrays import digits_to_indices
 from ..numbering.batch import f_flat, g_flat, h_digits, h_flat
 from ..numbering.graycode import reflected_digit
 from ..numbering.radix import RadixBase
-from ..runtime.context import accepts_deprecated_method
 from ..types import Node
 from ..utils.listops import apply_permutation, concat, invert_permutation
 from .embedding import Embedding, use_array_path
@@ -220,7 +221,6 @@ def even_first_permutation(shape: Sequence[int]) -> Optional[Tuple[Tuple[int, ..
     return reordered, perm
 
 
-@accepts_deprecated_method
 def line_in_graph_embedding(host: CartesianGraph) -> Embedding:
     """Embed a line of the host's size in the host with dilation 1 (Theorem 13).
 
@@ -231,7 +231,6 @@ def line_in_graph_embedding(host: CartesianGraph) -> Embedding:
     base = RadixBase(host.shape)
     guest = Line(host.size)
     if use_array_path():
-        np = require_numpy()
         return Embedding.from_index_array(
             guest,
             host,
@@ -259,7 +258,6 @@ def predicted_ring_dilation(host: CartesianGraph) -> int:
     return 2
 
 
-@accepts_deprecated_method
 def ring_in_graph_embedding(host: CartesianGraph) -> Embedding:
     """Embed a ring of the host's size in the host with the optimal Section-3 strategy.
 
@@ -277,7 +275,6 @@ def ring_in_graph_embedding(host: CartesianGraph) -> Embedding:
     array = use_array_path()
     if host.is_torus:
         if array:
-            np = require_numpy()
             return Embedding.from_index_array(
                 guest,
                 host,
@@ -302,7 +299,6 @@ def ring_in_graph_embedding(host: CartesianGraph) -> Embedding:
             )
         reordered_shape, perm = reordering
         if array:
-            np = require_numpy()
             digits = h_digits(reordered_shape, np.arange(host.size, dtype=np.int64))
             return Embedding.from_index_array(
                 guest,
@@ -324,7 +320,6 @@ def ring_in_graph_embedding(host: CartesianGraph) -> Embedding:
     predicted = predicted_ring_dilation(host)
     notes = {"dilation_is_upper_bound": host.size <= 2}
     if array:
-        np = require_numpy()
         return Embedding.from_index_array(
             guest,
             host,

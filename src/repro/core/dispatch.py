@@ -21,6 +21,7 @@ simply ask for an embedding and get the best construction the paper offers:
 
 from __future__ import annotations
 
+import numpy as np
 
 from ..exceptions import (
     NoExpansionError,
@@ -29,10 +30,10 @@ from ..exceptions import (
     UnsupportedEmbeddingError,
 )
 from ..graphs.base import CartesianGraph, Mesh
-from ..numbering.arrays import digits_to_indices, indices_to_digits, require_numpy
+from ..numbering.arrays import digits_to_indices, indices_to_digits
 from ..numbering.batch import t_columns
 from ..runtime.cache import embedding_cache_key
-from ..runtime.context import accepts_deprecated_method, current
+from ..runtime.context import current
 from ..utils.listops import apply_permutation, find_permutation, is_permutation_of
 from .basic import line_in_graph_embedding, ring_in_graph_embedding
 from .embedding import Embedding, use_array_path
@@ -55,7 +56,6 @@ def _permuted_shape_embedding(guest: CartesianGraph, host: CartesianGraph) -> Em
         shape = guest.shape
         notes = {"permutation": permutation, "dilation_is_upper_bound": min(shape) <= 2}
         if use_array_path():
-            np = require_numpy()
             digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), shape)
             relabelled = t_columns(shape, digits)
             return Embedding.from_index_array(
@@ -152,7 +152,6 @@ def strategy_family(strategy: str) -> str:
     return "custom"
 
 
-@accepts_deprecated_method
 def embed(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     """Embed ``guest`` in ``host`` using the paper's best applicable construction.
 

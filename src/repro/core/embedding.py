@@ -30,19 +30,18 @@ lazily:
 The array form is the hot path: all cost measures are computed over it with
 vectorized mixed-radix arithmetic (:mod:`repro.numbering.arrays`), and
 :meth:`compose` reduces to a single gather.  The pure-Python per-edge loops
-are retained (the ``"loop"`` backend) as a cross-checked fallback and for
-environments without NumPy.
+are retained (the ``"loop"`` backend) as the cross-checked reference.
 
 Which path runs is resolved from the ambient execution context
 (:mod:`repro.runtime.context`): wrap calls in
 ``with use_context(backend="loop")`` to force the reference implementations.
-The historical per-call ``method=`` kwarg survives as a deprecated shim that
-installs exactly that scoped context.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..exceptions import InvalidEmbeddingError, InvalidRadixError, ShapeMismatchError
 from ..graphs.base import CartesianGraph
@@ -50,20 +49,13 @@ from ..graphs.paths import dimension_order_path
 from ..numbering.arrays import (
     digits_to_indices,
     indices_to_digits,
-    require_numpy,
     stacked_edge_congestion,
 )
-from ..runtime.context import accepts_deprecated_method, use_array_path
+from ..runtime.context import use_array_path
 from ..types import Node
 from ..utils.listops import apply_permutation
 
-__all__ = ["Embedding", "CostMethod", "use_array_path"]
-
-#: Historical alias for the backend names (``"auto"``, ``"array"``,
-#: ``"loop"``) — the type of the deprecated ``method=`` shim parameter; see
-#: :data:`repro.runtime.context.BACKENDS`.
-CostMethod = str
-
+__all__ = ["Embedding", "use_array_path"]
 
 
 class Embedding:
@@ -127,7 +119,6 @@ class Embedding:
         self._host_indices = None
         self._edge_dilations = None
         if host_index_array is not None:
-            np = require_numpy()
             array = np.ascontiguousarray(host_index_array, dtype=np.int64)
             if array.ndim != 1:
                 raise InvalidEmbeddingError(
@@ -194,7 +185,6 @@ class Embedding:
         return embedding
 
     @classmethod
-    @accepts_deprecated_method
     def identity(cls, guest: CartesianGraph, host: CartesianGraph) -> "Embedding":
         """The identity embedding between two graphs of the same shape.
 
@@ -206,7 +196,6 @@ class Embedding:
                 f"identity embedding requires equal shapes, got {guest.shape} and {host.shape}"
             )
         if use_array_path():
-            np = require_numpy()
             return cls.from_index_array(
                 guest,
                 host,
@@ -219,7 +208,6 @@ class Embedding:
         )
 
     @classmethod
-    @accepts_deprecated_method
     def from_permutation(
         cls,
         guest: CartesianGraph,
@@ -250,7 +238,6 @@ class Embedding:
                 "preserve adjacency; use the same-shape T_L embedding instead"
             )
         if use_array_path():
-            np = require_numpy()
             digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
             return cls.from_index_array(
                 guest,
@@ -288,10 +275,9 @@ class Embedding:
         """The flat array form: host rank of the image of guest rank ``i``.
 
         Cached after the first call; building it from a dict ``mapping`` is a
-        one-off O(n·d) conversion.  Requires NumPy.
+        one-off O(n·d) conversion.
         """
         if self._host_indices is None:
-            np = require_numpy()
             guest_base = self.guest.radix_base
             host_base = self.host.radix_base
             mapping = self._mapping
@@ -307,7 +293,6 @@ class Embedding:
 
     def guest_index_array(self):
         """The guest ranks ``0..|V_G|-1`` (trivially ``arange``; for symmetry)."""
-        np = require_numpy()
         return np.arange(self.guest.size, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
@@ -390,7 +375,6 @@ class Embedding:
 
     def _validate_array(self) -> None:
         """Vectorized validity check for array-backed embeddings."""
-        np = require_numpy()
         indices = self._host_indices
         if len(indices) != self.guest.size:
             raise InvalidEmbeddingError(
@@ -440,7 +424,7 @@ class Embedding:
         by dimension), so the array is a permutation of
         :meth:`edge_dilations`; the max/mean used by the cost measures are
         unaffected.  Cached — dilation, average dilation and the prediction
-        check share one computation.  Requires NumPy.
+        check share one computation.
         """
         if self._edge_dilations is None:
             u, v = self.guest.edge_index_arrays()
@@ -448,7 +432,6 @@ class Embedding:
             self._edge_dilations = self.host.distance_indices(images[u], images[v])
         return self._edge_dilations
 
-    @accepts_deprecated_method
     def dilation(self) -> int:
         """The measured dilation cost (Definition 1)."""
         if use_array_path():
@@ -457,7 +440,6 @@ class Embedding:
         dilations = self.edge_dilations()
         return max(dilations) if dilations else 0
 
-    @accepts_deprecated_method
     def average_dilation(self) -> float:
         """Mean distance in the host over all guest edges."""
         if use_array_path():
@@ -470,7 +452,6 @@ class Embedding:
         """``|V_H| / |V_G|`` — always 1 for the paper's same-size embeddings."""
         return self.host.size / self.guest.size
 
-    @accepts_deprecated_method
     def edge_congestion(self) -> int:
         """Maximum number of guest edges routed over a single host edge.
 
@@ -512,7 +493,6 @@ class Embedding:
             )[0]
         )
 
-    @accepts_deprecated_method
     def matches_prediction(self, *, measured: Optional[int] = None) -> bool:
         """True when the measured dilation equals the theorem's prediction.
 
@@ -537,7 +517,6 @@ class Embedding:
     # ------------------------------------------------------------------ #
     # Composition
     # ------------------------------------------------------------------ #
-    @accepts_deprecated_method
     def compose(
         self, outer: "Embedding", *, strategy: Optional[str] = None
     ) -> "Embedding":

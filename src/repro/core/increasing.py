@@ -26,14 +26,15 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..exceptions import NoExpansionError, ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import digits_to_indices, indices_to_digits, require_numpy
+from ..numbering.arrays import digits_to_indices, indices_to_digits
 from ..numbering.batch import f_digits, g_digits, h_digits
 from ..numbering.radix import RadixBase
 from ..types import Node
 from ..utils.listops import apply_permutation, concat, find_permutation
-from ..runtime.context import accepts_deprecated_method
 from .basic import f_value, g_value, h_value
 from .embedding import Embedding, use_array_path
 from .expansion import (
@@ -92,7 +93,6 @@ def predicted_increasing_dilation(
     return 2
 
 
-@accepts_deprecated_method
 def embed_increasing(
     guest: CartesianGraph,
     host: CartesianGraph,
@@ -209,7 +209,6 @@ def embed_increasing(
         notes["dilation_is_upper_bound"] = guest.size % 2 == 0
 
     if use_array_path():
-        np = require_numpy()
         guest_digits = indices_to_digits(
             np.arange(guest.size, dtype=np.int64), source_shape
         )

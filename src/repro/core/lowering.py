@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..exceptions import NoReductionError, ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import digits_to_indices, indices_to_digits, require_numpy
+from ..numbering.arrays import digits_to_indices, indices_to_digits
 from ..numbering.batch import f_digits, g_digits, group_collapse, t_columns
 from ..numbering.radix import RadixBase
-from ..runtime.context import accepts_deprecated_method
 from ..types import Node
 from ..utils.listops import apply_permutation, find_permutation
 from .basic import t_value
@@ -79,7 +80,6 @@ def U_value(factor: SimpleReductionFactor, node: Sequence[int]) -> Node:
     return tuple(result)
 
 
-@accepts_deprecated_method
 def embed_lowering_simple(
     guest: CartesianGraph,
     host: CartesianGraph,
@@ -150,7 +150,6 @@ def embed_lowering_simple(
         notes = {"reduction_factor": factor.groups, "permutation": tau}
 
     if use_array_path():
-        np = require_numpy()
         digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
         rearranged = digits[:, list(tau)]
         if torus_into_mesh:
@@ -221,7 +220,6 @@ def G_double_prime_value(factor: GeneralReductionFactor, node: Sequence[int]) ->
     return multiplied + tail
 
 
-@accepts_deprecated_method
 def embed_lowering_general(
     guest: CartesianGraph,
     host: CartesianGraph,
@@ -291,7 +289,6 @@ def embed_lowering_general(
         notes["dilation_is_upper_bound"] = True
 
     if use_array_path():
-        np = require_numpy()
         digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
         rearranged = digits[:, list(alpha)]
         prefix = rearranged[:, : factor.c]  # supernode coordinates L'
@@ -327,7 +324,6 @@ def embed_lowering_general(
     )
 
 
-@accepts_deprecated_method
 def embed_lowering(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     """Embed with whichever reduction condition the shapes satisfy.
 

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..exceptions import ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import digits_to_indices, indices_to_digits, require_numpy
+from ..numbering.arrays import digits_to_indices, indices_to_digits
 from ..numbering.batch import t_columns
-from ..runtime.context import accepts_deprecated_method
 from ..types import Node
 from .basic import t_value
 from .embedding import Embedding, use_array_path
@@ -42,7 +43,6 @@ def t_vector_value(shape: Sequence[int], node: Sequence[int]) -> Node:
     return tuple(t_value(length, coordinate) for length, coordinate in zip(shape, node))
 
 
-@accepts_deprecated_method
 def torus_in_mesh_same_shape(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     """The ``T_L`` embedding of an ``L``-torus in an ``L``-mesh (dilation 2)."""
     if guest.shape != host.shape:
@@ -52,7 +52,6 @@ def torus_in_mesh_same_shape(guest: CartesianGraph, host: CartesianGraph) -> Emb
     shape = guest.shape
     notes = {"dilation_is_upper_bound": guest.is_hypercube or min(shape) <= 2}
     if use_array_path():
-        np = require_numpy()
         digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), shape)
         return Embedding.from_index_array(
             guest,
@@ -72,7 +71,6 @@ def torus_in_mesh_same_shape(guest: CartesianGraph, host: CartesianGraph) -> Emb
     )
 
 
-@accepts_deprecated_method
 def same_shape_embedding(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     """The optimal same-shape embedding of Lemma 36.
 

@@ -31,7 +31,6 @@ from typing import List, Optional, Tuple
 
 from ..exceptions import ShapeMismatchError, UnsupportedEmbeddingError
 from ..graphs.base import CartesianGraph, make_graph
-from ..runtime.context import accepts_deprecated_method
 from ..types import GraphKind, ShapedGraphSpec
 from ..utils.intmath import exact_nth_root
 from .embedding import Embedding
@@ -143,7 +142,6 @@ def _square_chain_step_factor(
     )
 
 
-@accepts_deprecated_method
 def embed_square_lowering(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     """Theorems 48 and 51: embed a square guest in a square host of lower dimension."""
     _require_square_pair(guest, host)
@@ -197,7 +195,6 @@ def embed_square_lowering(guest: CartesianGraph, host: CartesianGraph) -> Embedd
 # --------------------------------------------------------------------------- #
 # Increasing dimension
 # --------------------------------------------------------------------------- #
-@accepts_deprecated_method
 def embed_square_increasing(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     """Theorems 52 and 53: embed a square guest in a square host of higher dimension."""
     _require_square_pair(guest, host)
@@ -239,7 +236,6 @@ def embed_square_increasing(guest: CartesianGraph, host: CartesianGraph) -> Embe
     return chain
 
 
-@accepts_deprecated_method
 def embed_square(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     """Embed between same-size square graphs using the appropriate Section 5 strategy."""
     _require_square_pair(guest, host)

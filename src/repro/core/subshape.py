@@ -24,9 +24,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..exceptions import UnsupportedEmbeddingError
 from ..graphs.base import CartesianGraph, Mesh
-from ..numbering.arrays import digits_to_indices, indices_to_digits, require_numpy
+from ..numbering.arrays import digits_to_indices, indices_to_digits
 from .embedding import Embedding, use_array_path
 
 __all__ = ["find_subshape", "embed_subshape"]
@@ -100,7 +102,6 @@ def embed_subshape(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     }
 
     if use_array_path():
-        np = require_numpy()
         inner_digits = indices_to_digits(inner.host_index_array(), inner_shape)
         full = np.zeros((guest.size, host.dimension), dtype=np.int64)
         for column, position in enumerate(inner_positions):

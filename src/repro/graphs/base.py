@@ -23,8 +23,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..exceptions import InvalidShapeError
-from ..numbering.arrays import digit_weights, indices_to_digits, require_numpy
+from ..numbering.arrays import digit_weights, indices_to_digits
 from ..numbering.distance import graph_distance_indices, mesh_distance, torus_distance
 from ..numbering.radix import RadixBase
 from ..types import GraphKind, Node, Shape, ShapedGraphSpec, as_shape
@@ -213,10 +215,9 @@ class CartesianGraph:
 
         The all-nodes ``u_L`` table shared by the edge derivation and the
         batched construction kernels.  Computed once per graph object and
-        returned read-only.  Requires NumPy.
+        returned read-only.
         """
         if self._node_digits is None:
-            np = require_numpy()
             digits = indices_to_digits(np.arange(self.size, dtype=np.int64), self._shape)
             digits.setflags(write=False)
             self._node_digits = digits
@@ -231,10 +232,9 @@ class CartesianGraph:
         boundaries (masked out) and length-2 torus dimensions (the ``+1``
         wrap duplicates the ``-1`` neighbour and is masked out).  Returns
         ``(neighbors, valid)``; entries with ``valid`` False are
-        meaningless.  Cached and read-only.  Requires NumPy.
+        meaningless.  Cached and read-only.
         """
         if self._neighbor_matrix is None:
-            np = require_numpy()
             n = self.size
             weights = digit_weights(self._shape)
             digits = self.node_digit_array()
@@ -275,10 +275,8 @@ class CartesianGraph:
         graph object, cached (graphs are immutable — nothing ever
         invalidates it) and returned read-only, so survey-scale loops that
         measure many embeddings against the same graph never re-derive it.
-        Requires NumPy.
         """
         if self._edge_arrays is None:
-            np = require_numpy()
             n = self.size
             weights = digit_weights(self._shape)
             digits = self.node_digit_array()
@@ -320,7 +318,7 @@ class CartesianGraph:
         """Vectorized :meth:`distance` over batches of natural-order ranks.
 
         Both arguments are array-likes of flat node indices; the result is an
-        ``int64`` array of pairwise δt/δm distances.  Requires NumPy.
+        ``int64`` array of pairwise δt/δm distances.
         """
         return graph_distance_indices(
             a_indices, b_indices, self._shape, torus=self.kind.is_torus

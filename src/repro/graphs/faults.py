@@ -26,8 +26,9 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..exceptions import InvalidShapeError
-from ..numbering.arrays import require_numpy
 from .base import CartesianGraph
 
 __all__ = ["FaultSpec", "Faults"]
@@ -211,10 +212,9 @@ class Faults:
 
         Same layout as :meth:`CartesianGraph.neighbor_rank_matrix`; entries
         pointing at or out of dead nodes and over dead links are invalid.
-        Cached.  Requires NumPy.
+        Cached.
         """
         if self._masked_matrix is None:
-            np = require_numpy()
             neighbors, valid = self.graph.neighbor_rank_matrix()
             valid = valid.copy()
             if self.dead_nodes:
@@ -236,9 +236,8 @@ class Faults:
 
         Level-synchronous frontier expansion over the masked neighbour
         matrix; distances are canonical, so this agrees exactly with
-        :meth:`bfs_distances`.  Requires NumPy.
+        :meth:`bfs_distances`.
         """
-        np = require_numpy()
         n = self.graph.size
         distances = np.full(n, -1, dtype=np.int64)
         if source in self.dead_nodes:

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from ..compiled.dispatch import active_kernels
 from ..exceptions import SimulationError
 from ..graphs.base import CartesianGraph
@@ -33,7 +35,6 @@ from ..graphs.faults import Faults
 from ..numbering.arrays import (
     digit_weights,
     indices_to_digits,
-    require_numpy,
     signed_offset_digits,
 )
 from ..types import Node
@@ -63,7 +64,6 @@ class LinkIndexSpace:
     """
 
     def __init__(self, topology: CartesianGraph):
-        np = require_numpy()
         self.topology = topology
         self.shape = topology.shape
         self.is_torus = topology.is_torus
@@ -83,7 +83,6 @@ class LinkIndexSpace:
         Only meaningful for ids actually produced by routing (mesh boundary
         slots would decode to out-of-range coordinates).
         """
-        np = require_numpy()
         ids = np.asarray(link_ids, dtype=np.int64)
         channel, source = np.divmod(ids, self.num_nodes)
         dim, negative = np.divmod(channel, 2)
@@ -145,7 +144,6 @@ def expand_routes(space: LinkIndexSpace, src_digits, dst_digits) -> RouteArrays:
     through that position.  All of it is ``repeat``/``cumsum`` arithmetic —
     no per-hop Python.
     """
-    np = require_numpy()
     src_digits = np.asarray(src_digits, dtype=np.int64)
     dst_digits = np.asarray(dst_digits, dtype=np.int64)
     m, d = src_digits.shape
@@ -170,7 +168,7 @@ def expand_routes(space: LinkIndexSpace, src_digits, dst_digits) -> RouteArrays:
 
     kernels = active_kernels()
     if kernels is not None:
-        # Compiled backend: one JIT pass fills the CSR hops directly from the
+        # Compiled backend: one C pass fills the CSR hops directly from the
         # signed offsets (all-integer — identical ids, element for element).
         link_ids = kernels.expand_link_ids(
             src_digits, offsets, starts, shape, space.num_nodes, space.is_torus
@@ -222,7 +220,6 @@ def accumulate_link_loads(
     ``(counts, volume, busy)`` arrays of length
     :attr:`LinkIndexSpace.num_slots`.
     """
-    np = require_numpy()
     slots = space.num_slots
     kernels = active_kernels()
     if kernels is not None:
@@ -256,7 +253,6 @@ def dead_slot_mask(space: LinkIndexSpace, faults: Faults):
     """
     from .weights import directed_slot_id
 
-    np = require_numpy()
     mask = np.zeros(space.num_slots, dtype=bool)
     topology = space.topology
     pairs = set()
@@ -291,7 +287,6 @@ def apply_fault_detours(
     pristine dimension-ordered plan); ``hops``/``starts``/``link_ids``
     reflect the actual detoured routes.
     """
-    np = require_numpy()
     from .weights import directed_slot_id
 
     if faults.dead_nodes:

@@ -108,7 +108,7 @@ class HostNetwork:
         """The flat directed-link id space of this topology (cached).
 
         Used by the vectorized routing and load kernels
-        (:mod:`repro.netsim.kernels`); requires NumPy.
+        (:mod:`repro.netsim.kernels`).
         """
         if self._link_space is None:
             from .kernels import LinkIndexSpace

@@ -31,11 +31,12 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..compiled.dispatch import active_kernels
 from ..core.embedding import Embedding, use_array_path
 from ..exceptions import SimulationError
-from ..runtime.context import accepts_deprecated_method
-from ..numbering.arrays import indices_to_digits, require_numpy
+from ..numbering.arrays import indices_to_digits
 from .kernels import (
     RouteArrays,
     accumulate_link_loads,
@@ -137,7 +138,6 @@ def _phase_arrays_from_ranks(
     faults=None,
 ):
     """Routed and priced phase data from already-placed guest endpoint ranks."""
-    np = require_numpy()
     _check_topology(network, embedding)
     _check_faults(network, faults)
     images = embedding.host_index_array()
@@ -172,7 +172,6 @@ def _phase_arrays(
     the per-message size / link-occupancy arrays, and the per-hop occupancy
     (``None`` for homogeneous links, where the per-message value repeats).
     """
-    require_numpy()
     source_ranks, target_ranks, sizes = traffic.endpoint_rank_arrays(embedding.guest.shape)
     return _phase_arrays_from_ranks(
         network, embedding, source_ranks, target_ranks, sizes, faults=faults
@@ -204,7 +203,6 @@ def _statistics_from_link_loads(
         # Heterogeneous links: a message's uncontended time is the sum of its
         # per-hop occupancies.  bincount adds in hop order, matching the loop
         # reference's sequential accumulation float for float.
-        np = require_numpy()
         message_of_hop = np.repeat(np.arange(num_messages, dtype=np.int64), hops)
         max_uncontended = float(
             np.bincount(
@@ -239,7 +237,6 @@ def _statistics_from_arrays(
     )
 
 
-@accepts_deprecated_method
 def analytic_phase_estimate(
     network: HostNetwork,
     embedding: Embedding,
@@ -381,7 +378,6 @@ def simulate_endpoint_phases(
     through one shared round loop.  Array kernels only — the results equal
     ``simulate_phase`` over the equivalent patterns field for field.
     """
-    np = require_numpy()
     groups: Dict[int, Dict] = {}  # one entry per distinct link-index space
     priced: List = [None] * len(phases)
     for index, (network, embedding, (source_ranks, target_ranks, sizes)) in enumerate(
@@ -518,7 +514,6 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
     hop, as in the heap loops); exceeding it raises
     :class:`~repro.exceptions.SimulationError` for the whole call.
     """
-    np = require_numpy()
     makespans = [0.0] * len(phases)
     completions: List[List[float]] = [[] for _ in phases]
     live = [index for index, entry in enumerate(phases) if entry[1].num_messages]
@@ -556,7 +551,7 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
 
     kernels = active_kernels()
     if kernels is not None:
-        # Compiled backend: the whole drain is one JIT kernel call over the
+        # Compiled backend: the whole drain is one C kernel call over the
         # merged arrays — same heap order, same float ops, bit-for-bit equal
         # completion times (tests/test_compiled_backend.py pins it).
         status, completion, _events = kernels.drain(
@@ -684,60 +679,6 @@ def _split_completions(makespans, completions, completion, live, counts):
     return list(zip(makespans, completions))
 
 
-def _simulate_arrays(
-    space, routes, occupancy, max_events: int, hop_occupancy=None
-) -> Tuple[float, List[float]]:
-    """Heap event loop keyed by directed-link ids over preallocated routes.
-
-    The cross-checked single-phase reference for
-    :func:`simulate_phases_rounds` (which the array backend dispatches to):
-    the routes were expanded once into a CSR batch (shared with the analytic
-    statistics); the event loop then only touches flat preallocated
-    sequences (`link_free[link_id]`, ``next_hop[message]``) — no
-    ``(node, node)`` tuples, no dicts.  Ordering and arithmetic match the
-    loop reference exactly: the heap orders by
-    ``(ready_time, message_index)`` and each hop costs the same
-    ``alpha + size/bandwidth`` float.  ``hop_occupancy`` (aligned with
-    ``routes.link_ids``) prices heterogeneous links per hop.
-    """
-    num_messages = routes.num_messages
-    link_ids = routes.link_ids.tolist()
-    starts = routes.starts.tolist()
-    occupancies = occupancy.tolist()
-    hop_costs = None if hop_occupancy is None else hop_occupancy.tolist()
-    link_free = [0.0] * space.num_slots
-    next_hop = starts[:-1].copy()
-    completion = [0.0] * num_messages
-
-    queue: List[Tuple[float, int]] = [
-        (0.0, index) for index in range(num_messages) if starts[index] < starts[index + 1]
-    ]
-    heapq.heapify(queue)
-    events = 0
-    while queue:
-        events += 1
-        if events > max_events:
-            raise SimulationError(
-                f"simulation exceeded {max_events} events; the configuration is too large"
-            )
-        ready_time, index = heapq.heappop(queue)
-        hop = next_hop[index]
-        link = link_ids[hop]
-        free_at = link_free[link]
-        start = ready_time if ready_time >= free_at else free_at
-        cost = occupancies[index] if hop_costs is None else hop_costs[hop]
-        finish = start + cost
-        link_free[link] = finish
-        next_hop[index] = hop + 1
-        if hop + 1 < starts[index + 1]:
-            heapq.heappush(queue, (finish, index))
-        else:
-            completion[index] = finish
-    makespan = max(completion, default=0.0)
-    return makespan, completion
-
-
-@accepts_deprecated_method
 def simulate_phase(
     network: HostNetwork,
     embedding: Embedding,
@@ -758,9 +699,8 @@ def simulate_phase(
     Placement and routing are shared between the analytic statistics and
     the event loop, so each phase expands its routes exactly once.  The
     array backend advances the phase with the round-based vectorized event
-    loop (:func:`simulate_phases_rounds`); the retained heap loops — flat
-    link-id (:func:`_simulate_arrays`) and node-tuple (the loop backend) —
-    are its cross-checked references.
+    loop (:func:`simulate_phases_rounds`); the node-tuple heap loop of the
+    loop backend is its cross-checked reference.
 
     ``faults`` (a materialized :class:`~repro.graphs.faults.Faults` of the
     host topology) reroutes cut messages over BFS detours; heterogeneous

@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.embedding import Embedding
 from ..exceptions import SimulationError
 from ..graphs.base import CartesianGraph
@@ -29,7 +31,6 @@ from ..numbering.arrays import (
     digit_weights,
     digits_to_indices,
     indices_to_digits,
-    require_numpy,
 )
 from ..runtime.context import use_array_path
 from ..runtime.registry import register_traffic, traffic_names as _registered_names
@@ -95,9 +96,7 @@ class TrafficPattern:
         converted arrays are cached on the (immutable) pattern, so placing
         the same pattern under several embeddings — the survey and CLI
         comparison loops — converts and validates the messages only once.
-        Requires NumPy.
         """
-        np = require_numpy()
         cached = getattr(self, "_endpoint_cache", None)
         if cached is not None and cached[0] == tuple(guest_shape):
             return cached[1]
@@ -439,12 +438,11 @@ def traffic_rank_arrays(
     .endpoint_rank_arrays(guest.shape)`` element for element (and in the same
     message order), computed without materializing a single
     :class:`Message`.  Returns ``None`` for patterns without a vectorized
-    generator — callers fall back to the builder.  Requires NumPy.
+    generator — callers fall back to the builder.
     """
     generator = _RANK_GENERATORS.get(name)
     if generator is None:
         return None
-    np = require_numpy()
     sources, targets = generator(guest, np)
     return sources, targets, np.full(sources.size, message_size, dtype=np.float64)
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..exceptions import InvalidShapeError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import require_numpy
 from ..types import Node
 
 __all__ = ["LinkWeightSpec", "directed_slot_id"]
@@ -126,9 +127,8 @@ class LinkWeightSpec:
         Bit-for-bit equal to :meth:`weight_of_slot` over ``range(num_slots)``:
         the hash is pure modular integer arithmetic (``uint64`` wraparound
         matches Python's masked big ints) and the float fold multiplies by an
-        exact power of two.  Requires NumPy.
+        exact power of two.
         """
-        np = require_numpy()
         slots = np.arange(space.num_slots, dtype=np.uint64)
         if self.kind == "uniform":
             return np.ones(space.num_slots, dtype=np.float64)

@@ -29,7 +29,7 @@ here provide:
 """
 
 from .radix import RadixBase
-from .arrays import HAVE_NUMPY, digit_weights, digits_to_indices, indices_to_digits
+from .arrays import digit_weights, digits_to_indices, indices_to_digits
 from .batch import (
     f_digits,
     f_flat,
@@ -65,7 +65,6 @@ from .graycode import (
 
 __all__ = [
     "RadixBase",
-    "HAVE_NUMPY",
     "digit_weights",
     "digits_to_indices",
     "indices_to_digits",

@@ -9,25 +9,15 @@ module provides them on flat NumPy ``int64`` arrays:
   indices, producing an ``(n, d)`` array of radix-L digit rows;
 * :func:`digits_to_indices` — the inverse ``u_L^{-1}`` on an ``(n, d)`` array;
 * :func:`digit_weights` — the per-digit weights ``(w_1, ..., w_d)``.
-
-NumPy is an optional dependency of the package core (the pure-Python path
-remains fully functional without it); every entry point is gated through
-:func:`require_numpy` so that environments without NumPy get a clear error
-only when the vectorized path is actually requested.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-try:  # pragma: no cover - exercised implicitly by every array test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None
+import numpy as np
 
 __all__ = [
-    "HAVE_NUMPY",
-    "require_numpy",
     "compact_index_dtype",
     "digit_weights",
     "indices_to_digits",
@@ -35,26 +25,6 @@ __all__ = [
     "signed_offset_digits",
     "stacked_edge_congestion",
 ]
-
-HAVE_NUMPY = _np is not None
-
-
-def require_numpy():
-    """Return the :mod:`numpy` module or raise a helpful ImportError.
-
-    Reached only from array-backend code (the execution context of
-    :mod:`repro.runtime.context` resolves array-capable requests to the loop
-    backend, with one warning, when NumPy is missing) or from the
-    array-representation methods of :class:`~repro.core.embedding.Embedding`,
-    which have no pure-Python equivalent.
-    """
-    if _np is None:  # pragma: no cover - the CI image always has numpy
-        raise ImportError(
-            "the vectorized embedding path requires numpy; install it or "
-            "force the pure-Python reference backend with "
-            "repro.runtime.use_context(backend='loop')"
-        )
-    return _np
 
 
 def compact_index_dtype(max_value: int):
@@ -67,7 +37,6 @@ def compact_index_dtype(max_value: int):
     keeps a hypothetical ``>= 2**31``-node graph correct: it simply stays at
     ``int64``.
     """
-    np = require_numpy()
     if max_value < 0:
         raise ValueError(f"max_value must be non-negative, got {max_value}")
     if max_value <= int(np.iinfo(np.int32).max):
@@ -82,7 +51,6 @@ def digit_weights(shape: Sequence[int]):
     :attr:`repro.numbering.radix.RadixBase.weights` without its leading
     ``w_0 = n`` entry.
     """
-    np = require_numpy()
     radices = np.asarray(tuple(shape), dtype=np.int64)
     if radices.ndim != 1 or radices.size == 0:
         raise ValueError("shape must be a non-empty 1-D sequence of radices")
@@ -98,7 +66,6 @@ def indices_to_digits(indices, shape: Sequence[int]):
     ``x̂_j = ⌊x / w_j⌋ mod l_j`` applied column-wise; the most significant
     digit is the first column, matching the paper's convention.
     """
-    np = require_numpy()
     indices = np.asarray(indices, dtype=np.int64)
     radices = np.asarray(tuple(shape), dtype=np.int64)
     weights = digit_weights(shape)
@@ -107,7 +74,6 @@ def indices_to_digits(indices, shape: Sequence[int]):
 
 def digits_to_indices(digits, shape: Sequence[int]):
     """Vectorized ``u_L^{-1}``: digit rows ``(n, d)`` -> flat indices ``(n,)``."""
-    np = require_numpy()
     digits = np.asarray(digits, dtype=np.int64)
     weights = digit_weights(shape)
     if digits.shape[-1] != weights.size:
@@ -135,7 +101,6 @@ def signed_offset_digits(a_digits, b_digits, shape: Sequence[int], *, torus: boo
     walk), and ``abs(offsets).sum(axis=-1)`` equals the δt/δm distance of
     Lemmas 5 and 6.
     """
-    np = require_numpy()
     a_digits = np.asarray(a_digits, dtype=np.int64)
     b_digits = np.asarray(b_digits, dtype=np.int64)
     if a_digits.shape != b_digits.shape:
@@ -169,7 +134,6 @@ def stacked_edge_congestion(images, edge_u, edge_v, shape: Sequence[int], *, tor
     dimension, with no per-row Python.  All arithmetic is integral, so one
     stacked pass is exactly the per-embedding computation row for row.
     """
-    np = require_numpy()
     images = np.asarray(images, dtype=np.int64)
     if images.ndim == 1:
         images = images[None, :]

@@ -29,8 +29,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..utils.listops import product
-from .arrays import digit_weights, digits_to_indices, require_numpy
+from .arrays import digit_weights, digits_to_indices
 
 __all__ = [
     "t_indices",
@@ -53,7 +55,6 @@ def t_indices(n: int, indices):
     ``2(n - x) - 1`` afterwards; the threshold ``⌊(n-1)/2⌋`` covers both the
     even and the odd case of the scalar definition.
     """
-    np = require_numpy()
     if n < 1:
         raise ValueError("n must be positive")
     x = np.asarray(indices, dtype=np.int64)
@@ -62,7 +63,6 @@ def t_indices(n: int, indices):
 
 def t_columns(shape: Sequence[int], digits):
     """``T_L`` (Definition 35): apply ``t_{l_j}`` to column ``j`` of a digit matrix."""
-    np = require_numpy()
     shape = tuple(shape)
     digits = np.asarray(digits, dtype=np.int64)
     if digits.ndim != 2 or digits.shape[1] != len(shape):
@@ -83,7 +83,6 @@ def f_digits(shape: Sequence[int], indices):
     even and ``l_j - x̂_j - 1`` when it is odd — the whole-column form of
     :func:`repro.numbering.graycode.reflected_digit`.
     """
-    np = require_numpy()
     shape = tuple(shape)
     x = np.asarray(indices, dtype=np.int64)
     radices = np.asarray(shape, dtype=np.int64)
@@ -116,7 +115,6 @@ def r_digits(shape: Sequence[int], indices):
     the remaining ``(l_1, l_2 - 1)`` sub-mesh with ``f`` (single remaining
     column filled bottom-to-top when ``l_2 = 2``).
     """
-    np = require_numpy()
     shape = tuple(shape)
     if len(shape) != 2:
         raise ValueError("r_L is only defined for 2-dimensional radix-bases")
@@ -142,7 +140,6 @@ def h_digits(shape: Sequence[int], indices):
     (alternating direction between planes ordered by ``f`` over the tail
     base) and the backward pass fills the remaining node of each plane.
     """
-    np = require_numpy()
     shape = tuple(shape)
     x = np.asarray(indices, dtype=np.int64)
     d = len(shape)
@@ -180,7 +177,6 @@ def group_collapse(digits, groups: Sequence[Sequence[int]]):
     that group's digit block.  The result is an ``(n, len(groups))`` matrix of
     digits for the reduced base ``(Π V_1, ..., Π V_c)``.
     """
-    np = require_numpy()
     digits = np.asarray(digits, dtype=np.int64)
     groups = tuple(tuple(group) for group in groups)
     expected = sum(len(group) for group in groups)

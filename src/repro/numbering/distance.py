@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .arrays import indices_to_digits, require_numpy
+import numpy as np
+
+from .arrays import indices_to_digits
 
 __all__ = [
     "mesh_distance",
@@ -55,7 +57,6 @@ def torus_distance(a: Sequence[int], b: Sequence[int], shape: Sequence[int]) -> 
 
 def mesh_distance_array(a_digits, b_digits):
     """Vectorized δm over ``(n, d)`` digit arrays -> ``(n,)`` distances (Lemma 6)."""
-    np = require_numpy()
     a_digits = np.asarray(a_digits, dtype=np.int64)
     b_digits = np.asarray(b_digits, dtype=np.int64)
     if a_digits.shape != b_digits.shape:
@@ -65,7 +66,6 @@ def mesh_distance_array(a_digits, b_digits):
 
 def torus_distance_array(a_digits, b_digits, shape: Sequence[int]):
     """Vectorized δt over ``(n, d)`` digit arrays -> ``(n,)`` distances (Lemma 5)."""
-    np = require_numpy()
     a_digits = np.asarray(a_digits, dtype=np.int64)
     b_digits = np.asarray(b_digits, dtype=np.int64)
     if a_digits.shape != b_digits.shape:

@@ -10,6 +10,7 @@ persisted through the runtime construction cache.  See
 that keeps the array and loop engines bit-for-bit identical.
 """
 
+from ..utils.rng import SplitMix64
 from .objective import (
     OBJECTIVES,
     decode_primary,
@@ -17,7 +18,6 @@ from .objective import (
     needs_congestion,
     objective_scale,
 )
-from .rng import SplitMix64
 from .search import (
     SCHEDULES,
     SEED_STRATEGIES,

@@ -12,7 +12,7 @@ call — zero per-candidate Python in the scoring path.
 
 The differential contract that made PRs 2-7 safe extends here: a pure-Python
 loop engine re-runs the identical search (same shared
-:class:`~repro.optimize.rng.SplitMix64` stream, same shared acceptance
+:class:`~repro.utils.rng.SplitMix64` stream, same shared acceptance
 logic, per-candidate reference scoring) and must match the array engine
 bit-for-bit under a fixed seed.  All ranking happens on exact integers
 (:mod:`repro.optimize.objective`), so "identical scores" is an equality of
@@ -30,22 +30,23 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..analysis.metrics import stacked_objective_components
 from ..compiled.dispatch import active_kernels
 from ..core.embedding import Embedding, use_array_path
 from ..exceptions import ShapeMismatchError, UnsupportedEmbeddingError
 from ..graphs.paths import dimension_order_path
-from ..numbering.arrays import require_numpy
 from ..runtime.cache import OptimizerState
 from ..runtime.context import current
 from ..runtime.registry import STRATEGIES, build_strategy, register_strategy
+from ..utils.rng import SplitMix64
 from .objective import (
     OBJECTIVES,
     encode_objective,
     needs_congestion,
     objective_scale,
 )
-from .rng import SplitMix64
 
 __all__ = [
     "OBJECTIVES",
@@ -150,13 +151,12 @@ class _ArrayEngine:
     """
 
     def __init__(self, guest, host, *, with_congestion: bool):
-        self.np = require_numpy()
         self.host = host
         self.with_congestion = with_congestion
         self.edge_u, self.edge_v = guest.edge_index_arrays()
 
     def population(self, rows: Sequence[Sequence[int]]):
-        return self.np.asarray([list(row) for row in rows], dtype=self.np.int64)
+        return np.asarray([list(row) for row in rows], dtype=np.int64)
 
     def candidates(self, matrix, moves):
         candidate = matrix.copy()
@@ -194,9 +194,9 @@ class _ArrayEngine:
 
 
 class _CompiledEngine(_ArrayEngine):
-    """JIT engine: move application and scoring run as compiled kernels.
+    """Compiled engine: move application and scoring run as C kernels.
 
-    Scoring already reaches the JIT tier through
+    Scoring already reaches the C tier through
     :func:`~repro.analysis.metrics.stacked_objective_components` (which
     consults :func:`~repro.compiled.dispatch.active_kernels` itself); this
     subclass additionally applies the whole generation's moves in one kernel
@@ -218,7 +218,7 @@ class _LoopEngine:
     Deliberately naive — it re-derives every candidate's costs with the
     historical per-edge distance loop and the dimension-ordered routing walk,
     so a bit-for-bit match against :class:`_ArrayEngine` cross-checks the
-    whole vectorized search, not just one kernel.  Runs without NumPy.
+    whole vectorized search, not just one kernel.
     """
 
     def __init__(self, guest, host, *, with_congestion: bool):
@@ -481,7 +481,6 @@ def _score_single(engine, row: Sequence[int]) -> Tuple[int, int, Optional[int]]:
 def _embedding_from_row(guest, host, row: Sequence[int], *, notes) -> Embedding:
     """A live ``Embedding`` for a host-rank row, honouring the backend."""
     if use_array_path():
-        np = require_numpy()
         return Embedding.from_index_array(
             guest,
             host,

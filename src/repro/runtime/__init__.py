@@ -1,17 +1,15 @@
 """The runtime layer: one execution context instead of hand-threaded kwargs.
 
-Everything that used to be a per-call ``method="auto|array|loop"`` kwarg —
-backend selection, plus the construction memo cache and the survey
-parallelism policy — lives in one ambient
-:class:`~repro.runtime.context.ExecutionContext`:
+Backend selection, the construction memo cache and the survey parallelism
+policy live in one ambient :class:`~repro.runtime.context.ExecutionContext`:
 
 >>> from repro.runtime import use_context
 >>> with use_context(backend="loop"):
 ...     embedding = embed(guest, host)          # pure-Python reference path
 
 ``context``
-    :class:`ExecutionContext`, the :func:`current` accessor, the scoped
-    :func:`use_context` override and the deprecated ``method=`` shim.
+    :class:`ExecutionContext`, the :func:`current` accessor and the scoped
+    :func:`use_context` override.
 ``cache``
     :class:`ConstructionCache` — the content-addressed embedding memo,
     picklable across survey workers and CLI invocations.
@@ -44,7 +42,6 @@ from .context import (
     BACKENDS,
     Backend,
     ExecutionContext,
-    accepts_deprecated_method,
     current,
     resolve_backend,
     set_default_context,
@@ -73,7 +70,6 @@ __all__ = [
     "set_default_context",
     "resolve_backend",
     "use_array_path",
-    "accepts_deprecated_method",
     # chaos
     "ChaosPlan",
     "FaultRule",

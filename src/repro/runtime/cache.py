@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from ..numbering.arrays import HAVE_NUMPY
 from ..utils.atomicio import atomic_write
 
 __all__ = [
@@ -147,8 +146,8 @@ class CachedConstruction:
     """The portable payload of one memoized embedding.
 
     ``host_indices`` is the flat natural-order host rank of every guest rank
-    — a read-only NumPy ``int64`` array when NumPy built the entry, a plain
-    tuple of ints otherwise.  Either form reconstructs under either backend.
+    as a read-only NumPy ``int64`` array; it reconstructs under either
+    backend.
     """
 
     host_indices: object
@@ -158,18 +157,10 @@ class CachedConstruction:
 
 
 def _portable_indices(embedding):
-    """The embedding's host-index sequence in a picklable, immutable form."""
-    if HAVE_NUMPY:
-        array = embedding.host_index_array().copy()
-        array.setflags(write=False)
-        return array
-    guest_base = embedding.guest.radix_base
-    host_base = embedding.host.radix_base
-    mapping = embedding.mapping
-    return tuple(
-        host_base.from_digits(mapping[guest_base.to_digits(rank)])
-        for rank in range(embedding.guest.size)
-    )
+    """The embedding's host-index array in a picklable, immutable form."""
+    array = embedding.host_index_array().copy()
+    array.setflags(write=False)
+    return array
 
 
 def _materialize(payload: CachedConstruction, guest, host):
@@ -177,9 +168,7 @@ def _materialize(payload: CachedConstruction, guest, host):
 
     Resolution honours the ambient backend: the array backend rehydrates the
     flat index array directly (sharing the read-only cached array, no copy);
-    the loop backend rebuilds the tuple ``mapping`` dict, so a loop-only
-    environment never needs NumPy to consume a cache built elsewhere with
-    plain-tuple payloads.
+    the loop backend rebuilds the tuple ``mapping`` dict.
     """
     from ..core.embedding import Embedding, use_array_path
 

@@ -1,10 +1,8 @@
 """The execution context: backend, cache and parallelism in one ambient object.
 
-Three PRs of growth left every layer of the embed → place → route → simulate
-pipeline hand-threading a ``method="auto|array|loop"`` kwarg call-by-call.
-This module replaces that with one ambient :class:`ExecutionContext` that the
-procedures *consult* (the SYS_ATL/Exo idiom: a scheduling context, not a
-parameter every caller must forward):
+Every layer of the embed → place → route → simulate pipeline *consults* one
+ambient :class:`ExecutionContext` (the SYS_ATL/Exo idiom: a scheduling
+context, not a parameter every caller must forward):
 
 * :func:`current` — the context in effect (innermost :func:`use_context`
   override, else the process default);
@@ -13,29 +11,21 @@ parameter every caller must forward):
 * :func:`set_default_context` — install a process-wide default (used by
   survey worker processes to inherit the parent's context).
 
-Backend resolution order (see ``docs/ARCHITECTURE.md``):
-
-1. an explicit per-call override (the deprecated ``method=`` shim);
-2. the innermost ``use_context`` scope;
-3. the process default context (``backend="auto"``).
-
-A resolved ``"auto"``/``"array"`` request falls back to the loop backend with
-**one warning per process** when NumPy is missing — uniformly, instead of the
-historical mix of hard ``ImportError`` and silent fallbacks.
+The context is the only input to backend selection (see
+``docs/ARCHITECTURE.md``): the innermost ``use_context`` scope wins, else the
+process default context (``backend="auto"``).
 """
 
 from __future__ import annotations
 
 import contextvars
 import dataclasses
-import functools
 import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
-from ..numbering.arrays import HAVE_NUMPY
 from .cache import ConstructionCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -50,32 +40,18 @@ __all__ = [
     "set_default_context",
     "resolve_backend",
     "use_array_path",
-    "accepts_deprecated_method",
 ]
 
-#: Allowed values of :attr:`ExecutionContext.backend` (and of the deprecated
-#: per-call ``method=`` override): ``"auto"`` prefers the vectorized array
-#: kernels when NumPy is available, ``"array"`` requests them explicitly,
-#: ``"loop"`` forces the retained pure-Python reference implementations, and
-#: ``"compiled"`` requests the JIT kernel tier (:mod:`repro.compiled`) for
-#: the irregular hot loops, with the array kernels everywhere else.
+#: Allowed values of :attr:`ExecutionContext.backend`: ``"auto"`` and
+#: ``"array"`` run the vectorized array kernels, ``"loop"`` forces the
+#: retained pure-Python reference implementations, and ``"compiled"``
+#: requests the C kernel tier (:mod:`repro.compiled`) for the irregular hot
+#: loops, with the array kernels everywhere else.
 Backend = str
 
 BACKENDS = ("auto", "array", "loop", "compiled")
 
-#: Patchable alias so tests can simulate a NumPy-less environment without
-#: uninstalling NumPy.
-_HAVE_NUMPY = HAVE_NUMPY
-
-_warned_numpy_fallback = False
-
 _warned_compiled_fallback = False
-
-
-def _validate_backend(backend: Backend) -> Backend:
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return backend
 
 
 @dataclass(frozen=True)
@@ -85,10 +61,9 @@ class ExecutionContext:
     Attributes
     ----------
     backend:
-        Construction/measure/simulation implementation — ``"auto"`` (array
-        kernels when NumPy is available), ``"array"``, ``"loop"`` or
-        ``"compiled"`` (JIT kernels for the irregular hot loops, array
-        kernels elsewhere).
+        Construction/measure/simulation implementation — ``"auto"`` (the
+        array kernels), ``"array"``, ``"loop"`` or ``"compiled"`` (C kernels
+        for the irregular hot loops, array kernels elsewhere).
     cache:
         The content-addressed construction memo
         (:class:`~repro.runtime.cache.ConstructionCache`), or ``None`` to
@@ -125,7 +100,10 @@ class ExecutionContext:
     chaos: Optional[Union["ChaosPlan", str]] = None
 
     def __post_init__(self) -> None:
-        _validate_backend(self.backend)
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
+            )
         if self.workers is not None and self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.shard_size < 1:
@@ -135,36 +113,17 @@ class ExecutionContext:
 
             object.__setattr__(self, "chaos", ChaosPlan.parse(self.chaos))
 
-    def resolved_backend(self, override: Optional[Backend] = None) -> Backend:
+    def resolved_backend(self) -> Backend:
         """The concrete backend — ``"array"``, ``"loop"`` or ``"compiled"``.
 
-        ``override`` (when not ``None``) takes precedence over the context's
-        own :attr:`backend`; it is how the deprecated per-call ``method=``
-        shim slots into the resolution order.  Array-capable requests degrade
-        to ``"loop"`` with one per-process warning when NumPy is missing.
-        A ``"compiled"`` request additionally needs a kernel toolchain
-        (Numba, or cffi plus a C compiler); without one it degrades to
-        ``"array"`` with one per-process warning — ``"auto"`` never selects
-        ``"compiled"`` on its own, the JIT tier is strictly opt-in.
+        A ``"compiled"`` request needs a kernel toolchain (cffi plus a C
+        compiler); without one it degrades to ``"array"`` with one
+        per-process warning — ``"auto"`` never selects ``"compiled"`` on its
+        own, the C tier is strictly opt-in.
         """
-        requested = _validate_backend(
-            override if override is not None else self.backend
-        )
-        if requested == "loop":
+        if self.backend == "loop":
             return "loop"
-        if not _HAVE_NUMPY:
-            global _warned_numpy_fallback
-            if not _warned_numpy_fallback:
-                _warned_numpy_fallback = True
-                warnings.warn(
-                    "NumPy is not available; the runtime falls back to the "
-                    "pure-Python loop backend for every array-capable request "
-                    "(this warning is emitted once per process)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            return "loop"
-        if requested == "compiled":
+        if self.backend == "compiled":
             from ..compiled import toolchain
 
             if toolchain.compiled_tier_available():
@@ -173,16 +132,16 @@ class ExecutionContext:
             if not _warned_compiled_fallback:
                 _warned_compiled_fallback = True
                 warnings.warn(
-                    "no kernel toolchain is available (install numba via "
-                    "'pip install repro[compiled]', or provide cffi and a C "
-                    "compiler); backend='compiled' falls back to the array "
-                    "backend (this warning is emitted once per process)",
+                    "no kernel toolchain is available (install cffi via "
+                    "'pip install repro[compiled]' and provide a C compiler); "
+                    "backend='compiled' falls back to the array backend (this "
+                    "warning is emitted once per process)",
                     RuntimeWarning,
                     stacklevel=3,
                 )
         return "array"
 
-    def use_array(self, override: Optional[Backend] = None) -> bool:
+    def use_array(self) -> bool:
         """True when the resolved backend runs the vectorized array kernels.
 
         The ``"compiled"`` backend *is* the array path everywhere outside the
@@ -190,7 +149,7 @@ class ExecutionContext:
         :func:`repro.compiled.dispatch.active_kernels` themselves), so it
         answers True here.
         """
-        return self.resolved_backend(override) in ("array", "compiled")
+        return self.resolved_backend() in ("array", "compiled")
 
     def resolved_workers(self) -> int:
         """The effective worker count (``None`` → ``os.cpu_count()``)."""
@@ -246,43 +205,15 @@ def use_context(
         _current_context.reset(token)
 
 
-def resolve_backend(override: Optional[Backend] = None) -> Backend:
+def resolve_backend() -> Backend:
     """:meth:`ExecutionContext.resolved_backend` of the current context."""
-    return current().resolved_backend(override)
+    return current().resolved_backend()
 
 
-def use_array_path(method: Optional[Backend] = None) -> bool:
+def use_array_path() -> bool:
     """Should the vectorized array path run?  Resolved from the context.
 
     The single gate shared by every cost measure, construction builder and
-    simulation path.  ``method`` is the deprecated per-call override kept for
-    backward compatibility; new code leaves it ``None`` and scopes the
-    backend with :func:`use_context` instead.
+    simulation path; scope the backend with :func:`use_context`.
     """
-    return current().use_array(method)
-
-
-def accepts_deprecated_method(func):
-    """Shim decorator: accept the pre-runtime ``method=`` kwarg.
-
-    The wrapped function no longer takes ``method``; a caller that still
-    passes one gets a :class:`DeprecationWarning` and the call runs under a
-    scoped ``use_context(backend=method)`` — so the override reaches the
-    whole call chain without any hand-threading.
-    """
-
-    @functools.wraps(func)
-    def wrapper(*args, method: Optional[Backend] = None, **kwargs):
-        if method is None:
-            return func(*args, **kwargs)
-        warnings.warn(
-            f"{func.__qualname__}(method=...) is deprecated and will be "
-            "removed in repro 2.0; wrap the call in "
-            "repro.runtime.use_context(backend=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        with use_context(backend=method):
-            return func(*args, **kwargs)
-
-    return wrapper
+    return current().use_array()

@@ -11,7 +11,7 @@ and the extension point for new competitors and workloads:
 ... def my_heuristic(guest, host):
 ...     ...
 
-Builders are pure functions of their inputs — no ``method=`` parameter; they
+Builders are pure functions of their inputs — no backend parameter; they
 consult the ambient :mod:`execution context <repro.runtime.context>` for the
 backend, and :func:`build_strategy` memoizes their results through the
 context's construction cache (keyed ``"strategy:<name>"``; the ``"paper"``

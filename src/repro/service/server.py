@@ -156,8 +156,8 @@ class ReproService:
     ----------
     backend:
         Runtime backend of the resident context (``"auto"`` resolves to the
-        array kernels when NumPy is present; the loop backend still serves,
-        through the per-scenario reference path).
+        array kernels; the loop backend still serves, through the
+        per-scenario reference path).
     cache / cache_path:
         The resident construction cache, or a pickle path to warm-start it
         from (and snapshot it back to).  With neither, a fresh in-memory

@@ -185,7 +185,7 @@ def evaluate_shard_batched(
     ``elapsed_seconds`` timing column (batched records carry the per-record
     share of the shard's wall time).
     """
-    from .runner import _evaluate_scenario, _record_base  # lazy: runner imports us
+    from .runner import _record_base, evaluate_scenario  # lazy: runner imports us
 
     started = time.perf_counter()
     state = _ShardState()
@@ -204,7 +204,7 @@ def evaluate_shard_batched(
             # scenarios likewise: the optimizer *is* the batched computation
             # (its population already rides the stacked kernels), so the
             # shard-level grouping has nothing further to fuse.
-            records[position] = _evaluate_scenario(scenario, options)
+            records[position] = evaluate_scenario(scenario, options)
             continue
         guest = state.graph(scenario.guest_kind, scenario.guest_shape)
         host = state.graph(scenario.host_kind, scenario.host_shape)
@@ -298,7 +298,7 @@ def evaluate_shard_batched(
             values = metrics.get((signature, strategy))
             if values is None:
                 # Stacked kernels declined this group: reference path.
-                records[position] = _evaluate_scenario(scenario, options)
+                records[position] = evaluate_scenario(scenario, options)
                 continue
             dilation, average, congestion = values
             embedding = group["rows"][strategy]
@@ -327,7 +327,7 @@ def evaluate_shard_batched(
                         **base,
                     )
                 else:  # no outcome recorded at all: reference path
-                    records[position] = _evaluate_scenario(scenario, options)
+                    records[position] = evaluate_scenario(scenario, options)
                 continue
             statistics = outcome.statistics
             records[position] = SurveyRecord(

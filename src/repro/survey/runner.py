@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -61,12 +60,7 @@ from ..runtime.chaos import (
     inject,
     merge_chaos_counters,
 )
-from ..runtime.context import (
-    ExecutionContext,
-    current,
-    set_default_context,
-    use_context,
-)
+from ..runtime.context import ExecutionContext, current, set_default_context
 from ..runtime.registry import build_strategy
 from ..utils.backoff import BackoffPolicy
 from ..utils.rng import SplitMix64
@@ -107,10 +101,6 @@ class SurveyOptions:
         ``shard-<k>.json`` before the merged result is assembled.
     with_congestion:
         Also measure edge congestion (vectorized; moderately more work).
-    method:
-        Deprecated backend override — prefer wrapping the run in
-        ``use_context(backend=...)``.  When set, the whole run (workers
-        included) executes under that backend.
     resume:
         When set (the default) and ``shard_dir`` holds a finished shard file
         whose records match the shard's scenario ids and these options
@@ -131,7 +121,6 @@ class SurveyOptions:
     shard_size: Optional[int] = None
     shard_dir: Optional[str] = None
     with_congestion: bool = False
-    method: Optional[str] = None  # stays 5th: positional callers predate it
     resume: bool = True
     retry: BackoffPolicy = DEFAULT_SHARD_BACKOFF
     shard_timeout: Optional[float] = None
@@ -207,32 +196,6 @@ class SurveyReport:
                 )
             rows.append(row)
         return rows
-
-
-def _options_backend_override(options: SurveyOptions):
-    """The deprecated ``SurveyOptions.method`` shim: a scoped backend override."""
-    if options.method is None:
-        return use_context()  # no-op scope: keeps the call sites uniform
-    warnings.warn(
-        "SurveyOptions(method=...) is deprecated and will be removed in "
-        "repro 2.0; wrap run_survey in repro.runtime.use_context(backend=...) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return use_context(backend=options.method)
-
-
-def evaluate_scenario(scenario: Scenario, options: SurveyOptions) -> SurveyRecord:
-    """Embed and measure one scenario, capturing failures as record status.
-
-    Embedding scenarios measure the vectorized costs; simulation scenarios
-    (``scenario.traffic`` set) additionally place the named traffic pattern
-    on the host network and run the store-and-forward phase simulation.  The
-    backend and the construction memo come from the ambient context.
-    """
-    with _options_backend_override(options):
-        return _evaluate_scenario(scenario, options)
 
 
 def _record_base(scenario: Scenario, guest, host) -> Dict[str, object]:
@@ -330,7 +293,14 @@ def _evaluate_optimize_scenario(
     )
 
 
-def _evaluate_scenario(scenario: Scenario, options: SurveyOptions) -> SurveyRecord:
+def evaluate_scenario(scenario: Scenario, options: SurveyOptions) -> SurveyRecord:
+    """Embed and measure one scenario, capturing failures as record status.
+
+    Embedding scenarios measure the vectorized costs; simulation scenarios
+    (``scenario.traffic`` set) additionally place the named traffic pattern
+    on the host network and run the store-and-forward phase simulation.  The
+    backend and the construction memo come from the ambient context.
+    """
     guest = scenario.guest_graph()
     host = scenario.host_graph()
     base = _record_base(scenario, guest, host)
@@ -431,7 +401,7 @@ def evaluate_shard(
         from .batch import evaluate_shard_batched
 
         return evaluate_shard_batched(scenarios, options)
-    return [_evaluate_scenario(scenario, options) for scenario in scenarios]
+    return [evaluate_scenario(scenario, options) for scenario in scenarios]
 
 
 def _run_shard(
@@ -522,22 +492,6 @@ def _load_finished_shard(
     ):
         return None
     return records
-
-
-def run_survey(
-    scenarios: Sequence[Scenario], options: Optional[SurveyOptions] = None
-) -> SurveyReport:
-    """Evaluate every scenario and return the merged, deterministic report.
-
-    Records are returned in the input scenario order whatever the worker
-    scheduling; two runs over the same scenario list produce identical
-    records (modulo the ``elapsed_seconds`` timings).  Parallelism policy
-    resolves ``options`` first, then the ambient execution context; worker
-    processes inherit the full context — backend, cache warm start and all.
-    """
-    options = options or SurveyOptions()
-    with _options_backend_override(options):
-        return _run_survey(scenarios, options)
 
 
 @dataclass
@@ -763,7 +717,18 @@ def _run_pooled(pending, options, context, workers, results, recovery, rng) -> N
                 time.sleep(options.retry.delay(worst - 1, rng))
 
 
-def _run_survey(scenarios: Sequence[Scenario], options: SurveyOptions) -> SurveyReport:
+def run_survey(
+    scenarios: Sequence[Scenario], options: Optional[SurveyOptions] = None
+) -> SurveyReport:
+    """Evaluate every scenario and return the merged, deterministic report.
+
+    Records are returned in the input scenario order whatever the worker
+    scheduling; two runs over the same scenario list produce identical
+    records (modulo the ``elapsed_seconds`` timings).  Parallelism policy
+    resolves ``options`` first, then the ambient execution context; worker
+    processes inherit the full context — backend, cache warm start and all.
+    """
+    options = options or SurveyOptions()
     context = current()
     scenarios = list(scenarios)
     workers = (

@@ -7,12 +7,12 @@ array/loop split:
   sources — drain, expand_fill, accumulate, score_rows, apply_moves — is run
   against its array-path reference on randomized small inputs.  The
   *interpreted* sources run in every environment (no toolchain needed); the
-  loaded tier (numba or cffi) is exercised additionally wherever one exists.
+  C tier is exercised additionally wherever it loads.
 * **End-to-end equality**: optimizer searches, phase simulations and survey
   records under ``backend="compiled"`` equal the array backend's exactly.
 * **Golden reproduction**: the SIM-MAP and TAB-SEARCH fixtures are re-derived
   under ``backend="compiled"`` and must match byte for byte.
-* **Degradation**: with the toolchain flags monkeypatched off,
+* **Degradation**: with the toolchain flag monkeypatched off,
   ``backend="compiled"`` falls back to the array backend with exactly one
   RuntimeWarning per process and byte-identical results; backend validation
   raises ``ValueError`` naming the allowed set.
@@ -21,6 +21,7 @@ array/loop split:
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,12 +46,10 @@ from repro.optimize.search import OptimizeOptions, _ArrayEngine, optimize_embedd
 from repro.runtime import ConstructionCache, ExecutionContext, use_context
 from repro.runtime import context as context_module
 
-np = pytest.importorskip("numpy")
-
 HAVE_TOOLCHAIN = toolchain.compiled_tier_available()
 
 needs_toolchain = pytest.mark.skipif(
-    not HAVE_TOOLCHAIN, reason="no kernel toolchain (numba or cffi + C compiler)"
+    not HAVE_TOOLCHAIN, reason="no kernel toolchain (cffi + C compiler)"
 )
 
 
@@ -202,7 +201,6 @@ class TestKernelDifferentials:
             lo, hi = sorted(rng.choice(width, size=2, replace=False).tolist())
             moves.append((int(rng.integers(0, 2)), int(lo), int(hi)))
         engine = _ArrayEngine.__new__(_ArrayEngine)
-        engine.np = np
         want = _ArrayEngine.candidates(engine, matrix, moves)
         pristine = matrix.copy()
         for kernels in kernel_sets():
@@ -367,7 +365,6 @@ class TestDegradationWithoutToolchain:
     pytestmark = pytest.mark.smoke
 
     def _strip_toolchain(self, monkeypatch):
-        monkeypatch.setattr(toolchain, "_HAVE_NUMBA", False)
         monkeypatch.setattr(toolchain, "_HAVE_CFFI", False)
         monkeypatch.setattr(context_module, "_warned_compiled_fallback", False)
 
@@ -421,7 +418,6 @@ class TestDegradationWithoutToolchain:
         embedding = embed(guest, host)
         with use_context(backend="array"):
             want = simulate_phase(network, embedding, traffic).as_row()
-        monkeypatch.setattr(toolchain, "_HAVE_NUMBA", False)
         monkeypatch.setattr(toolchain, "_HAVE_CFFI", True)
         monkeypatch.setattr(dispatch, "load_kernels", interpreted_kernels)
         with warnings.catch_warnings():
@@ -447,9 +443,18 @@ class TestBackendValidation:
             with use_context(backend="jit"):
                 pass  # pragma: no cover - never reached
 
-    def test_resolved_backend_rejects_unknown_override(self):
+    def test_removed_numba_backend_is_rejected(self):
+        # The numba tier is gone; its name is not a backend.
         with pytest.raises(ValueError, match="'auto', 'array', 'loop', 'compiled'"):
-            context_module.current().resolved_backend("numba")
+            ExecutionContext(backend="numba")
+
+    @needs_toolchain
+    def test_compiled_backend_runs_the_cffi_tier(self):
+        assert load_kernels().tier == "cffi"
+        with use_context(backend="compiled"):
+            assert dispatch.active_kernels().tier == "cffi"
+        with use_context(backend="array"):
+            assert dispatch.active_kernels() is None
 
     def test_cli_method_accepts_compiled_and_rejects_unknown(self, capsys):
         from repro.cli import main

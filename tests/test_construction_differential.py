@@ -183,12 +183,7 @@ def test_backend_validation_still_applies():
         embed(Mesh((2, 3)), Mesh((2, 2)))
 
 
-def test_deprecated_method_kwarg_installs_scoped_backend():
-    # The shim must behave exactly like the use_context form, and warn.
-    with pytest.warns(DeprecationWarning):
-        shimmed = embed(Torus((4, 6)), Mesh((2, 2, 2, 3)), method="loop")
-    with use_context(backend="loop"):
-        scoped = embed(Torus((4, 6)), Mesh((2, 2, 2, 3)))
-    assert_constructions_agree(shimmed, scoped)
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-        embed(Mesh((2, 2)), Mesh((2, 2)), method="vectorized")
+def test_method_kwarg_is_gone():
+    # Removed in 2.0: the ambient context is the only backend selector.
+    with pytest.raises(TypeError):
+        embed(Torus((4, 6)), Mesh((2, 2, 2, 3)), method="loop")

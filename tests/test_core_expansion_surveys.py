@@ -24,8 +24,6 @@ from .conftest import graph_kinds, unequal_size_shape_pairs
 
 pytestmark = pytest.mark.smoke
 
-np = pytest.importorskip("numpy")
-
 
 def _graph(kind, shape):
     return Torus(shape) if kind == GraphKind.TORUS else Mesh(shape)

@@ -1,10 +1,16 @@
 """Cross-checks of the graph substrate against networkx."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.graphs.base import Hypercube, Mesh, Torus
 from repro.graphs.networkx_adapter import bfs_distance, to_networkx
 
@@ -58,3 +64,31 @@ class TestDistanceAgreement:
     def test_connectedness(self):
         for graph in (Mesh((3, 3, 2)), Torus((3, 3, 2))):
             assert nx.is_connected(to_networkx(graph))
+
+
+class TestWithoutNetworkx:
+    def test_package_imports_and_embeds_without_networkx(self):
+        # networkx is a dev extra, not an install requirement.  A None entry
+        # in sys.modules makes every `import networkx` raise ImportError.
+        script = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "import repro, repro.api, repro.cli\n"
+            "print(repro.api.embed('torus:4x6', 'mesh:2x2x2x3').dilation())\n"
+            "try:\n"
+            "    repro.to_networkx(repro.Mesh((2, 2)))\n"
+            "except ImportError:\n"
+            "    print('needs networkx')\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["1", "needs networkx"]

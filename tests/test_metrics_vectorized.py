@@ -150,12 +150,10 @@ class TestVectorizedCostsEqualLegacy:
         # vectorized congestion must pick the same (increasing) direction.
         guest, host = Mesh((4, 4)), Torus((4, 4))
         embedding = random_embedding(guest, host, seed=7)
-        # Exercised through the deprecated shim on purpose: it must keep
-        # matching the use_context form until it is removed.
-        with pytest.warns(DeprecationWarning):
-            shimmed = embedding.edge_congestion(method="array")
+        with use_context(backend="array"):
+            array = embedding.edge_congestion()
         with use_context(backend="loop"):
-            assert shimmed == embedding.edge_congestion()
+            assert array == embedding.edge_congestion()
 
 
 class TestArrayRepresentation:

@@ -29,8 +29,6 @@ from .conftest import fault_specs, graph_kinds, link_weight_specs, small_shapes
 
 pytestmark = pytest.mark.smoke
 
-np = pytest.importorskip("numpy")
-
 
 def _graph(kind, shape):
     return Torus(shape) if kind == GraphKind.TORUS else Mesh(shape)

@@ -256,9 +256,8 @@ class TestSimulationDifferential:
         network = HostNetwork(host, CostModel(alpha=0.5, bandwidth=4.0))
         embedding = embed(guest, host)
         traffic = neighbor_exchange_traffic(guest, message_size=2.0)
-        # Through the deprecated shim on purpose — it must stay equivalent.
-        with pytest.warns(DeprecationWarning):
-            array = simulate_phase(network, embedding, traffic, method="array")
+        with use_context(backend="array"):
+            array = simulate_phase(network, embedding, traffic)
         with use_context(backend="loop"):
             loop = simulate_phase(network, embedding, traffic)
         assert array.makespan == loop.makespan

@@ -1,6 +1,7 @@
-"""Tests for the execution context: resolution order, scoping, the shim."""
+"""Tests for the execution context: resolution order and scoping."""
 
 import pickle
+import warnings
 
 import pytest
 
@@ -8,12 +9,7 @@ from repro.core.dispatch import embed
 from repro.core.embedding import use_array_path
 from repro.graphs.base import Mesh, Torus
 from repro.runtime import ExecutionContext, current, use_context
-from repro.runtime import context as context_module
-from repro.runtime.context import (
-    accepts_deprecated_method,
-    resolve_backend,
-    set_default_context,
-)
+from repro.runtime.context import resolve_backend, set_default_context
 
 pytestmark = pytest.mark.smoke
 
@@ -38,10 +34,6 @@ class TestExecutionContext:
         assert ExecutionContext(backend="auto").resolved_backend() == "array"
         assert ExecutionContext(backend="array").resolved_backend() == "array"
         assert ExecutionContext(backend="loop").resolved_backend() == "loop"
-        # the per-call override (the method= shim) wins over the field
-        assert ExecutionContext(backend="array").resolved_backend("loop") == "loop"
-        with pytest.raises(ValueError):
-            ExecutionContext().resolved_backend("bogus")
 
     def test_resolved_workers(self):
         assert ExecutionContext(workers=3).resolved_workers() == 3
@@ -107,62 +99,61 @@ class TestScoping:
     def test_resolve_backend_module_helper(self):
         with use_context(backend="loop"):
             assert resolve_backend() == "loop"
-            assert resolve_backend("array") == "array"
 
 
-class TestMissingNumpyFallback:
-    def test_array_request_degrades_to_loop_with_one_warning(self, monkeypatch):
-        monkeypatch.setattr(context_module, "_HAVE_NUMPY", False)
-        monkeypatch.setattr(context_module, "_warned_numpy_fallback", False)
-        with pytest.warns(RuntimeWarning, match="falls back to the pure-Python"):
-            assert ExecutionContext(backend="array").resolved_backend() == "loop"
-        # second resolution: same fallback, no second warning
-        import warnings
-
+class TestBackendResolution:
+    def test_array_request_resolves_without_warning(self):
+        # NumPy is a hard requirement: "array" and "auto" never degrade.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ExecutionContext(backend="auto").resolved_backend() == "loop"
-            assert not use_array_path()
+            assert ExecutionContext(backend="array").resolved_backend() == "array"
+            assert ExecutionContext(backend="auto").resolved_backend() == "array"
+            with use_context(backend="array"):
+                assert use_array_path()
 
-    def test_loop_request_never_warns(self, monkeypatch):
-        monkeypatch.setattr(context_module, "_HAVE_NUMPY", False)
-        monkeypatch.setattr(context_module, "_warned_numpy_fallback", False)
-        import warnings
-
+    def test_loop_request_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ExecutionContext(backend="loop").resolved_backend() == "loop"
 
-    def test_constructions_still_work_without_numpy_path(self, monkeypatch):
-        monkeypatch.setattr(context_module, "_HAVE_NUMPY", False)
-        monkeypatch.setattr(context_module, "_warned_numpy_fallback", True)
-        embedding = embed(Torus((3, 4)), Mesh((3, 4)))
-        # the loop fallback built a dict-backed embedding without NumPy help
-        assert embedding._host_indices is None
-        assert embedding.dilation() == 2
+    def test_loop_constructions_are_dict_backed(self):
+        with use_context(backend="loop"):
+            loop = embed(Torus((3, 4)), Mesh((3, 4)))
+        array = embed(Torus((3, 4)), Mesh((3, 4)))
+        # the loop reference builds a dict-backed embedding, no arrays
+        assert loop._host_indices is None
+        assert array._host_indices is not None
+        assert loop.dilation() == array.dilation() == 2
+        assert loop.mapping == array.mapping
 
 
-class TestDeprecatedMethodShim:
-    def test_shim_warns_and_scopes_the_backend(self):
-        @accepts_deprecated_method
-        def probe():
-            return current().backend
-
-        assert probe() == "auto"  # method=None: no warning, no scope
-        with pytest.warns(DeprecationWarning, match="probe\\(method=...\\)"):
-            assert probe(method="loop") == "loop"
-        assert current().backend == "auto"
-
-    def test_shim_validates_the_backend_value(self):
-        @accepts_deprecated_method
-        def probe():
-            return None  # pragma: no cover - never reached with a bad value
-
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            probe(method="bogus")
-
-    def test_embedding_cost_methods_accept_the_shim(self):
+class TestMethodKwargRemoved:
+    def test_embedding_cost_methods_reject_method(self):
         embedding = embed(Torus((4, 6)), Mesh((2, 2, 2, 3)))
-        with pytest.warns(DeprecationWarning):
-            loop_dilation = embedding.dilation(method="loop")
-        assert loop_dilation == embedding.dilation()
+        measures = (
+            embedding.dilation,
+            embedding.average_dilation,
+            embedding.edge_congestion,
+            embedding.edge_dilations,
+        )
+        for measure in measures:
+            with pytest.raises(TypeError):
+                measure(method="loop")
+        with use_context(backend="loop"):
+            loop = [measure() for measure in measures]
+        assert loop == [measure() for measure in measures]
+
+    def test_backend_resolvers_take_no_override(self):
+        # The ambient context is the only backend selector.
+        with use_context(backend="loop"):
+            resolvers = (
+                current().resolved_backend,
+                current().use_array,
+                resolve_backend,
+                use_array_path,
+            )
+            for resolver in resolvers:
+                with pytest.raises(TypeError):
+                    resolver("array")
+            assert resolve_backend() == "loop"
+            assert not use_array_path()

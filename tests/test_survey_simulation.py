@@ -82,13 +82,16 @@ class TestSimulationRunner:
         strip = lambda r: {**r.as_dict(), "elapsed_seconds": None}
         assert strip(array) == strip(loop)
 
-    def test_deprecated_options_method_still_works(self):
+    def test_options_take_the_backend_from_the_context(self):
         scenario = Scenario(
             "torus", (4, 4), "mesh", (2, 2, 2, 2), strategy="paper", traffic="transpose"
         )
-        with pytest.warns(DeprecationWarning):
-            record = evaluate_scenario(scenario, SurveyOptions(method="loop"))
+        with pytest.raises(TypeError):
+            SurveyOptions(method="loop")
+        with use_context(backend="loop"):
+            record = evaluate_scenario(scenario, SurveyOptions())
         assert record.status == "ok"
+        assert record.makespan == evaluate_scenario(scenario, SurveyOptions()).makespan
 
     def test_paper_beats_baselines_across_the_suite(self):
         report = run_survey(

@@ -30,8 +30,6 @@ from .conftest import graph_kinds, small_shapes
 
 pytestmark = pytest.mark.smoke
 
-np = pytest.importorskip("numpy")
-
 NEW_PATTERNS = ("random-permutation", "hotspot", "bursty")
 
 
