@@ -1,20 +1,19 @@
-"""BENCH-COMPILED: the C kernel tier vs the array backend on the hot loops.
+"""BENCH-COMPILED: the C kernel tier vs the array backend on the simulator.
 
-PR 9's tentpole: ``backend="compiled"`` replaces the four irregular hot
-loops — the simulator's event-loop drain, CSR route expansion + link-load
-accumulation, stacked scoring and the optimizer's move application — with
+``backend="compiled"`` replaces the simulator's irregular hot loops — the
+event-loop drain and CSR route expansion + link-load accumulation — with
 C-via-cffi kernels, selected through the ordinary runtime context.  The
 array backend stays the reference, and the contract is the usual
 differential one:
 
-* results must be **bit-for-bit identical** — makespans, completion lists,
-  search states, objectives;
+* results must be **bit-for-bit identical** — makespans and completion
+  lists;
 * the compiled tier must be at least ``SPEEDUP_FLOOR``x faster than the
-  array backend on the two headline irregular workloads: the 16k-message
-  simulator round loop and the 8x8-pair optimizer run.
+  array backend on the headline irregular workload, the 16k-message
+  simulator round loop.
 
-The ``pytest-benchmark`` entries snapshot the compiled-path medians
-(committed as ``BENCH_compiled.json``); CI replays them through
+The ``pytest-benchmark`` entry snapshots the compiled-path median
+(committed as ``BENCH_compiled.json``); CI replays it through
 ``benchmarks/check_bench_regression.py`` — the sixth gate pair — and fails
 on a >2x median slowdown.  Refresh the snapshot with
 ``--benchmark-json=BENCH_compiled.json``.
@@ -29,11 +28,10 @@ import numpy as np
 import pytest
 
 from repro.compiled import compiled_tier_available
-from repro.graphs.base import Mesh, Torus
+from repro.graphs.base import Torus
 from repro.netsim.kernels import LinkIndexSpace, expand_routes
 from repro.netsim.simulator import simulate_phases_rounds
 from repro.numbering.arrays import indices_to_digits
-from repro.optimize import OptimizeOptions, optimize_embedding
 from repro.runtime import use_context
 
 pytestmark = pytest.mark.skipif(
@@ -47,10 +45,6 @@ SPEEDUP_FLOOR = 2.0
 #: the event loop (not route expansion) dominates.
 SIM_MESSAGES = 16_384
 SIM_HOST_SHAPE = (16, 16)
-
-#: Optimizer scale: the paper's 8x8 pair at the documented default search.
-OPT_PAIR = (Torus((8, 8)), Mesh((8, 8)))
-OPT_OPTIONS = OptimizeOptions(objective="combined", budget=2000, population=16, seed=7)
 
 
 def _sim_phase():
@@ -72,12 +66,6 @@ def _sim_phase():
 def _simulate(backend, phase):
     with use_context(backend=backend, cache=None):
         return simulate_phases_rounds([phase])
-
-
-def _search(backend):
-    guest, host = OPT_PAIR
-    with use_context(backend=backend, cache=None):
-        return optimize_embedding(guest, host, OPT_OPTIONS)
 
 
 def _best_of(fn, repeats):
@@ -112,36 +100,8 @@ def test_compiled_simulator_speedup_and_identical_results():
     )
 
 
-def test_compiled_optimizer_speedup_and_identical_results():
-    array_seconds, array_result = _best_of(lambda: _search("array"), 2)
-    compiled_seconds, compiled_result = _best_of(lambda: _search("compiled"), 2)
-
-    # The differential contract at benchmark scale: identical everything.
-    assert compiled_result.state == array_result.state
-    assert compiled_result.objective == array_result.objective
-    assert compiled_result.provenance == array_result.provenance
-    assert compiled_result.evaluations == array_result.evaluations
-
-    speedup = array_seconds / compiled_seconds
-    print(
-        f"\n8x8 search ({array_result.evaluations} candidate evaluations): "
-        f"array {array_seconds * 1e3:.0f}ms, "
-        f"compiled {compiled_seconds * 1e3:.0f}ms, speedup {speedup:.1f}x"
-    )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"compiled search only {speedup:.1f}x faster than the array engine "
-        f"(floor {SPEEDUP_FLOOR}x)"
-    )
-
-
 def test_benchmark_compiled_simulator_16k(benchmark):
     phase = _sim_phase()
     _simulate("compiled", phase)  # warm the kernel tier outside the timing
     result = benchmark(lambda: _simulate("compiled", phase))
     assert result[0][0] > 0.0
-
-
-def test_benchmark_compiled_optimizer_search(benchmark):
-    _search("compiled")  # warm the kernel tier outside the timing
-    result = benchmark(lambda: _search("compiled"))
-    assert result.dilation <= 2  # never worse than the paper's T_L folding

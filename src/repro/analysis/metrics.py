@@ -14,7 +14,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..compiled.dispatch import active_kernels
 from ..core.embedding import Embedding
 from ..numbering.arrays import (
     compact_index_dtype,
@@ -139,7 +138,11 @@ def stacked_edge_dilations(host, edge_u, edge_v, images):
     ``Embedding.edge_dilation_array`` of the ``b``-th embedding exactly.
     """
     images = np.asarray(images)
-    return host.distance_indices(images[:, edge_u], images[:, edge_v])
+    # np.take keeps the stacks C-ordered (``images[:, edge_u]`` is
+    # Fortran-ordered), so the row reductions run over contiguous rows.
+    return host.distance_indices(
+        np.take(images, edge_u, axis=1), np.take(images, edge_v, axis=1)
+    )
 
 
 def stacked_dilation_summary(host, edge_u, edge_v, images):
@@ -159,14 +162,6 @@ def stacked_dilation_summary(host, edge_u, edge_v, images):
             np.zeros(batch, dtype=np.int64),
             np.zeros(batch, dtype=np.float64),
         )
-    kernels = active_kernels()
-    if kernels is not None:
-        dil_max, dil_sum, _ = kernels.score_rows(
-            images, edge_u, edge_v, host.shape, host.is_torus, with_congestion=False
-        )
-        # The distances are small integers, so NumPy's pairwise float mean
-        # equals the exact integer sum divided by the count — bit for bit.
-        return dil_max, dil_sum / float(edge_u.size)
     dilations = stacked_edge_dilations(host, edge_u, edge_v, images)
     return dilations.max(axis=1), dilations.mean(axis=1)
 
@@ -188,18 +183,6 @@ def stacked_objective_components(host, edge_u, edge_v, images, *, with_congestio
     if edge_u.size == 0:
         zeros = np.zeros(batch, dtype=np.int64)
         return zeros, zeros.copy(), (zeros.copy() if with_congestion else None)
-    kernels = active_kernels()
-    if kernels is not None:
-        # Compiled backend: dilation max/sum and congestion in one fused
-        # C pass per row — all-integer, identical to the array kernels.
-        return kernels.score_rows(
-            images,
-            edge_u,
-            edge_v,
-            host.shape,
-            host.is_torus,
-            with_congestion=with_congestion,
-        )
     dilations = stacked_edge_dilations(host, edge_u, edge_v, images)
     congestion = (
         stacked_congestion(host, edge_u, edge_v, images) if with_congestion else None

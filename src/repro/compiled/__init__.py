@@ -1,9 +1,9 @@
-"""Compiled kernel tier for the irregular hot loops (``backend="compiled"``).
+"""Compiled kernel tier for the simulator's hot loops (``backend="compiled"``).
 
-The package ports the four hottest irregular kernels — the simulator's
-event-loop drain, CSR route expansion + link-load accumulation, stacked
-dilation/congestion scoring, and the optimizer's move application — to a
-compiled C tier:
+The package ports the simulator's irregular kernels — the event-loop drain
+and CSR route expansion + link-load accumulation — to a compiled C tier
+(the metric and optimizer kernels are array-only: their table-driven NumPy
+form outruns a per-row C loop):
 
 * :mod:`~repro.compiled.kernels_py` — the kernel sources (plain Python over
   flat arrays; the algorithmic contract and the C tier's differential

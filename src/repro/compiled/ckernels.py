@@ -46,16 +46,6 @@ void repro_accumulate(int64_t num_messages, const int64_t *starts,
                       const double *occupancy, const double *hop_occupancy,
                       int64_t use_hop, int64_t *counts, double *volume,
                       double *busy);
-void repro_score_rows(int64_t batch, int64_t width, int64_t num_edges,
-                      int64_t dims, const int64_t *images,
-                      const int64_t *edge_u, const int64_t *edge_v,
-                      const int64_t *lengths, const int64_t *weights,
-                      int64_t host_n, int64_t torus, int64_t with_congestion,
-                      int64_t *edge_load, int64_t load_slots,
-                      int64_t *dil_max, int64_t *dil_sum,
-                      int64_t *congestion);
-void repro_apply_moves(int64_t members, int64_t width, const int64_t *matrix,
-                       const int64_t *moves, int64_t *cand);
 """
 
 _SOURCE = r"""
@@ -195,106 +185,6 @@ void repro_accumulate(int64_t num_messages, const int64_t *starts,
             counts[link]++;
             volume[link] += sizes[index];
             busy[link] += use_hop != 0 ? hop_occupancy[hop] : occupancy[index];
-        }
-    }
-}
-
-void repro_score_rows(int64_t batch, int64_t width, int64_t num_edges,
-                      int64_t dims, const int64_t *images,
-                      const int64_t *edge_u, const int64_t *edge_v,
-                      const int64_t *lengths, const int64_t *weights,
-                      int64_t host_n, int64_t torus, int64_t with_congestion,
-                      int64_t *edge_load, int64_t load_slots,
-                      int64_t *dil_max, int64_t *dil_sum,
-                      int64_t *congestion) {
-    for (int64_t row = 0; row < batch; row++) {
-        int64_t worst_dilation = 0;
-        int64_t total_dilation = 0;
-        if (with_congestion != 0)
-            for (int64_t slot = 0; slot < load_slots; slot++) edge_load[slot] = 0;
-        for (int64_t e = 0; e < num_edges; e++) {
-            int64_t a = images[row * width + edge_u[e]];
-            int64_t b = images[row * width + edge_v[e]];
-            int64_t distance = 0;
-            int64_t flat = a;
-            for (int64_t j = 0; j < dims; j++) {
-                int64_t length = lengths[j];
-                int64_t weight = weights[j];
-                int64_t a_j = pymod(a / weight, length);
-                int64_t b_j = pymod(b / weight, length);
-                int64_t step;
-                if (torus != 0) {
-                    int64_t forward = pymod(b_j - a_j, length);
-                    int64_t backward = pymod(a_j - b_j, length);
-                    step = forward <= backward ? forward : backward;
-                } else {
-                    step = a_j >= b_j ? a_j - b_j : b_j - a_j;
-                }
-                distance += step;
-                if (with_congestion != 0) {
-                    if (step > 0) {
-                        int64_t line_base = flat - a_j * weight;
-                        if (torus != 0 && length > 2) {
-                            int64_t forward = pymod(b_j - a_j, length);
-                            int64_t backward = pymod(a_j - b_j, length);
-                            int64_t start, run;
-                            if (forward <= backward) {
-                                start = a_j;
-                                run = forward;
-                            } else {
-                                start = b_j;
-                                run = backward;
-                            }
-                            for (int64_t s = 0; s < run; s++) {
-                                int64_t coord = pymod(start + s, length);
-                                edge_load[j * host_n + line_base + coord * weight]++;
-                            }
-                        } else {
-                            int64_t lo = a_j <= b_j ? a_j : b_j;
-                            int64_t hi = a_j <= b_j ? b_j : a_j;
-                            for (int64_t coord = lo; coord < hi; coord++)
-                                edge_load[j * host_n + line_base + coord * weight]++;
-                        }
-                    }
-                    flat += (b_j - a_j) * weight;
-                }
-            }
-            total_dilation += distance;
-            if (distance > worst_dilation) worst_dilation = distance;
-        }
-        dil_max[row] = worst_dilation;
-        dil_sum[row] = total_dilation;
-        if (with_congestion != 0) {
-            int64_t worst_load = 0;
-            for (int64_t slot = 0; slot < load_slots; slot++)
-                if (edge_load[slot] > worst_load) worst_load = edge_load[slot];
-            congestion[row] = worst_load;
-        }
-    }
-}
-
-void repro_apply_moves(int64_t members, int64_t width, const int64_t *matrix,
-                       const int64_t *moves, int64_t *cand) {
-    for (int64_t member = 0; member < members; member++) {
-        for (int64_t k = 0; k < width; k++)
-            cand[member * width + k] = matrix[member * width + k];
-        int64_t kind = moves[member * 3 + 0];
-        int64_t lo = moves[member * 3 + 1];
-        int64_t hi = moves[member * 3 + 2];
-        int64_t *row = cand + member * width;
-        if (kind == 0) {
-            int64_t tmp = row[lo];
-            row[lo] = row[hi];
-            row[hi] = tmp;
-        } else {
-            int64_t left = lo, right = hi;
-            while (left < right) {
-                int64_t tmp = row[left];
-                row[left] = row[right];
-                row[right] = tmp;
-                left++;
-                right--;
-            }
         }
     }
 }
@@ -466,51 +356,8 @@ def function_table() -> Dict[str, Callable]:
         )
         return 0
 
-    def score_rows(
-        images,
-        edge_u,
-        edge_v,
-        lengths,
-        weights,
-        host_n,
-        torus,
-        with_congestion,
-        edge_load,
-        dil_max,
-        dil_sum,
-        congestion,
-    ):
-        lib.repro_score_rows(
-            images.shape[0],
-            images.shape[1],
-            edge_u.shape[0],
-            lengths.shape[0],
-            i64(images),
-            i64(edge_u),
-            i64(edge_v),
-            i64(lengths),
-            i64(weights),
-            host_n,
-            torus,
-            with_congestion,
-            i64(edge_load),
-            edge_load.shape[0],
-            i64(dil_max),
-            i64(dil_sum),
-            i64(congestion),
-        )
-        return 0
-
-    def apply_moves(matrix, moves, cand):
-        lib.repro_apply_moves(
-            matrix.shape[0], matrix.shape[1], i64(matrix), i64(moves), i64(cand)
-        )
-        return 0
-
     return {
         "drain": drain,
         "expand_fill": expand_fill,
         "accumulate": accumulate,
-        "score_rows": score_rows,
-        "apply_moves": apply_moves,
     }

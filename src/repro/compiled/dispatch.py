@@ -3,8 +3,8 @@
 :func:`active_kernels` is the single question every hook site asks: *is the
 compiled backend in effect, and did a kernel tier actually load?*  It
 returns a :class:`KernelSet` (or ``None`` — the caller then runs its array
-path unchanged), so the four ported kernels degrade per call site with zero
-configuration:
+path unchanged), so the ported simulator kernels degrade per call site with
+zero configuration:
 
 * the ambient context must resolve to ``backend="compiled"`` (the context
   already warned and fell back to ``"array"`` when no toolchain exists, so
@@ -156,52 +156,6 @@ class KernelSet:
             busy,
         )
         return counts, volume, busy
-
-    # ------------------------------------------------------------------ #
-    # Metrics / optimizer: stacked scoring and move application
-    # ------------------------------------------------------------------ #
-    def score_rows(self, images, edge_u, edge_v, shape, torus: bool, *, with_congestion):
-        """``(dil_max, dil_sum, congestion-or-None)`` per image row."""
-        matrix = np.ascontiguousarray(images, dtype=np.int64)
-        if matrix.ndim == 1:
-            matrix = matrix[None, :]
-        u = np.ascontiguousarray(edge_u, dtype=np.int64)
-        v = np.ascontiguousarray(edge_v, dtype=np.int64)
-        lengths = np.asarray(tuple(shape), dtype=np.int64)
-        weights = np.ascontiguousarray(digit_weights(shape), dtype=np.int64)
-        host_n = int(lengths.prod())
-        batch = matrix.shape[0]
-        dil_max = np.zeros(batch, dtype=np.int64)
-        dil_sum = np.zeros(batch, dtype=np.int64)
-        congestion = np.zeros(batch, dtype=np.int64)
-        edge_load = np.zeros(
-            lengths.shape[0] * host_n if with_congestion else 0, dtype=np.int64
-        )
-        self._table["score_rows"](
-            matrix,
-            u,
-            v,
-            lengths,
-            weights,
-            host_n,
-            1 if torus else 0,
-            1 if with_congestion else 0,
-            edge_load,
-            dil_max,
-            dil_sum,
-            congestion,
-        )
-        return dil_max, dil_sum, (congestion if with_congestion else None)
-
-    def apply_moves(self, matrix, moves):
-        """Candidate population from one ``(kind, lo, hi)`` move per member."""
-        population = np.ascontiguousarray(matrix, dtype=np.int64)
-        move_rows = np.ascontiguousarray(
-            np.asarray(list(moves), dtype=np.int64).reshape(len(moves), 3)
-        )
-        candidate = np.empty_like(population)
-        self._table["apply_moves"](population, move_rows, candidate)
-        return candidate
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
 """The compiled tier's kernel sources: plain Python over flat arrays.
 
-These five functions are the *single algorithmic source of truth* of the
+These three functions are the *single algorithmic source of truth* of the
 compiled backend, and the differential reference of its C lowering
 (:mod:`repro.compiled.ckernels`).  Each is written in a restricted subset
 that maps line for line onto C — preallocated NumPy arrays in and out,
@@ -18,13 +18,7 @@ replaces, so the bit-for-bit differential contract of PRs 2–8 carries over:
   every hop in dimension order;
 * :func:`accumulate` — fused per-link count/volume/busy accumulation,
   adding in ``(message, hop)`` order exactly like the three ``np.bincount``
-  scatter-adds it replaces;
-* :func:`score_rows` — stacked dilation max/sum and dimension-ordered edge
-  congestion over a ``(batch, n)`` matrix of host-index rows (the scoring
-  kernel of the optimizer and the stacked survey metrics) — all-integer
-  arithmetic, so "identical" is int equality;
-* :func:`apply_moves` — the optimizer's 2-swap / segment-reversal move
-  application over the population matrix.
+  scatter-adds it replaces.
 
 The functions are also *callable uncompiled* (they are ordinary Python), and
 ``tests/test_compiled_backend.py`` runs them interpreted on small inputs in
@@ -42,14 +36,12 @@ __all__ = [
     "drain",
     "expand_fill",
     "accumulate",
-    "score_rows",
-    "apply_moves",
     "KERNEL_NAMES",
 ]
 
 #: The table of kernel entry points every tier must provide, in one place so
 #: the C adapters and the dispatch facade can never drift apart.
-KERNEL_NAMES = ("drain", "expand_fill", "accumulate", "score_rows", "apply_moves")
+KERNEL_NAMES = ("drain", "expand_fill", "accumulate")
 
 
 def drain(
@@ -234,123 +226,4 @@ def accumulate(
                 busy[link] += hop_occupancy[hop]
             else:
                 busy[link] += occupancy[index]
-    return 0
-
-
-def score_rows(
-    images,
-    edge_u,
-    edge_v,
-    lengths,
-    weights,
-    host_n,
-    torus,
-    with_congestion,
-    edge_load,
-    dil_max,
-    dil_sum,
-    congestion,
-):
-    """Stacked dilation max/sum (and optional congestion) per image row.
-
-    Distances are the per-dimension δt/δm sums (torus: shorter way around
-    each ring; mesh: ``|a - b|``).  Congestion counts, per host edge, the
-    dimension-ordered runs covering it: while dimension ``j`` is corrected,
-    dimensions ``< j`` sit at the target and ``>= j`` at the source, so each
-    guest edge loads a contiguous (possibly wrapping) coordinate run on one
-    axis line.  Host edge ``(c, c+1 mod l)`` of dimension ``j`` is keyed
-    ``j * host_n + <rank of the coordinate-c endpoint>`` in ``edge_load``
-    (``d * host_n`` slots, zeroed per row).  Everything is integral, so the
-    results equal the array kernels' exactly.
-    """
-    batch = images.shape[0]
-    num_edges = edge_u.shape[0]
-    dims = lengths.shape[0]
-    for row in range(batch):
-        worst_dilation = 0
-        total_dilation = 0
-        if with_congestion != 0:
-            for slot in range(edge_load.shape[0]):
-                edge_load[slot] = 0
-        for e in range(num_edges):
-            a = images[row, edge_u[e]]
-            b = images[row, edge_v[e]]
-            distance = 0
-            flat = a
-            for j in range(dims):
-                length = lengths[j]
-                weight = weights[j]
-                a_j = (a // weight) % length
-                b_j = (b // weight) % length
-                if torus != 0:
-                    forward = (b_j - a_j) % length
-                    backward = (a_j - b_j) % length
-                    step = forward if forward <= backward else backward
-                else:
-                    step = a_j - b_j if a_j >= b_j else b_j - a_j
-                distance += step
-                if with_congestion != 0:
-                    if step > 0:
-                        line_base = flat - a_j * weight
-                        if torus != 0 and length > 2:
-                            forward = (b_j - a_j) % length
-                            backward = (a_j - b_j) % length
-                            if forward <= backward:
-                                start = a_j
-                                run = forward
-                            else:
-                                start = b_j
-                                run = backward
-                            for s in range(run):
-                                coord = (start + s) % length
-                                edge_load[j * host_n + line_base + coord * weight] += 1
-                        else:
-                            lo = a_j if a_j <= b_j else b_j
-                            hi = b_j if a_j <= b_j else a_j
-                            for coord in range(lo, hi):
-                                edge_load[j * host_n + line_base + coord * weight] += 1
-                    flat += (b_j - a_j) * weight
-            total_dilation += distance
-            if distance > worst_dilation:
-                worst_dilation = distance
-        dil_max[row] = worst_dilation
-        dil_sum[row] = total_dilation
-        if with_congestion != 0:
-            worst_load = 0
-            for slot in range(edge_load.shape[0]):
-                if edge_load[slot] > worst_load:
-                    worst_load = edge_load[slot]
-            congestion[row] = worst_load
-    return 0
-
-
-def apply_moves(matrix, moves, cand):
-    """Apply one ``(kind, lo, hi)`` move per population member.
-
-    ``kind`` 0 is a 2-swap of positions ``lo``/``hi``; anything else is an
-    inclusive segment reversal of ``[lo, hi]`` — the exact move grammar of
-    the optimizer's engines.  ``cand`` receives the mutated copies; the
-    input ``matrix`` is untouched.
-    """
-    members = matrix.shape[0]
-    width = matrix.shape[1]
-    for member in range(members):
-        for k in range(width):
-            cand[member, k] = matrix[member, k]
-        kind = moves[member, 0]
-        lo = moves[member, 1]
-        hi = moves[member, 2]
-        if kind == 0:
-            tmp = cand[member, lo]
-            cand[member, lo] = cand[member, hi]
-            cand[member, hi] = tmp
-        else:
-            left = lo
-            right = hi
-            while left < right:
-                tmp = cand[member, left]
-                cand[member, left] = cand[member, right]
-                cand[member, right] = tmp
-                left += 1
-                right -= 1
     return 0

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import InvalidShapeError
-from ..numbering.arrays import digit_weights, indices_to_digits
+from ..numbering.arrays import digit_weights, shape_tables
 from ..numbering.distance import graph_distance_indices, mesh_distance, torus_distance
 from ..numbering.radix import RadixBase
 from ..types import GraphKind, Node, Shape, ShapedGraphSpec, as_shape
@@ -56,11 +56,10 @@ class CartesianGraph:
     def __init__(self, shape: Iterable[int]):
         self._shape: Shape = as_shape(shape)
         self._base = RadixBase(self._shape)
-        # Lazily derived arrays (node digit table, edge-endpoint ranks,
-        # neighbour matrix).  Graphs are immutable, so once computed they are
-        # never invalidated; all are marked read-only because they are shared
-        # between every embedding/measure that touches this graph object.
-        self._node_digits = None
+        # Lazily derived arrays (edge-endpoint ranks, neighbour matrix).
+        # Graphs are immutable, so once computed they are never invalidated;
+        # all are marked read-only because they are shared between every
+        # embedding/measure that touches this graph object.
         self._edge_arrays = None
         self._neighbor_matrix = None
 
@@ -214,14 +213,10 @@ class CartesianGraph:
         """The ``(n, d)`` digit rows of every node in natural order (cached).
 
         The all-nodes ``u_L`` table shared by the edge derivation and the
-        batched construction kernels.  Computed once per graph object and
-        returned read-only.
+        batched construction kernels: the read-only table of
+        :func:`repro.numbering.arrays.shape_tables`, computed once per shape.
         """
-        if self._node_digits is None:
-            digits = indices_to_digits(np.arange(self.size, dtype=np.int64), self._shape)
-            digits.setflags(write=False)
-            self._node_digits = digits
-        return self._node_digits
+        return shape_tables(self._shape).digits
 
     def neighbor_rank_matrix(self):
         """The ``(n, 2d)`` neighbour ranks of every node, plus a validity mask.

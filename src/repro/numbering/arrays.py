@@ -8,23 +8,35 @@ module provides them on flat NumPy ``int64`` arrays:
 * :func:`indices_to_digits` — ``u_L`` applied to an ``(n,)`` array of flat
   indices, producing an ``(n, d)`` array of radix-L digit rows;
 * :func:`digits_to_indices` — the inverse ``u_L^{-1}`` on an ``(n, d)`` array;
-* :func:`digit_weights` — the per-digit weights ``(w_1, ..., w_d)``.
+* :func:`digit_weights` — the per-digit weights ``(w_1, ..., w_d)``;
+* :func:`shape_tables` — per-shape node tables (digit rows, coordinate
+  columns, axis-line ids), computed once so the metric kernels gather
+  instead of dividing.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+import math
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
+    "ShapeTables",
     "compact_index_dtype",
     "digit_weights",
     "indices_to_digits",
     "digits_to_indices",
+    "shape_tables",
     "signed_offset_digits",
     "stacked_edge_congestion",
 ]
+
+#: Bound of the per-shape memos.  The exhaustive pairs up to 64 nodes span
+#: 426 distinct shapes, so a sweep over them keeps every table resident; the
+#: bound caps memory (four ``n * d`` int64 tables per shape) on larger sweeps.
+_SHAPE_MEMO_SIZE = 1024
 
 
 def compact_index_dtype(max_value: int):
@@ -49,15 +61,58 @@ def digit_weights(shape: Sequence[int]):
 
     ``w_d = 1`` and ``w_{j-1} = l_j * w_j``, matching
     :attr:`repro.numbering.radix.RadixBase.weights` without its leading
-    ``w_0 = n`` entry.
+    ``w_0 = n`` entry.  Memoized per shape and read-only: every caller
+    shares the one array.
     """
-    radices = np.asarray(tuple(shape), dtype=np.int64)
+    return _weights(tuple(shape))
+
+
+@functools.lru_cache(maxsize=_SHAPE_MEMO_SIZE)
+def _weights(shape: Tuple[int, ...]):
+    radices = np.asarray(shape, dtype=np.int64)
     if radices.ndim != 1 or radices.size == 0:
         raise ValueError("shape must be a non-empty 1-D sequence of radices")
     weights = np.ones(radices.size, dtype=np.int64)
     if radices.size > 1:
         weights[:-1] = np.cumprod(radices[::-1][:-1])[::-1]
+    weights.setflags(write=False)
     return weights
+
+
+class ShapeTables(NamedTuple):
+    """Read-only node tables of one shape ``(l_1, ..., l_d)`` with ``n`` nodes.
+
+    * ``digits`` — the ``(n, d)`` digit rows of every node in natural order;
+    * ``coords[j]`` — the contiguous coordinate column ``c_j = digits[:, j]``;
+    * ``high[j]``, ``low[j]`` — the two halves of a node's dimension-``j``
+      axis-line id: with ``w_j`` the digit weight, ``high_j[r] =
+      ⌊r / (l_j w_j)⌋ · w_j`` keeps the digits above ``j`` and ``low_j[r] =
+      r mod w_j`` the digits below it, so ``high_j[r] + low_j[r]`` numbers
+      the ``n / l_j`` lines along dimension ``j`` from 0.
+    """
+
+    digits: np.ndarray
+    coords: Tuple[np.ndarray, ...]
+    high: Tuple[np.ndarray, ...]
+    low: Tuple[np.ndarray, ...]
+
+
+@functools.lru_cache(maxsize=_SHAPE_MEMO_SIZE)
+def shape_tables(shape: Tuple[int, ...]) -> ShapeTables:
+    """The :class:`ShapeTables` of ``shape`` (a tuple), computed once.
+
+    Shared by every graph of the shape and every metric kernel call on it,
+    hence read-only.  Each table is ``O(n)`` per dimension.
+    """
+    weights = digit_weights(shape)
+    ranks = np.arange(math.prod(shape), dtype=np.int64)
+    digits = indices_to_digits(ranks, shape)
+    coords = tuple(np.ascontiguousarray(column) for column in digits.T)
+    high = tuple(ranks // (length * w) * w for length, w in zip(shape, weights))
+    low = tuple(ranks % w for w in weights)
+    for table in (digits, *coords, *high, *low):
+        table.setflags(write=False)
+    return ShapeTables(digits, coords, high, low)
 
 
 def indices_to_digits(indices, shape: Sequence[int]):
@@ -128,13 +183,20 @@ def stacked_edge_congestion(images, edge_u, edge_v, shape: Sequence[int], *, tor
     ``< j`` already sit at the target coordinates and dimensions ``> j``
     still sit at the source coordinates, so each guest edge loads a
     contiguous (possibly wrapping) run of dimension-``j`` host edges along
-    one axis line.  Interval adds over a ``(batch * lines, coords)``
-    difference buffer — batch rows are disjoint line blocks — followed by a
-    cumulative sum yield every host edge's load in O(batch * (E + n)) per
-    dimension, with no per-row Python.  All arithmetic is integral, so one
-    stacked pass is exactly the per-embedding computation row for row.
+    the axis line ``high_j[target] + low_j[source]`` (see
+    :class:`ShapeTables`), between the coordinates ``c_j[source]`` and
+    ``c_j[target]`` — all four gathered from the shape's memoized tables,
+    with no division.  Row ``b`` owns lines ``b * n / l_j`` onward, so the
+    rows are disjoint blocks of one flat ``(batch * lines, width)``
+    difference buffer, built by ``np.bincount`` of the run starts minus
+    ``np.bincount`` of the run ends (plus one more pair for torus runs that
+    wrap).  Every run opens and closes on its own line, so one cumulative
+    sum over the flat buffer restarts at zero on each line and yields every
+    host edge's load in O(batch * (E + n)) per dimension, with no per-row
+    Python.  All arithmetic is integral, so one stacked pass is exactly the
+    per-embedding computation row for row.
     """
-    images = np.asarray(images, dtype=np.int64)
+    images = np.asarray(images)
     if images.ndim == 1:
         images = images[None, :]
     if images.ndim != 2:
@@ -145,53 +207,55 @@ def stacked_edge_congestion(images, edge_u, edge_v, shape: Sequence[int], *, tor
     worst = np.zeros(batch, dtype=np.int64)
     if edge_u.size == 0:
         return worst
-    # Imported lazily: repro.compiled.dispatch imports this module.
-    from ..compiled.dispatch import active_kernels
-
-    kernels = active_kernels()
-    if kernels is not None:
-        _, _, congestion = kernels.score_rows(
-            images, edge_u, edge_v, tuple(shape), torus, with_congestion=True
-        )
-        return congestion
     lengths = tuple(shape)
-    weights = digit_weights(lengths)
-    size = int(np.prod(np.asarray(lengths, dtype=np.int64)))
-    source = indices_to_digits(images[:, edge_u], lengths)  # (batch, E, d): path source A
-    target = indices_to_digits(images[:, edge_v], lengths)  # (batch, E, d): path target B
+    tables = shape_tables(lengths)
+    size = tables.digits.shape[0]
+    # (batch, E) path source/target ranks; np.take keeps them C-ordered
+    # (``images[:, edge_u]`` is Fortran-ordered, and ravel would copy it).
+    source = np.take(images, edge_u, axis=1)
+    target = np.take(images, edge_v, axis=1)
+    row = np.arange(batch, dtype=np.int64)[:, None]
     for j, length in enumerate(lengths):
-        a = source[..., j]
-        b = target[..., j]
-        # Host position while correcting dimension j: dims < j are already
-        # at the target, dims >= j still at the source.
-        position = np.concatenate([target[..., :j], source[..., j:]], axis=-1)
-        flat = position @ weights
-        period = int(weights[j]) * length
-        line = (flat // period) * int(weights[j]) + (flat % int(weights[j]))
+        a = tables.coords[j][source]
+        b = tables.coords[j][target]
         lines = size // length
-        line = line + np.arange(batch, dtype=np.int64)[:, None] * lines
-        if torus and length > 2:
-            forward = (b - a) % length
-            backward = (a - b) % length
-            go_forward = forward <= backward
-            start = np.where(go_forward, a, b)
-            run = np.where(go_forward, forward, backward)
-            end = start + run
-            delta = np.zeros((batch * lines, length + 1), dtype=np.int64)
-            wraps = end > length
-            np.add.at(delta, (line, start), 1)
-            np.add.at(delta, (line, np.minimum(end, length)), -1)
-            if wraps.any():
-                np.add.at(delta, (line[wraps], 0), 1)
-                np.add.at(delta, (line[wraps], end[wraps] - length), -1)
-            counts = np.cumsum(delta[:, :-1], axis=1)  # edge at coord c: (c, c+1 mod l)
+        line = tables.high[j][target]
+        line += tables.low[j][source]
+        line += row * lines
+        # A ring of length 2 has one edge per line, like a mesh line.
+        ring = torus and length > 2
+        if ring:
+            # The shorter way round, ties forward: the run leaves a for
+            # (b - a) mod l steps unless the way back from a is shorter.
+            run = b - a
+            np.add(run, length, out=run, where=run < 0)
+            back = length - run
+            go_back = run > back
+            np.copyto(a, b, where=go_back)  # a becomes the run's start
+            np.copyto(run, back, where=go_back)
+            end = run
+            end += a
+            wraps = end > length  # a run past l continues from coordinate 0
+            past = end[wraps] - length
+            np.minimum(end, length, out=end)
+            width = length + 1  # column l takes the ends of runs that reach l
         else:
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            delta = np.zeros((batch * lines, length), dtype=np.int64)
-            np.add.at(delta, (line, lo), 1)
-            np.add.at(delta, (line, hi), -1)
-            counts = np.cumsum(delta[:, :-1], axis=1)
-        if counts.size:
-            np.maximum(worst, counts.reshape(batch, -1).max(axis=1), out=worst)
+            end = np.maximum(a, b)
+            np.minimum(a, b, out=a)
+            width = length
+        slots = batch * lines * width
+        line *= width
+        a += line
+        end += line
+        delta = np.bincount(a.ravel(), minlength=slots)
+        delta -= np.bincount(end.ravel(), minlength=slots)
+        if ring and past.size:
+            first = line[wraps]
+            delta += np.bincount(first, minlength=slots)
+            first += past
+            delta -= np.bincount(first, minlength=slots)
+        # The edge at coordinate c joins (c, c+1 mod l); the last column of
+        # each line holds the line's full sum, 0, and loads are >= 0.
+        np.cumsum(delta, out=delta)
+        np.maximum(worst, delta.reshape(batch, -1).max(axis=1), out=worst)
     return worst

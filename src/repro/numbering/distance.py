@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import indices_to_digits
+from .arrays import shape_tables
 
 __all__ = [
     "mesh_distance",
@@ -81,15 +81,27 @@ def graph_distance_indices(a_indices, b_indices, shape: Sequence[int], *, torus:
     """Distances between flat-index batches of nodes of an ``shape``-mesh/torus.
 
     The array-backed analogue of :meth:`repro.graphs.base.CartesianGraph.
-    distance`: both arguments are ``(n,)`` ``int64`` arrays of natural-order
-    node ranks; the result is the ``(n,)`` array of δt (``torus=True``) or δm
-    distances.
+    distance`: both arguments are same-shape integer arrays of natural-order
+    node ranks; the result is the ``int64`` array of δt (``torus=True``) or
+    δm distances.  Each dimension ``j`` adds ``|c_j[a] - c_j[b]|`` (on a
+    torus, ``min(δ, l_j - δ)``), gathering the coordinates from the shape's
+    memoized columns (:func:`repro.numbering.arrays.shape_tables`) — no
+    division and no ``(n, d)`` digit temporaries.
     """
-    a_digits = indices_to_digits(a_indices, shape)
-    b_digits = indices_to_digits(b_indices, shape)
-    if torus:
-        return torus_distance_array(a_digits, b_digits, shape)
-    return mesh_distance_array(a_digits, b_digits)
+    a_indices = np.asarray(a_indices)
+    b_indices = np.asarray(b_indices)
+    if a_indices.shape != b_indices.shape:
+        raise ValueError("index arrays must have the same shape")
+    shape = tuple(shape)
+    total = np.zeros(a_indices.shape, dtype=np.int64)
+    step = np.empty_like(total)
+    for coords, length in zip(shape_tables(shape).coords, shape):
+        np.subtract(coords[a_indices], coords[b_indices], out=step)
+        np.abs(step, out=step)
+        if torus:
+            np.minimum(step, length - step, out=step)
+        total += step
+    return total
 
 
 def chebyshev_mesh_distance(a: Sequence[int], b: Sequence[int]) -> int:

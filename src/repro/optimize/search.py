@@ -33,7 +33,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.metrics import stacked_objective_components
-from ..compiled.dispatch import active_kernels
 from ..core.embedding import Embedding, use_array_path
 from ..exceptions import ShapeMismatchError, UnsupportedEmbeddingError
 from ..graphs.paths import dimension_order_path
@@ -193,25 +192,6 @@ class _ArrayEngine:
         return tuple(int(image) for image in matrix[member])
 
 
-class _CompiledEngine(_ArrayEngine):
-    """Compiled engine: move application and scoring run as C kernels.
-
-    Scoring already reaches the C tier through
-    :func:`~repro.analysis.metrics.stacked_objective_components` (which
-    consults :func:`~repro.compiled.dispatch.active_kernels` itself); this
-    subclass additionally applies the whole generation's moves in one kernel
-    call instead of a per-member Python loop.  Every step is pinned
-    bit-for-bit against :class:`_ArrayEngine`, so the search trajectory —
-    acceptances, tie-breaks, the final optimum — is identical.
-    """
-
-    def candidates(self, matrix, moves):
-        kernels = active_kernels()
-        if kernels is None:  # pragma: no cover - context changed mid-search
-            return super().candidates(matrix, moves)
-        return kernels.apply_moves(matrix, moves)
-
-
 class _LoopEngine:
     """Pure-Python reference engine: lists of ints, per-edge loops.
 
@@ -361,13 +341,7 @@ def optimize_embedding(
     scale = objective_scale(guest_edges, host.diameter())
     with_congestion = needs_congestion(options.objective)
 
-    resolved = current().resolved_backend()
-    if resolved == "compiled":
-        engine_cls = _CompiledEngine
-    elif use_array_path():
-        engine_cls = _ArrayEngine
-    else:
-        engine_cls = _LoopEngine
+    engine_cls = _ArrayEngine if use_array_path() else _LoopEngine
     engine = engine_cls(guest, host, with_congestion=with_congestion)
     population = engine.population([row for _, row in seeds])
 

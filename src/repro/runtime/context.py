@@ -145,7 +145,7 @@ class ExecutionContext:
         """True when the resolved backend runs the vectorized array kernels.
 
         The ``"compiled"`` backend *is* the array path everywhere outside the
-        four ported kernels (the hook sites consult
+        ported simulator kernels (the hook sites consult
         :func:`repro.compiled.dispatch.active_kernels` themselves), so it
         answers True here.
         """

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -108,9 +108,12 @@ class SurveyRecord:
     improved: Optional[bool] = None
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dict form in canonical key order (JSON object / CSV row)."""
-        data = asdict(self)
-        return {key: data[key] for key in FIELDS}
+        """Plain-dict form in canonical key order (JSON object / CSV row).
+
+        Every field is an immutable scalar, so reading the attributes directly
+        gives what ``dataclasses.asdict`` would, without its deep copy.
+        """
+        return {key: getattr(self, key) for key in FIELDS}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SurveyRecord":

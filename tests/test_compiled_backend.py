@@ -3,11 +3,11 @@
 Four layers of coverage, mirroring the differential discipline of the
 array/loop split:
 
-* **Kernel differentials** (hypothesis): each of the five shared kernel
-  sources — drain, expand_fill, accumulate, score_rows, apply_moves — is run
-  against its array-path reference on randomized small inputs.  The
-  *interpreted* sources run in every environment (no toolchain needed); the
-  C tier is exercised additionally wherever it loads.
+* **Kernel differentials** (hypothesis): each of the three shared kernel
+  sources — drain, expand_fill, accumulate — is run against its array-path
+  reference on randomized small inputs.  The *interpreted* sources run in
+  every environment (no toolchain needed); the C tier is exercised
+  additionally wherever it loads.
 * **End-to-end equality**: optimizer searches, phase simulations and survey
   records under ``backend="compiled"`` equal the array backend's exactly.
 * **Golden reproduction**: the SIM-MAP and TAB-SEARCH fixtures are re-derived
@@ -26,10 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import (
-    stacked_dilation_summary,
-    stacked_objective_components,
-)
 from repro.compiled import dispatch, toolchain
 from repro.compiled.dispatch import interpreted_kernels, load_kernels
 from repro.graphs.base import Mesh, Torus
@@ -37,12 +33,8 @@ from repro.netsim.kernels import LinkIndexSpace, accumulate_link_loads, expand_r
 from repro.netsim.network import HostNetwork
 from repro.netsim.simulator import simulate_phase, simulate_phases
 from repro.netsim.traffic import neighbor_exchange_traffic, transpose_traffic
-from repro.numbering.arrays import (
-    indices_to_digits,
-    signed_offset_digits,
-    stacked_edge_congestion,
-)
-from repro.optimize.search import OptimizeOptions, _ArrayEngine, optimize_embedding
+from repro.numbering.arrays import indices_to_digits, signed_offset_digits
+from repro.optimize.search import OptimizeOptions, optimize_embedding
 from repro.runtime import ConstructionCache, ExecutionContext, use_context
 from repro.runtime import context as context_module
 
@@ -73,41 +65,6 @@ SHAPES = [(4,), (2, 2), (4, 5), (3, 4), (2, 3, 3), (2, 2, 2, 2)]
 # Kernel differentials (hypothesis)
 # --------------------------------------------------------------------------- #
 class TestKernelDifferentials:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        shape_index=st.integers(0, len(SHAPES) - 1),
-        torus=st.booleans(),
-        batch=st.integers(1, 5),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_score_rows_matches_stacked_metrics(self, shape_index, torus, batch, seed):
-        host = graph_for(torus, SHAPES[shape_index])
-        guest = Mesh((host.size,))
-        edge_u, edge_v = guest.edge_index_arrays()
-        rng = np.random.default_rng(seed)
-        images = np.stack(
-            [rng.permutation(host.size) for _ in range(batch)]
-        ).astype(np.int64)
-        want = stacked_objective_components(
-            host, edge_u, edge_v, images, with_congestion=True
-        )
-        want_congestion = stacked_edge_congestion(
-            images, edge_u, edge_v, host.shape, torus=host.is_torus
-        )
-        want_summary = stacked_dilation_summary(host, edge_u, edge_v, images)
-        for kernels in kernel_sets():
-            dil_max, dil_sum, congestion = kernels.score_rows(
-                images, edge_u, edge_v, host.shape, host.is_torus, with_congestion=True
-            )
-            assert np.array_equal(dil_max, want[0]), kernels.tier
-            assert np.array_equal(dil_sum, want[1]), kernels.tier
-            assert np.array_equal(congestion, want[2]), kernels.tier
-            assert np.array_equal(congestion, want_congestion), kernels.tier
-            # The exact integer sum divided by the edge count reproduces the
-            # NumPy pairwise float mean bit for bit (small-integer sums).
-            mean = dil_sum / float(edge_u.size)
-            assert np.array_equal(mean, want_summary[1]), kernels.tier
-
     @settings(max_examples=20, deadline=None)
     @given(
         shape_index=st.integers(0, len(SHAPES) - 1),
@@ -184,29 +141,6 @@ class TestKernelDifferentials:
         for kernels in kernel_sets():
             got = _drive_rounds_through(kernels, [phase, phase])
             assert got == want, kernels.tier
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        width=st.integers(2, 16),
-        members=st.integers(1, 8),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_apply_moves_matches_array_engine(self, width, members, seed):
-        rng = np.random.default_rng(seed)
-        matrix = np.stack(
-            [rng.permutation(width) for _ in range(members)]
-        ).astype(np.int64)
-        moves = []
-        for _ in range(members):
-            lo, hi = sorted(rng.choice(width, size=2, replace=False).tolist())
-            moves.append((int(rng.integers(0, 2)), int(lo), int(hi)))
-        engine = _ArrayEngine.__new__(_ArrayEngine)
-        want = _ArrayEngine.candidates(engine, matrix, moves)
-        pristine = matrix.copy()
-        for kernels in kernel_sets():
-            got = kernels.apply_moves(matrix, moves)
-            assert np.array_equal(got, want), kernels.tier
-            assert np.array_equal(matrix, pristine), kernels.tier  # input untouched
 
 
 def _drive_rounds_through(kernels, phases):

@@ -20,13 +20,20 @@ from repro.analysis.metrics import (
     average_dilation_cost,
     dilation_cost,
     edge_congestion_cost,
+    stacked_dilation_summary,
+    stacked_objective_components,
 )
 from repro.baselines.random_embedding import random_embedding
 from repro.core.dispatch import embed
 from repro.core.embedding import Embedding
 from repro.graphs.base import Mesh, Torus, make_graph
 from repro.runtime import use_context
-from repro.numbering.arrays import digits_to_indices, indices_to_digits
+from repro.numbering.arrays import (
+    digit_weights,
+    digits_to_indices,
+    indices_to_digits,
+    shape_tables,
+)
 from repro.numbering.distance import mesh_distance, mesh_distance_array, torus_distance, torus_distance_array
 
 from .conftest import graph_kinds, small_shapes
@@ -154,6 +161,97 @@ class TestVectorizedCostsEqualLegacy:
             array = embedding.edge_congestion()
         with use_context(backend="loop"):
             assert array == embedding.edge_congestion()
+
+
+#: Hosts whose axis-line counts ``n / l_j`` differ by dimension, so a stacked
+#: kernel that offsets row ``b`` by another dimension's line count misplaces
+#: rows; the optimizer's tall stacks are the production case.
+MIXED_RADIX_HOSTS = [(2, 8, 4), (3, 5), (2, 3, 3), (5, 2, 3)]
+
+
+class TestStackedRowsEqualLoop:
+    @given(
+        host_shape=st.sampled_from(MIXED_RADIX_HOSTS),
+        host_kind=graph_kinds,
+        guest_kind=graph_kinds,
+        guest_variant=st.integers(min_value=0, max_value=2),
+        batch=st.integers(min_value=2, max_value=6),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_row_matches_loop_reference(
+        self, host_shape, host_kind, guest_kind, guest_variant, batch, dtype, seed
+    ):
+        host = make_graph(host_kind, host_shape)
+        guest_shape = [
+            (host.size,),
+            tuple(reversed(host_shape)),
+            host_shape,
+        ][guest_variant]
+        guest = make_graph(guest_kind, guest_shape)
+        edge_u, edge_v = guest.edge_index_arrays()
+        rng = np.random.default_rng(seed)
+        images = np.stack([rng.permutation(host.size) for _ in range(batch)])
+        images = images.astype(dtype)
+        dil_max, dil_sum, congestion = stacked_objective_components(
+            host, edge_u, edge_v, images, with_congestion=True
+        )
+        summary_max, summary_mean = stacked_dilation_summary(
+            host, edge_u, edge_v, images
+        )
+        for row in range(batch):
+            embedding = Embedding.from_index_array(
+                guest, host, images[row].astype(np.int64), strategy="random"
+            )
+            with use_context(backend="loop"):
+                dilations = embedding.edge_dilations()
+                loop_congestion = embedding.edge_congestion()
+            assert dil_max[row] == summary_max[row] == max(dilations)
+            assert dil_sum[row] == sum(dilations)
+            assert summary_mean[row] == sum(dilations) / len(dilations)
+            assert congestion[row] == loop_congestion
+
+
+class TestShapeTables:
+    @pytest.mark.parametrize("shape", [(6,), (3, 5), (2, 8, 4), (5, 2, 3)])
+    def test_tables_are_read_only_and_consistent(self, shape):
+        tables = shape_tables(shape)
+        assert tables is shape_tables(shape)  # memoized
+        ranks = np.arange(math.prod(shape))
+        assert (tables.digits == indices_to_digits(ranks, shape)).all()
+        weights = digit_weights(shape)
+        for j, length in enumerate(shape):
+            assert (tables.coords[j] == tables.digits[:, j]).all()
+            # rank = line high part * l_j + coordinate * w_j + line low part
+            rebuilt = (
+                tables.high[j] * length + tables.coords[j] * weights[j] + tables.low[j]
+            )
+            assert (rebuilt == ranks).all()
+            line = tables.high[j] + tables.low[j]
+            assert sorted(set(line.tolist())) == list(range(ranks.size // length))
+        for table in (tables.digits, *tables.coords, *tables.high, *tables.low):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+    @given(small_shapes())
+    @settings(max_examples=40, deadline=None)
+    def test_digit_weights_closed_form(self, shape):
+        weights = digit_weights(list(shape))
+        expected = [math.prod(shape[j + 1 :]) for j in range(len(shape))]
+        assert weights.tolist() == expected
+        assert weights is digit_weights(shape)  # memoized across sequence types
+        assert not weights.flags.writeable
+
+    def test_memo_is_bounded_and_holds_a_sweep(self):
+        from repro.survey.scenarios import all_pairs
+
+        pairs = all_pairs(64)
+        shapes = {p.guest_shape for p in pairs} | {p.host_shape for p in pairs}
+        maxsize = shape_tables.cache_info().maxsize
+        # Bounded, yet every shape of an exhaustive 64-node sweep stays resident.
+        assert maxsize is not None and maxsize >= len(shapes)
 
 
 class TestArrayRepresentation:
