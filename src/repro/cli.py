@@ -150,8 +150,7 @@ def _package_version() -> str:
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
-    guest = parse_graph(args.guest)
-    host = parse_graph(args.host)
+    guest, host = args.guest, args.host
     with use_context(backend=args.method):
         embedding = embed(guest, host)
         report = evaluate_embedding(embedding, with_congestion=args.congestion)
@@ -260,8 +259,7 @@ def _profiled(enabled: bool, output_path: Optional[str] = None):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    guest = parse_graph(args.guest)
-    host = parse_graph(args.host)
+    guest, host = args.guest, args.host
     link_weights = (
         LinkWeightSpec.from_token(args.link_weights) if args.link_weights else None
     )
@@ -367,8 +365,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     from .optimize import OptimizeOptions, optimize_embedding
 
-    guest = parse_graph(args.guest)
-    host = parse_graph(args.host)
+    guest, host = args.guest, args.host
     options = OptimizeOptions(
         objective=args.objective,
         budget=args.budget,
@@ -532,8 +529,12 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     p_embed = subparsers.add_parser("embed", help="embed a guest graph in a host graph")
-    p_embed.add_argument("--guest", required=True, help="guest graph, e.g. torus:4,6")
-    p_embed.add_argument("--host", required=True, help="host graph, e.g. mesh:2,2,2,3")
+    p_embed.add_argument(
+        "--guest", required=True, type=parse_graph, help="guest graph, e.g. torus:4,6"
+    )
+    p_embed.add_argument(
+        "--host", required=True, type=parse_graph, help="host graph, e.g. mesh:2,2,2,3"
+    )
     p_embed.add_argument("--congestion", action="store_true", help="also measure edge congestion")
     p_embed.add_argument("--grid", action="store_true", help="print the mapping as a grid")
     p_embed.add_argument(
@@ -552,8 +553,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_figure.set_defaults(func=_cmd_figure)
 
     p_sim = subparsers.add_parser("simulate", help="simulate a communication phase")
-    p_sim.add_argument("--guest", required=True, help="guest task graph, e.g. torus:8,8")
-    p_sim.add_argument("--host", required=True, help="host network, e.g. mesh:4,4,4")
+    p_sim.add_argument(
+        "--guest",
+        required=True,
+        type=parse_graph,
+        help="guest task graph, e.g. torus:8,8",
+    )
+    p_sim.add_argument(
+        "--host", required=True, type=parse_graph, help="host network, e.g. mesh:4,4,4"
+    )
     p_sim.add_argument(
         "--traffic",
         default="neighbor-exchange",
@@ -683,8 +691,12 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize",
         help="search for a low-cost embedding with the population optimizer",
     )
-    p_opt.add_argument("--guest", required=True, help="guest graph, e.g. torus:8x8")
-    p_opt.add_argument("--host", required=True, help="host graph, e.g. mesh:8x8")
+    p_opt.add_argument(
+        "--guest", required=True, type=parse_graph, help="guest graph, e.g. torus:8x8"
+    )
+    p_opt.add_argument(
+        "--host", required=True, type=parse_graph, help="host graph, e.g. mesh:8x8"
+    )
     p_opt.add_argument(
         "--objective",
         default="combined",

@@ -141,8 +141,12 @@ def expand_routes(space: LinkIndexSpace, src_digits, dst_digits) -> RouteArrays:
     dimensions ``>= j`` still at the source digits, so the ``k``-th hop of
     the run leaves the node whose dimension-``j`` coordinate is
     ``a_j + direction · k`` (mod ``l_j`` on a torus) on the fixed axis line
-    through that position.  All of it is ``repeat``/``cumsum`` arithmetic —
-    no per-hop Python.
+    through that position.  Its link id therefore advances by the signed
+    digit weight ``direction · w_j`` every hop, less one ring ``l_j · w_j``
+    at the torus wrap.  The per-hop work is one ``repeat`` of the per-run
+    steps and one running sum, with each run's first id written in as a
+    jump — no per-hop division or gather, one full-length array, and no
+    per-hop Python.
     """
     src_digits = np.asarray(src_digits, dtype=np.int64)
     dst_digits = np.asarray(dst_digits, dtype=np.int64)
@@ -180,28 +184,43 @@ def expand_routes(space: LinkIndexSpace, src_digits, dst_digits) -> RouteArrays:
     # Flat host rank of the position from which the dimension-j run departs:
     # dims < j at the target, dims >= j at the source.
     delta_flat = (dst_digits - src_digits) * weights
-    prefix = np.zeros((m, d), dtype=np.int64)
-    np.cumsum(delta_flat[:, :-1], axis=1, out=prefix[:, 1:])
-    flat_at_run = (src_digits @ weights)[:, None] + prefix
-    # Axis-line base: the run position with its dimension-j coordinate zeroed.
-    line_base = (flat_at_run - src_digits * weights).ravel()
+    departure = np.zeros((m, d), dtype=np.int64)
+    np.cumsum(delta_flat[:, :-1], axis=1, out=departure[:, 1:])
+    departure += (src_digits @ weights)[:, None]
 
-    directions = np.sign(offsets).ravel()
-    start_coords = src_digits.ravel()
-    run_starts = np.cumsum(run_lengths) - run_lengths
-    run_of_hop = np.repeat(np.arange(run_lengths.size, dtype=np.int64), run_lengths)
-    step = np.arange(total, dtype=np.int64) - run_starts[run_of_hop]
+    # One entry per non-empty run: its length, its per-hop id step (the
+    # signed digit weight) and the link id of its first hop.
+    run = np.flatnonzero(run_lengths)
+    length = run_lengths[run]
+    dim = run % d
+    backward = offsets.ravel()[run] < 0
+    step = weights[dim]
+    np.negative(step, out=step, where=backward)
+    first_link = departure.ravel()[run]
+    first_link += (2 * dim + backward) * space.num_nodes
+    last_link = (length - 1) * step
+    last_link += first_link
+    run_start = np.cumsum(length)
+    run_start -= length
 
-    lengths_per_run = np.broadcast_to(space.lengths, (m, d)).ravel()
-    weights_per_run = np.broadcast_to(weights, (m, d)).ravel()
-    dims_per_run = np.broadcast_to(np.arange(d, dtype=np.int64), (m, d)).ravel()
-
-    coord = start_coords[run_of_hop] + directions[run_of_hop] * step
+    # Within a run the id advances by the step every hop, so the ids are a
+    # running sum of the repeated steps, with each run's first id entering
+    # as the jump from the previous run's last.
+    link_ids = np.repeat(step, length)
     if space.is_torus:
-        coord %= lengths_per_run[run_of_hop]
-    source_rank = line_base[run_of_hop] + coord * weights_per_run[run_of_hop]
-    channel = 2 * dims_per_run[run_of_hop] + (directions[run_of_hop] < 0)
-    link_ids = channel * space.num_nodes + source_rank
+        # A run is at most half a ring long, so it wraps at most once: at
+        # the hop whose source coordinate would leave [0, l_j), the id
+        # moves one ring against the direction of travel.
+        coord = src_digits.ravel()[run]
+        ring = space.lengths[dim]
+        before_wrap = np.where(backward, coord + 1, ring - coord)
+        wrap = np.flatnonzero(before_wrap < length)
+        wrap_jump = ring[wrap] * step[wrap]
+        link_ids[run_start[wrap] + before_wrap[wrap]] -= wrap_jump
+        last_link[wrap] -= wrap_jump
+    link_ids[0] = first_link[0]
+    link_ids[run_start[1:]] = first_link[1:] - last_link[:-1]
+    np.cumsum(link_ids, out=link_ids)
     return RouteArrays(offsets=offsets, hops=hops, starts=starts, link_ids=link_ids)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from ..compiled.dispatch import active_kernels
 from ..core.embedding import Embedding, use_array_path
 from ..exceptions import SimulationError
-from ..numbering.arrays import indices_to_digits
+from ..numbering.arrays import shape_tables
 from .kernels import (
     RouteArrays,
     accumulate_link_loads,
@@ -141,15 +141,11 @@ def _phase_arrays_from_ranks(
     _check_topology(network, embedding)
     _check_faults(network, faults)
     images = embedding.host_index_array()
-    host_shape = network.topology.shape
     space = network.link_index_space()
     source_images = images[source_ranks]
     target_images = images[target_ranks]
-    routes = expand_routes(
-        space,
-        indices_to_digits(source_images, host_shape),
-        indices_to_digits(target_images, host_shape),
-    )
+    digits = shape_tables(space.shape).digits
+    routes = expand_routes(space, digits[source_images], digits[target_images])
     if faults is not None:
         routes = apply_fault_detours(space, routes, faults, source_images, target_images)
     # CostModel.link_occupancy is pure arithmetic, so it vectorizes as-is:
@@ -399,11 +395,11 @@ def simulate_endpoint_phases(
     for group in groups.values():
         space = group["space"]
         items = group["items"]
-        shape = space.shape
+        digits = shape_tables(space.shape).digits
         merged = expand_routes(
             space,
-            indices_to_digits(np.concatenate([src for _, src, _ in items]), shape),
-            indices_to_digits(np.concatenate([dst for _, _, dst in items]), shape),
+            digits[np.concatenate([src for _, src, _ in items])],
+            digits[np.concatenate([dst for _, _, dst in items])],
         )
         lower = 0
         for index, src, _dst in items:
@@ -500,19 +496,25 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
     served this round, because any request spawned by the round finishes at
     ``max(ready, link_free) + occ >= t_min + occ_min`` (float addition is
     monotone) — strictly after every batch member, exactly where the heap
-    would order it.  Within the round, requests are lexsorted by
-    ``(link, ready, message index)`` — the heap's service order per link —
-    and each link's queue is drained one *queue position* per inner step
-    (``start = max(ready, link_free)``, the same float ops in the same
-    order), so makespans and completion times are bit-for-bit identical to
-    the heap loops.  Degenerate cases where the window collapses (zero
-    occupancy, or times too large for the sum to round up) fall back to
-    serving exactly one request — the global ``(ready, index)`` minimum —
-    per round, which is verbatim heap order.
+    would order it.  Within the round, requests are served in the heap's
+    per-link order ``(link, ready, message index)``: a round in which no two
+    requests share a link (detected with a per-link stamp, no sort) is one
+    vectorized step; otherwise one sort of a unique integer key groups each
+    link's queue into a run (a lexsort when the round mixes ready times),
+    and every queue is drained one *queue position* per inner step, the
+    runs leaving the lockstep as they empty (``start = max(ready,
+    link_free)``, the same float ops in the same order).  Makespans and
+    completion times are therefore bit-for-bit identical to the heap loops.
+    Degenerate cases where the window collapses (zero occupancy, or times
+    too large for the sum to round up) fall back to serving exactly one
+    request — the global ``(ready, index)`` minimum — per round, which is
+    verbatim heap order.
 
     The ``max_events`` budget is enforced per phase (an event is one served
-    hop, as in the heap loops); exceeding it raises
-    :class:`~repro.exceptions.SimulationError` for the whole call.
+    hop, as in the heap loops).  Every hop is served exactly once, so it is
+    checked once, against each phase's hop count, before the loop starts.
+    Exceeding it raises :class:`~repro.exceptions.SimulationError` for the
+    whole call.
     """
     makespans = [0.0] * len(phases)
     completions: List[List[float]] = [[] for _ in phases]
@@ -547,7 +549,6 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
         [part + offset for part, offset in zip(last_parts, hop_offsets)]
     )
     hop_occupancy = np.concatenate(occ_parts)
-    phase_of = np.repeat(np.arange(len(live), dtype=np.int64), counts)
 
     kernels = active_kernels()
     if kernels is not None:
@@ -559,7 +560,7 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
             last_hop,
             link_ids,
             hop_occupancy,
-            phase_of,
+            np.repeat(np.arange(len(live), dtype=np.int64), counts),
             link_offset,
             len(live),
             max_events,
@@ -571,9 +572,18 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
             )
         return _split_completions(makespans, completions, completion, live, counts)
 
+    # Every hop is served exactly once, so a phase exceeds the event budget
+    # exactly when its hop count does: one check before the loop raises on
+    # the same inputs as the heap loops' per-event count.
+    if max(part.size for part in link_parts) > max_events:
+        raise SimulationError(
+            f"simulation exceeded {max_events} events; the configuration is too large"
+        )
     completion = np.zeros(first_hop.size, dtype=np.float64)
     link_free = np.zeros(link_offset, dtype=np.float64)
-    events = np.zeros(len(live), dtype=np.int64)
+    # stamp[link]: a batch position that requested the link this round.
+    # Written before it is read in every round, so it needs no reset.
+    stamp = np.empty(link_offset, dtype=np.int64)
 
     # The working set, as *aligned* arrays: the global index, ready time,
     # occupancy and hop pointers of every message with hops left.  All
@@ -588,6 +598,7 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
     ready_a = np.zeros(ids.size, dtype=np.float64)
     hop_a = first_hop[ids]
     last_a = last_hop[ids]
+    positions = np.arange(ids.size, dtype=np.int64)
     occ_floor = hop_occupancy.min() if hop_occupancy.size else 0.0
     alive = ids.size
     dead = 0
@@ -595,68 +606,36 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
         t_min = ready_a.min()
         window = t_min + occ_floor
         if window > t_min:
-            mask = ready_a < window
+            sel = np.flatnonzero(ready_a < window)
         else:
             # Degenerate window: serve the single (ready, index)-minimal
             # request this round — verbatim heap semantics, never fast but
             # always exact.
-            mask = np.zeros(ids.size, dtype=bool)
-            mask[np.flatnonzero(ready_a == t_min)[:1]] = True
-        batch_ids = ids[mask]
-        events += np.bincount(phase_of[batch_ids], minlength=len(live))
-        if (events > max_events).any():
-            raise SimulationError(
-                f"simulation exceeded {max_events} events; the configuration is too large"
-            )
-        hop_b = hop_a[mask]
+            sel = np.flatnonzero(ready_a == t_min)[:1]
+        hop_b = hop_a[sel]
         links = link_ids[hop_b]
-        r_b = ready_a[mask]
+        r_b = ready_a[sel]
         o_b = hop_occupancy[hop_b]
-        # The heap serves a link's requests by (ready_time, message index);
-        # the batch is ascending by index and the sorts are stable, so the
-        # link id (plus the ready time, when the round spans several ready
-        # times) is the whole key.  One stable integer sort covers the
-        # common uniform-occupancy survey case, where every ready time in
-        # the window equals t_min.
-        if r_b.size and r_b.max() == t_min:
-            order = np.argsort(links, kind="stable")
+        batch = positions[: sel.size]
+        stamp[links] = batch
+        if (stamp[links] == batch).all():
+            # No two requests share a link: every one starts at
+            # max(ready, link_free) in one step.
+            finish_b = np.maximum(r_b, link_free[links])
+            finish_b += o_b
+            link_free[links] = finish_b
         else:
-            order = np.lexsort((r_b, links))
-        s_links = links[order]
-        s_ready = r_b[order]
-        s_occ = o_b[order]
-        positions = np.arange(s_links.size, dtype=np.int64)
-        boundary = np.empty(s_links.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(s_links[1:], s_links[:-1], out=boundary[1:])
-        rank = positions - np.maximum.accumulate(np.where(boundary, positions, 0))
-        # Serve queue position p of every link in lockstep: position 0 may
-        # wait for the link (start = max(ready, link_free)), deeper positions
-        # chain off the freshly updated link_free — the loop's arithmetic,
-        # one vectorized step per queue depth instead of one event per hop.
-        by_rank = np.argsort(rank, kind="stable")
-        rank_counts = np.bincount(rank)
-        bounds = np.concatenate([[0], np.cumsum(rank_counts)])
-        finish = np.empty(s_links.size, dtype=np.float64)
-        for position in range(rank_counts.size):
-            sel = by_rank[bounds[position] : bounds[position + 1]]
-            chosen = s_links[sel]
-            started = np.maximum(s_ready[sel], link_free[chosen])
-            ended = started + s_occ[sel]
-            link_free[chosen] = ended
-            finish[sel] = ended
-        finish_b = np.empty(s_links.size, dtype=np.float64)
-        finish_b[order] = finish
+            finish_b = _serve_link_queues(links, r_b, o_b, t_min, link_free)
         hop_b += 1
-        hop_a[mask] = hop_b
-        finished = hop_b == last_a[mask]
-        if finished.any():
-            completion[batch_ids[finished]] = finish_b[finished]
+        hop_a[sel] = hop_b
+        finished = hop_b == last_a[sel]
+        done = int(np.count_nonzero(finished))
+        if done:
+            completion[ids[sel[finished]]] = finish_b[finished]
             finish_b[finished] = np.inf  # park: never batched again
-            done = int(finished.sum())
             alive -= done
             dead += done
-        ready_a[mask] = finish_b
+        ready_a[sel] = finish_b
         if dead * 4 >= ids.size and alive:
             keep = hop_a < last_a
             ids = ids[keep]
@@ -666,6 +645,50 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
             dead = 0
 
     return _split_completions(makespans, completions, completion, live, counts)
+
+
+def _serve_link_queues(links, ready, occupancy, t_min, link_free):
+    """Finish times of one round's requests when some of them share a link.
+
+    The batch is ascending by message index, so when every ready time
+    equals ``t_min`` (every round of a uniform-occupancy phase) sorting the
+    unique key ``link · 2^b + position``, with ``2^b`` above the batch
+    size, gives the heap's ``(link, ready, index)`` order, and a shift and
+    a mask recover both parts.  Other rounds lexsort on the ready time too.
+    Each run of equal links is one queue: position ``p`` of every queue
+    longer than ``p`` is served in one step, which chains off the
+    ``link_free`` the step before left — the heap's arithmetic, one
+    vectorized step per queue depth.
+    """
+    size = links.size
+    if ready.max() == t_min:
+        shift = size.bit_length()
+        key = links << shift
+        key |= np.arange(size, dtype=np.int64)
+        key.sort()
+        order = key & ((1 << shift) - 1)
+        sorted_links = key >> shift
+    else:
+        order = np.lexsort((ready, links))
+        sorted_links = links[order]
+    head = np.empty(size, dtype=bool)
+    head[0] = True
+    np.not_equal(sorted_links[1:], sorted_links[:-1], out=head[1:])
+    # Per queue: the sorted position of its next request, its end and link.
+    served = np.flatnonzero(head)
+    run_end = np.append(served[1:], size)
+    run_link = sorted_links[served]
+    finish = np.empty(size, dtype=np.float64)
+    while served.size:
+        request = order[served]
+        ended = np.maximum(ready[request], link_free[run_link])
+        ended += occupancy[request]
+        link_free[run_link] = ended
+        finish[request] = ended
+        served += 1
+        longer = np.flatnonzero(served < run_end)
+        served, run_end, run_link = served[longer], run_end[longer], run_link[longer]
+    return finish
 
 
 def _split_completions(makespans, completions, completion, live, counts):

@@ -78,6 +78,21 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["embed", "simulate", "optimize"])
+    @pytest.mark.parametrize(
+        "guest, host, bad",
+        [("torus:4,a", "mesh:4,4", "torus:4,a"), ("torus:4,4", "blob:4,4", "blob:4,4")],
+    )
+    def test_malformed_graph_spec_is_a_usage_error(
+        self, command, guest, host, bad, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--guest", guest, "--host", host])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and bad in err
+        assert "Traceback" not in err
+
 
 class TestOptimizeCommand:
     OPT = ["optimize", "--guest", "torus:4x4", "--host", "mesh:4x4"]

@@ -295,6 +295,38 @@ class TestRoundSimulatorEquivalence:
         assert array.makespan == loop.makespan == 0.0
         assert array.per_message_completion == loop.per_message_completion
 
+    def test_max_events_boundary_is_the_phase_hop_count(self, monkeypatch):
+        # An event is one served hop: a phase completes under a budget of
+        # exactly its hop count and fails one below it, whatever the other
+        # phases of a merged call hold — on every drain.
+        import repro.netsim.simulator as simulator_module
+        from repro.compiled import interpreted_kernels
+        from repro.netsim import neighbor_exchange_traffic
+
+        guest, host = Torus((4, 4)), Mesh((2, 2, 2, 2))
+        network = HostNetwork(host)
+        embedding = build_strategy("paper", guest, host)
+        full = neighbor_exchange_traffic(guest)
+        half = TrafficPattern("half", full.messages[: len(full.messages) // 2])
+        phases = [(network, embedding, half), (network, embedding, full)]
+        with use_context(backend="loop"):
+            h1, h2 = (simulate_phase(*phase).statistics.total_hops for phase in phases)
+        assert 0 < h1 < h2
+        for backend in ("array", "loop"):
+            with use_context(backend=backend):
+                simulate_phases(phases, max_events=h2)
+                simulate_phase(network, embedding, full, max_events=h2)
+                with pytest.raises(SimulationError):
+                    simulate_phases(phases, max_events=h2 - 1)
+                with pytest.raises(SimulationError):
+                    simulate_phase(network, embedding, full, max_events=h2 - 1)
+        # The compiled tier's heap drain, run interpreted in the round loop.
+        monkeypatch.setattr(simulator_module, "active_kernels", interpreted_kernels)
+        with use_context(backend="array"):
+            simulate_phases(phases, max_events=h2)
+            with pytest.raises(SimulationError):
+                simulate_phases(phases, max_events=h2 - 1)
+
 
 class TestDtypeDownsizing:
     def test_compact_index_dtype_thresholds(self):
