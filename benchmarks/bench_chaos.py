@@ -15,7 +15,7 @@ survey runner's retry/backoff/quarantine recovery.  Two claims gate here:
   artifact write) pay well under 1% overhead.
 
 The ``pytest-benchmark`` entries snapshot the two sweep regimes (committed
-as ``BENCH_chaos.json``, the seventh regression-gate pair);
+as ``BENCH_chaos.json``, the sixth regression-gate pair);
 ``benchmarks/check_bench_regression.py`` fails CI when either median slows
 by more than 2x.  Refresh with::
 

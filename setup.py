@@ -11,7 +11,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-torus-mesh-embeddings",
-    version="2.0.0",
+    version="3.0.0",
     description=(
         "Reproduction of 'Embeddings Among Toruses and Meshes' (Ma & Tao, "
         "ICPP 1987): Gray-code embeddings, vectorized cost metrics and a "
@@ -37,12 +37,6 @@ setup(
             "hypothesis",
             "networkx",
             "ruff",
-        ],
-        # The C kernel tier (backend="compiled"), which also needs a C
-        # compiler.  Optional: without it the runtime degrades to the array
-        # backend.
-        "compiled": [
-            "cffi",
         ],
     },
     entry_points={

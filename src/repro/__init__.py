@@ -67,7 +67,7 @@ from .core import (
 # and cache helpers — with signatures pinned by tests/test_api_surface.py.
 from . import api
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",

@@ -74,6 +74,7 @@ from .numbering.graycode import natural_sequence
 from .runtime import (
     BACKENDS,
     ConstructionCache,
+    ExecutionContext,
     build_strategy,
     strategy_names,
     use_context,
@@ -111,6 +112,19 @@ def parse_graph(spec: str) -> CartesianGraph:
             else f"could not parse graph spec {spec!r}: expected e.g. 'torus:4,6' ({error})"
         )
         raise argparse.ArgumentTypeError(message) from error
+
+
+def parse_backend(name: str) -> str:
+    """Validate a ``--method`` value exactly as :class:`ExecutionContext` does.
+
+    An unknown name, or ``compiled`` (removed in repro 3.0), is a usage error
+    that carries the context's own message.
+    """
+    try:
+        ExecutionContext(backend=name)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return name
 
 
 def _load_cache(args: argparse.Namespace):
@@ -541,10 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="auto",
         choices=BACKENDS,
-        help=(
-            "runtime backend: array kernels, per-node loop reference, or "
-            "compiled C kernels for the hot loops"
-        ),
+        type=parse_backend,
+        help="runtime backend (array kernels vs per-node loop reference)",
     )
     p_embed.set_defaults(func=_cmd_embed)
 
@@ -588,6 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="auto",
         choices=BACKENDS,
+        type=parse_backend,
         help="runtime backend (array kernels vs per-message loop reference)",
     )
     p_sim.add_argument(
@@ -659,6 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="auto",
         choices=BACKENDS,
+        type=parse_backend,
         help="runtime backend (vectorized array path vs per-node loop reference)",
     )
     p_survey.add_argument(
@@ -726,6 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="auto",
         choices=BACKENDS,
+        type=parse_backend,
         help="runtime backend (stacked-kernel search vs pure-Python reference)",
     )
     p_opt.add_argument(
@@ -763,6 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="auto",
         choices=BACKENDS,
+        type=parse_backend,
         help="runtime backend of the resident execution context",
     )
     p_serve.add_argument(

@@ -28,7 +28,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..compiled.dispatch import active_kernels
 from ..exceptions import SimulationError
 from ..graphs.base import CartesianGraph
 from ..graphs.faults import Faults
@@ -170,17 +169,6 @@ def expand_routes(space: LinkIndexSpace, src_digits, dst_digits) -> RouteArrays:
             link_ids=np.zeros(0, dtype=np.int64),
         )
 
-    kernels = active_kernels()
-    if kernels is not None:
-        # Compiled backend: one C pass fills the CSR hops directly from the
-        # signed offsets (all-integer — identical ids, element for element).
-        link_ids = kernels.expand_link_ids(
-            src_digits, offsets, starts, shape, space.num_nodes, space.is_torus
-        )
-        return RouteArrays(
-            offsets=offsets, hops=hops, starts=starts, link_ids=link_ids
-        )
-
     # Flat host rank of the position from which the dimension-j run departs:
     # dims < j at the target, dims >= j at the source.
     delta_flat = (dst_digits - src_digits) * weights
@@ -240,18 +228,6 @@ def accumulate_link_loads(
     :attr:`LinkIndexSpace.num_slots`.
     """
     slots = space.num_slots
-    kernels = active_kernels()
-    if kernels is not None:
-        # Compiled backend: fused single-pass accumulation, adding in the
-        # same (message, hop) order as the bincount scatter-adds.
-        return kernels.link_loads(
-            slots,
-            routes.starts,
-            routes.link_ids,
-            np.asarray(sizes, dtype=np.float64),
-            np.asarray(occupancy, dtype=np.float64),
-            hop_occupancy=hop_occupancy,
-        )
     counts = np.bincount(routes.link_ids, minlength=slots)
     volume = np.bincount(
         routes.link_ids, weights=np.repeat(sizes, routes.hops), minlength=slots

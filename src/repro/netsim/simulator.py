@@ -33,7 +33,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..compiled.dispatch import active_kernels
 from ..core.embedding import Embedding, use_array_path
 from ..exceptions import SimulationError
 from ..numbering.arrays import shape_tables
@@ -504,14 +503,14 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
     and every queue is drained one *queue position* per inner step, the
     runs leaving the lockstep as they empty (``start = max(ready,
     link_free)``, the same float ops in the same order).  Makespans and
-    completion times are therefore bit-for-bit identical to the heap loops.
+    completion times are therefore bit-for-bit identical to the heap loop.
     Degenerate cases where the window collapses (zero occupancy, or times
     too large for the sum to round up) fall back to serving exactly one
     request — the global ``(ready, index)`` minimum — per round, which is
     verbatim heap order.
 
     The ``max_events`` budget is enforced per phase (an event is one served
-    hop, as in the heap loops).  Every hop is served exactly once, so it is
+    hop, as in the heap loop).  Every hop is served exactly once, so it is
     checked once, against each phase's hop count, before the loop starts.
     Exceeding it raises :class:`~repro.exceptions.SimulationError` for the
     whole call.
@@ -550,31 +549,9 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
     )
     hop_occupancy = np.concatenate(occ_parts)
 
-    kernels = active_kernels()
-    if kernels is not None:
-        # Compiled backend: the whole drain is one C kernel call over the
-        # merged arrays — same heap order, same float ops, bit-for-bit equal
-        # completion times (tests/test_compiled_backend.py pins it).
-        status, completion, _events = kernels.drain(
-            first_hop,
-            last_hop,
-            link_ids,
-            hop_occupancy,
-            np.repeat(np.arange(len(live), dtype=np.int64), counts),
-            link_offset,
-            len(live),
-            max_events,
-        )
-        if status != 0:
-            raise SimulationError(
-                f"simulation exceeded {max_events} events; the configuration "
-                "is too large"
-            )
-        return _split_completions(makespans, completions, completion, live, counts)
-
     # Every hop is served exactly once, so a phase exceeds the event budget
     # exactly when its hop count does: one check before the loop raises on
-    # the same inputs as the heap loops' per-event count.
+    # the same inputs as the heap loop's per-event count.
     if max(part.size for part in link_parts) > max_events:
         raise SimulationError(
             f"simulation exceeded {max_events} events; the configuration is too large"
@@ -644,7 +621,14 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
             last_a = last_a[keep]
             dead = 0
 
-    return _split_completions(makespans, completions, completion, live, counts)
+    # Slice the merged completion array back into per-phase results.
+    offset = 0
+    for position, index in enumerate(live):
+        phase_completion = completion[offset : offset + counts[position]]
+        makespans[index] = float(phase_completion.max()) if counts[position] else 0.0
+        completions[index] = phase_completion.tolist()
+        offset += counts[position]
+    return list(zip(makespans, completions))
 
 
 def _serve_link_queues(links, ready, occupancy, t_min, link_free):
@@ -689,17 +673,6 @@ def _serve_link_queues(links, ready, occupancy, t_min, link_free):
         longer = np.flatnonzero(served < run_end)
         served, run_end, run_link = served[longer], run_end[longer], run_link[longer]
     return finish
-
-
-def _split_completions(makespans, completions, completion, live, counts):
-    """Slice the merged completion array back into per-phase results."""
-    offset = 0
-    for position, index in enumerate(live):
-        phase_completion = completion[offset : offset + counts[position]]
-        makespans[index] = float(phase_completion.max()) if counts[position] else 0.0
-        completions[index] = phase_completion.tolist()
-        offset += counts[position]
-    return list(zip(makespans, completions))
 
 
 def simulate_phase(

@@ -55,8 +55,14 @@ def directed_slot_id(topology: CartesianGraph, source: Node, target: Node) -> in
             f"{source!r} -> {target!r} is not a single-dimension hop"
         )
     j = changed[0]
-    length = topology.shape[j]
-    positive = (source[j] + 1) % length == target[j]
+    if topology.is_torus:
+        # Routing never takes the ``-`` direction of an extent-2 ring, so
+        # both hops of such a ring are ``+`` steps (one of them wraps).
+        positive = (source[j] + 1) % topology.shape[j] == target[j]
+    else:
+        # On an extent-2 mesh line the modular test would class 1 -> 0 as
+        # a ``+`` step; a mesh never wraps, so compare the coordinates.
+        positive = target[j] > source[j]
     channel = 2 * j + (0 if positive else 1)
     return channel * topology.size + topology.node_index(source)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import os
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Union
@@ -43,15 +42,11 @@ __all__ = [
 ]
 
 #: Allowed values of :attr:`ExecutionContext.backend`: ``"auto"`` and
-#: ``"array"`` run the vectorized array kernels, ``"loop"`` forces the
-#: retained pure-Python reference implementations, and ``"compiled"``
-#: requests the C kernel tier (:mod:`repro.compiled`) for the irregular hot
-#: loops, with the array kernels everywhere else.
+#: ``"array"`` run the vectorized array kernels, and ``"loop"`` forces the
+#: retained pure-Python reference implementations.
 Backend = str
 
-BACKENDS = ("auto", "array", "loop", "compiled")
-
-_warned_compiled_fallback = False
+BACKENDS = ("auto", "array", "loop")
 
 
 @dataclass(frozen=True)
@@ -62,8 +57,8 @@ class ExecutionContext:
     ----------
     backend:
         Construction/measure/simulation implementation — ``"auto"`` (the
-        array kernels), ``"array"``, ``"loop"`` or ``"compiled"`` (C kernels
-        for the irregular hot loops, array kernels elsewhere).
+        array kernels), ``"array"`` or ``"loop"``.  ``"compiled"``, the C
+        simulator tier, was removed in repro 3.0 and is rejected by name.
     cache:
         The content-addressed construction memo
         (:class:`~repro.runtime.cache.ConstructionCache`), or ``None`` to
@@ -100,6 +95,11 @@ class ExecutionContext:
     chaos: Optional[Union["ChaosPlan", str]] = None
 
     def __post_init__(self) -> None:
+        if self.backend == "compiled":
+            raise ValueError(
+                "backend 'compiled' (the C simulator tier) was removed in "
+                f"repro 3.0; expected one of {BACKENDS}"
+            )
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
@@ -114,42 +114,12 @@ class ExecutionContext:
             object.__setattr__(self, "chaos", ChaosPlan.parse(self.chaos))
 
     def resolved_backend(self) -> Backend:
-        """The concrete backend — ``"array"``, ``"loop"`` or ``"compiled"``.
-
-        A ``"compiled"`` request needs a kernel toolchain (cffi plus a C
-        compiler); without one it degrades to ``"array"`` with one
-        per-process warning — ``"auto"`` never selects ``"compiled"`` on its
-        own, the C tier is strictly opt-in.
-        """
-        if self.backend == "loop":
-            return "loop"
-        if self.backend == "compiled":
-            from ..compiled import toolchain
-
-            if toolchain.compiled_tier_available():
-                return "compiled"
-            global _warned_compiled_fallback
-            if not _warned_compiled_fallback:
-                _warned_compiled_fallback = True
-                warnings.warn(
-                    "no kernel toolchain is available (install cffi via "
-                    "'pip install repro[compiled]' and provide a C compiler); "
-                    "backend='compiled' falls back to the array backend (this "
-                    "warning is emitted once per process)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-        return "array"
+        """The concrete backend — ``"array"`` or ``"loop"``."""
+        return "loop" if self.backend == "loop" else "array"
 
     def use_array(self) -> bool:
-        """True when the resolved backend runs the vectorized array kernels.
-
-        The ``"compiled"`` backend *is* the array path everywhere outside the
-        ported simulator kernels (the hook sites consult
-        :func:`repro.compiled.dispatch.active_kernels` themselves), so it
-        answers True here.
-        """
-        return self.resolved_backend() in ("array", "compiled")
+        """True when the resolved backend runs the vectorized array kernels."""
+        return self.resolved_backend() == "array"
 
     def resolved_workers(self) -> int:
         """The effective worker count (``None`` → ``os.cpu_count()``)."""

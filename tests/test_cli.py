@@ -93,6 +93,25 @@ class TestCommands:
         assert "usage:" in err and bad in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["embed", "--guest", "torus:4,4", "--host", "mesh:4,4"],
+            ["simulate", "--guest", "torus:4,4", "--host", "mesh:4,4"],
+            ["survey", "--smoke"],
+            ["optimize", "--guest", "torus:4,4", "--host", "mesh:4,4"],
+            ["serve", "--port", "0"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_removed_compiled_method_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--method", "compiled"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "'compiled' (the C simulator tier) was removed in repro 3.0" in err
+        assert "Traceback" not in err
+
 
 class TestOptimizeCommand:
     OPT = ["optimize", "--guest", "torus:4x4", "--host", "mesh:4x4"]
@@ -178,6 +197,20 @@ class TestSimulateFlags:
         with pytest.raises(SystemExit) as excinfo:
             main(self.SIM + ["--method", "vectorized"])
         assert excinfo.value.code == 2
+
+    def test_dead_extent_two_mesh_link_gives_one_table_on_both_backends(self, capsys):
+        # The paper's worked-figure pair on a host with three extent-2 lines
+        # and two dead links: the array path must detour exactly where the
+        # loop oracle does.
+        args = ["simulate", "--guest", "torus:4,6", "--host", "mesh:2,2,2,3"]
+        args += ["--faults", "n0l2s1"]
+        assert main(args + ["--method", "array"]) == 0
+        array_out = capsys.readouterr().out
+        assert main(args + ["--method", "loop"]) == 0
+        assert array_out == capsys.readouterr().out
+        rows = {line.split()[0]: line.split("|") for line in array_out.splitlines()[3:]}
+        assert rows["paper"][4].strip() == "1.083"
+        assert rows["random"][7].strip() == "14.000"
 
     def test_cache_flag_persists_across_invocations(self, tmp_path, capsys):
         cache_file = tmp_path / "constructions.pkl"

@@ -42,6 +42,7 @@ from repro.experiments.workload_tables import (
     fault_rows,
     hotspot_rows,
 )
+from repro.runtime import use_context
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -72,6 +73,10 @@ TABLES = {
 }
 
 
+#: Simulator tables also replayed on the loop backend's heap-loop oracle.
+LOOP_REPLAYED = ("tab_sim_map", "tab_faults", "tab_hotspot")
+
+
 def fixture_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.json"
 
@@ -81,10 +86,15 @@ def load_fixture(name: str):
         return json.load(handle)
 
 
-@pytest.mark.parametrize("name", sorted(TABLES))
-def test_table_rows_match_golden_fixture(name):
+@pytest.mark.parametrize(
+    "name, backend",
+    [pytest.param(name, "auto", id=name) for name in sorted(TABLES)]
+    + [pytest.param(name, "loop", id=f"{name}-loop") for name in LOOP_REPLAYED],
+)
+def test_table_rows_match_golden_fixture(name, backend):
     fixture = load_fixture(name)
-    recomputed = TABLES[name]()
+    with use_context(backend=backend):
+        recomputed = TABLES[name]()
     # Round-trip through JSON so recomputed rows compare on the same types
     # (tuples -> lists etc.) as the stored fixture.
     recomputed = json.loads(json.dumps(recomputed))

@@ -7,21 +7,24 @@ backends must agree *bit for bit* — canonical BFS distances and the
 integer-hash link weights make that an invariant, not a tolerance.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.fault_tolerance import fault_dilation_summary, repair_embedding
 from repro.core.dispatch import embed
+from repro.core.embedding import Embedding
 from repro.exceptions import InvalidShapeError, SimulationError
 from repro.graphs.base import Mesh, Torus
 from repro.graphs.faults import FaultSpec, Faults
-from repro.netsim.kernels import LinkIndexSpace
+from repro.netsim.kernels import LinkIndexSpace, dead_slot_mask, expand_routes
 from repro.netsim.network import HostNetwork
 from repro.netsim.routing import route_message
 from repro.netsim.simulator import simulate_phase
-from repro.netsim.traffic import neighbor_exchange_traffic
+from repro.netsim.traffic import Message, TrafficPattern, neighbor_exchange_traffic
 from repro.netsim.weights import LinkWeightSpec, directed_slot_id
+from repro.numbering.arrays import indices_to_digits
 from repro.runtime import use_context
 from repro.types import GraphKind
 
@@ -32,6 +35,21 @@ pytestmark = pytest.mark.smoke
 
 def _graph(kind, shape):
     return Torus(shape) if kind == GraphKind.TORUS else Mesh(shape)
+
+
+def _routed_link_ids(topology, hops):
+    """The ids ``expand_routes`` gives the one-hop routes ``hops`` (rank pairs)."""
+    if not hops:
+        return []
+    space = LinkIndexSpace(topology)
+    sources, targets = np.asarray(hops, dtype=np.int64).T
+    routes = expand_routes(
+        space,
+        indices_to_digits(sources, space.shape),
+        indices_to_digits(targets, space.shape),
+    )
+    assert (routes.hops == 1).all()
+    return routes.link_ids.tolist()
 
 
 class TestFaultSpec:
@@ -137,6 +155,27 @@ class TestFaultRouting:
         assert len(links) == 3  # the long way round the ring
         for u, v in links:
             assert faults.link_alive(ring.node_index(u), ring.node_index(v))
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_dead_extent_two_link_is_detoured_on_both_backends(self, shape, backward):
+        # The dead link joins the two nodes of an extent-2 mesh line; a
+        # message across it, either way, must take the 3-hop detour.
+        host = Mesh(shape)
+        near = (0, 0)
+        far = tuple(int(length == 2) for length in shape)
+        dead = (host.node_index(near), host.node_index(far))
+        faults = Faults(host, frozenset(), frozenset({dead}))
+        source, destination = (far, near) if backward else (near, far)
+        traffic = TrafficPattern("cut", (Message(source, destination),))
+        embedding = Embedding.identity(host, host)
+        for backend in ("array", "loop"):
+            with use_context(backend=backend):
+                result = simulate_phase(
+                    HostNetwork(host), embedding, traffic, faults=faults
+                )
+            assert result.statistics.total_hops == 3, backend
+            assert result.makespan == 6.0, backend
 
     def test_dead_endpoint_raises(self):
         host = Torus((3, 4))
@@ -249,12 +288,34 @@ class TestLinkWeights:
     def test_directed_slot_ids_are_unique_per_directed_link(self, kind, shape):
         topology = _graph(kind, shape)
         seen = set()
+        hops, slots = [], []
         for a, b in topology.edges():
             for source, target in ((a, b), (b, a)):
                 slot = directed_slot_id(topology, source, target)
                 assert 0 <= slot < 2 * topology.dimension * topology.size
                 assert slot not in seen
                 seen.add(slot)
+                hops.append((topology.node_index(source), topology.node_index(target)))
+                slots.append(slot)
+        # Each id is the one route expansion gives the hop, so the loop
+        # backend prices and masks the link the array backend routes over.
+        assert slots == _routed_link_ids(topology, hops)
+
+    @given(kind=graph_kinds, shape=small_shapes(max_len=4), spec=fault_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_dead_slot_mask_marks_exactly_the_routed_ids_of_dead_links(
+        self, kind, shape, spec
+    ):
+        topology = _graph(kind, shape)
+        faults = spec.apply(topology)
+        hops = []
+        for a, b in topology.edges():
+            u, v = topology.node_index(a), topology.node_index(b)
+            if not faults.link_alive(u, v):
+                hops.extend([(u, v), (v, u)])
+        mask = dead_slot_mask(LinkIndexSpace(topology), faults)
+        want = set(_routed_link_ids(topology, hops))
+        assert set(np.flatnonzero(mask).tolist()) == want
 
     def test_non_adjacent_hop_rejected(self):
         topology = Mesh((4, 4))

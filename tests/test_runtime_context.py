@@ -46,6 +46,33 @@ class TestExecutionContext:
         assert clone == context
 
 
+class TestBackendValidation:
+    def test_execution_context_rejects_unknown_backend(self):
+        with pytest.raises(ValueError) as excinfo:
+            ExecutionContext(backend="vectorized")
+        message = str(excinfo.value)
+        for allowed in ("auto", "array", "loop"):
+            assert allowed in message
+
+    def test_use_context_rejects_unknown_backend(self):
+        with pytest.raises(ValueError, match="'auto', 'array', 'loop'"):
+            with use_context(backend="jit"):
+                pass  # pragma: no cover - never reached
+
+    def test_removed_numba_backend_is_rejected(self):
+        # The numba tier is gone; its name is not a backend.
+        with pytest.raises(ValueError, match=r"\('auto', 'array', 'loop'\)"):
+            ExecutionContext(backend="numba")
+
+    def test_removed_compiled_backend_names_its_removal(self):
+        removed = "'compiled'.*removed in repro 3.0"
+        with pytest.raises(ValueError, match=removed):
+            ExecutionContext(backend="compiled")
+        with pytest.raises(ValueError, match=removed):
+            with use_context(backend="compiled"):
+                pass  # pragma: no cover - never reached
+
+
 class TestScoping:
     def test_current_defaults_to_auto(self):
         assert current().backend == "auto"

@@ -9,8 +9,9 @@ Two contracts are pinned here:
 * **Simulator** — the round-based vectorized event loop must equal the loop
   backend's heap loop bit for bit: makespans, per-message completion times
   and statistics, including with dyadic message sizes (where float ties are
-  exact and tie-breaking order is actually observable), and whether phases
-  run one at a time or merged into one loop.
+  exact and tie-breaking order is actually observable), on weighted links
+  whose rounds mix ready times, and whether phases run one at a time or
+  merged into one loop.
 """
 
 import json
@@ -28,6 +29,7 @@ from repro.graphs.base import Mesh, Torus, make_graph
 from repro.netsim import (
     CostModel,
     HostNetwork,
+    LinkWeightSpec,
     Message,
     TrafficPattern,
     simulate_phase,
@@ -228,6 +230,55 @@ def _placed_phase(draw):
 placed_phases = st.composite(_placed_phase)
 
 
+@st.composite
+def weighted_phases(draw):
+    """A placed phase on heterogeneous links with non-dyadic message sizes.
+
+    Per-link weights and sizes without exact binary fractions give every
+    hop its own occupancy, and a per-hop latency large against their
+    spread keeps the batch window wide, so rounds often queue requests of
+    different ready times on one link.  The pairs put extent-2 mesh lines
+    under the traffic, whose backward hops both simulators must price by
+    the same link id.
+    """
+    guest, host = draw(
+        st.sampled_from(
+            [
+                (Torus((2, 3)), Mesh((2, 3))),
+                (Torus((3, 4)), Mesh((2, 2, 3))),
+                (Mesh((4, 3)), Mesh((3, 2, 2))),
+                (Torus((2, 2, 2)), Mesh((2, 4))),
+                (Mesh((3, 4)), Torus((3, 2, 2))),
+            ]
+        )
+    )
+    embedding = build_strategy(
+        draw(st.sampled_from(["paper", "lexicographic", "random"])), guest, host
+    )
+    nodes = list(guest.nodes())
+    sizes = st.sampled_from([0.3, 0.7, 1.1, 1.3])
+    messages = draw(
+        st.lists(
+            st.builds(
+                Message,
+                source=st.sampled_from(nodes),
+                destination=st.sampled_from(nodes),
+                size=sizes,
+            ),
+            min_size=8,
+            max_size=40,
+        )
+    )
+    weights = LinkWeightSpec(
+        draw(st.sampled_from(["random", "dimension"])),
+        draw(st.sampled_from([0.1, 0.3])),
+        draw(st.integers(0, 99)),
+    )
+    model = CostModel(alpha=draw(st.sampled_from([2.5, 4.0])), bandwidth=1.0)
+    network = HostNetwork(host, model, link_weights=weights)
+    return network, embedding, TrafficPattern(name="weighted", messages=tuple(messages))
+
+
 class TestRoundSimulatorEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(placed_phases())
@@ -255,6 +306,23 @@ class TestRoundSimulatorEquivalence:
         ]
         assert [result.statistics for result in merged] == [
             result.statistics for result in individual
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(weighted_phases(), min_size=1, max_size=4))
+    def test_merged_weighted_phases_equal_the_loop_oracle(self, phases):
+        with use_context(backend="array"):
+            merged = simulate_phases(phases)
+        with use_context(backend="loop"):
+            oracle = [simulate_phase(*phase) for phase in phases]
+        assert [result.makespan for result in merged] == [
+            result.makespan for result in oracle
+        ]
+        assert [result.per_message_completion for result in merged] == [
+            result.per_message_completion for result in oracle
+        ]
+        assert [result.statistics for result in merged] == [
+            result.statistics for result in oracle
         ]
 
     def test_empty_and_zero_hop_phases(self):
@@ -295,12 +363,10 @@ class TestRoundSimulatorEquivalence:
         assert array.makespan == loop.makespan == 0.0
         assert array.per_message_completion == loop.per_message_completion
 
-    def test_max_events_boundary_is_the_phase_hop_count(self, monkeypatch):
+    def test_max_events_boundary_is_the_phase_hop_count(self):
         # An event is one served hop: a phase completes under a budget of
         # exactly its hop count and fails one below it, whatever the other
-        # phases of a merged call hold — on every drain.
-        import repro.netsim.simulator as simulator_module
-        from repro.compiled import interpreted_kernels
+        # phases of a merged call hold — on both simulators.
         from repro.netsim import neighbor_exchange_traffic
 
         guest, host = Torus((4, 4)), Mesh((2, 2, 2, 2))
@@ -320,12 +386,6 @@ class TestRoundSimulatorEquivalence:
                     simulate_phases(phases, max_events=h2 - 1)
                 with pytest.raises(SimulationError):
                     simulate_phase(network, embedding, full, max_events=h2 - 1)
-        # The compiled tier's heap drain, run interpreted in the round loop.
-        monkeypatch.setattr(simulator_module, "active_kernels", interpreted_kernels)
-        with use_context(backend="array"):
-            simulate_phases(phases, max_events=h2)
-            with pytest.raises(SimulationError):
-                simulate_phases(phases, max_events=h2 - 1)
 
 
 class TestDtypeDownsizing:
