@@ -448,7 +448,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"repro service listening on http://{bound_host}:{bound_port} "
         f"(backend {service.context.resolved_backend()}, "
-        f"window {args.window:g}ms, max batch {args.max_batch}, "
+        f"window clock {args.window:g}ms, max batch {args.max_batch}, "
         f"cache {args.cache or 'in-memory'}{chaos_note})",
         flush=True,
     )
@@ -765,8 +765,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--window",
         type=float,
-        default=5.0,
-        help="request-coalescing window in milliseconds (default 5)",
+        default=10.0,
+        help="request-coalescing clock in milliseconds: a batch leaves on "
+        "the next tick with every request queued by then, so a request "
+        "waits at most this long (default 10; 0 dispatches at once)",
     )
     p_serve.add_argument(
         "--max-batch",

@@ -3,18 +3,21 @@
 A long-running daemon (``repro serve``) keeps one warm
 :class:`~repro.runtime.cache.ConstructionCache` and the cached graph arrays
 resident and answers embed/measure/simulate queries over HTTP.  The key
-mechanism is the **async request coalescer**: concurrent requests are
-collected over a short window, grouped by ``(guest kind+shape, host
-kind+shape)`` signature, stacked into the batched survey layer's
-``(batch, size)`` matrices and answered by one fused kernel pass — with
-responses byte-identical to the per-request reference path.
+mechanism is the **async request coalescer**: batches leave on the ticks
+of a fixed window clock (10 ms by default), each with every request queued
+by then — including all that queued while the previous batch evaluated —
+and each batch is grouped by ``(guest kind+shape, host kind+shape)``
+signature, stacked into the batched survey layer's ``(batch, size)``
+matrices and answered by one fused kernel pass, with responses
+byte-identical to the per-request reference path.  Each response leaves in
+one write on a ``TCP_NODELAY`` socket.
 
 ``protocol``
     The JSON wire format: :class:`~repro.service.protocol.ServiceRequest`
     and its lossless conversion to survey scenarios.
 ``coalescer``
     :class:`~repro.service.coalescer.RequestCoalescer` — the asyncio
-    window/batch collector with a serialized evaluation thread.
+    batch collector with a serialized evaluation thread.
 ``server``
     :class:`~repro.service.server.ReproService` (the resident evaluator,
     periodic atomic cache snapshots, ``/stats`` counters) and the stdlib

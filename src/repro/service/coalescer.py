@@ -6,15 +6,22 @@ is the gathering.  :class:`RequestCoalescer` runs a private asyncio event
 loop on a background thread and turns a stream of individually submitted
 requests into evaluation batches:
 
-* the first request of a batch opens a *collection window* (a few
-  milliseconds); every request arriving inside the window — or until
-  ``max_batch`` is reached — joins the batch;
+* batches leave on the ticks of a fixed *window* clock (default 10 ms):
+  a batch dispatches at the first tick after its first request arrived —
+  at most one window later, half a window on average for requests that
+  arrive at random — with every request queued by then (up to
+  ``max_batch``; a full batch leaves at once).  Ticks do not move with
+  evaluation time, so while a batch's work fits in one window, clients
+  that send their next request on each answer keep the clock's cadence
+  whatever the host's speed;
+* batching is opportunistic: a batch takes every request that queued while
+  the previous batch evaluated, and a request whose tick passed during
+  that evaluation leaves as soon as the evaluator is free.  Under
+  sustained load batch sizes grow with throughput — natural backpressure,
+  no tuning.  ``window=0`` dispatches at once;
 * the batch is handed to a single-threaded evaluation executor (the
   evaluator owns shared mutable state — the resident construction cache —
-  so evaluation is deliberately serialized);
-* while a batch evaluates, the collector is already gathering the next one,
-  so under sustained load batch sizes grow with throughput instead of the
-  window length — natural backpressure, no tuning.
+  so evaluation is deliberately serialized).
 
 Submission is thread-safe (``submit`` is called from HTTP handler threads)
 and returns a ``concurrent.futures.Future`` that resolves to whatever the
@@ -28,12 +35,23 @@ byte-identical to the per-request reference by construction.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
 __all__ = ["CoalescerClosed", "RequestCoalescer"]
+
+
+def next_tick(moment: float, window: float) -> float:
+    """The first tick at or after ``moment`` of a clock ticking every ``window``.
+
+    ``window=0`` has no ticks: the answer is ``moment`` itself.
+    """
+    if window <= 0:
+        return moment
+    return math.ceil(moment / window) * window
 
 
 class CoalescerClosed(RuntimeError):
@@ -48,11 +66,12 @@ class _Pending:
     def __init__(self, request: object):
         self.request = request
         self.future: Future = Future()
-        self.enqueued_at = time.perf_counter()
+        # time.monotonic() is the clock of the coalescer's event loop.
+        self.enqueued_at = time.monotonic()
 
 
 class RequestCoalescer:
-    """Collect requests over a short window and evaluate them as one batch.
+    """Evaluate the requests that arrived between two clock ticks as one batch.
 
     Parameters
     ----------
@@ -62,17 +81,18 @@ class RequestCoalescer:
         result per request, positionally.  A raised exception fails every
         future of the batch.
     window:
-        Seconds the collector keeps gathering after the first request of a
-        batch arrives.
+        Period, in seconds, of the clock batches dispatch on (default 10 ms):
+        a request waits at most this long for its batch to leave.  ``0``
+        dispatches at once.
     max_batch:
-        Hard batch-size cap; a full batch dispatches before the window ends.
+        Hard batch-size cap; a full batch dispatches before its tick.
     """
 
     def __init__(
         self,
         evaluate_batch: Callable[[Sequence[object]], Sequence[object]],
         *,
-        window: float = 0.005,
+        window: float = 0.01,
         max_batch: int = 256,
     ):
         if window < 0:
@@ -123,7 +143,10 @@ class RequestCoalescer:
         while True:
             first = await self._queue.get()
             batch: List[_Pending] = [first]
-            deadline = loop.time() + self.window
+            deadline = next_tick(first.enqueued_at, self.window)
+            # Everything that queued while the last batch evaluated.
+            while len(batch) < self.max_batch and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             while len(batch) < self.max_batch:
                 remaining = deadline - loop.time()
                 if remaining <= 0:

@@ -5,8 +5,9 @@
 :class:`~repro.runtime.cache.ConstructionCache`, cached graph arrays,
 batched evaluation on — for the whole process lifetime, and answers
 requests through the async coalescer (:mod:`repro.service.coalescer`):
-requests collected over a window are converted to survey scenarios and
-evaluated by :func:`repro.survey.runner.evaluate_shard`, i.e. grouped by
+each batch — the requests that arrived before a tick of the window clock —
+is converted to survey scenarios and evaluated by
+:func:`repro.survey.runner.evaluate_shard`, i.e. grouped by
 ``(guest kind+shape, host kind+shape)`` signature, stacked into
 ``(batch, size)`` matrices and answered by one
 ``stacked_dilation_summary``/stacked-congestion/vectorized-event-loop pass.
@@ -25,7 +26,10 @@ daemon restarts warm.
 
 The HTTP front end is deliberately stdlib-only
 (:class:`http.server.ThreadingHTTPServer`): handler threads block on the
-coalescer future while the event loop gathers their batch.
+coalescer future while the event loop gathers their batch.  Each response
+(headers and body) leaves in one buffered write on a ``TCP_NODELAY``
+socket: two small writes with Nagle's algorithm on would hold the second
+back until the client's delayed ACK of the first, ~40 ms on Linux.
 
 Failure plane (PR 10): requests carry a per-request deadline
 (:class:`ServiceTimeoutError` → HTTP 504), admission is bounded —
@@ -50,6 +54,7 @@ Endpoints::
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from collections import deque
@@ -95,11 +100,15 @@ class ServiceTimeoutError(RuntimeError):
 
 
 def _quantile(sorted_values: Sequence[float], q: float) -> float:
-    """The nearest-rank ``q``-quantile of an ascending sequence."""
+    """The nearest-rank ``q``-quantile of an ascending sequence.
+
+    The value of rank ``ceil(q * n)`` (1-based): the smallest value with at
+    least a ``q`` share of the sequence at or below it.
+    """
     if not sorted_values:
         return 0.0
-    index = min(len(sorted_values) - 1, max(0, int(q * len(sorted_values))))
-    return sorted_values[index]
+    rank = math.ceil(q * len(sorted_values))
+    return sorted_values[min(len(sorted_values), max(1, rank)) - 1]
 
 
 class ServiceStats:
@@ -163,7 +172,9 @@ class ReproService:
         from (and snapshot it back to).  With neither, a fresh in-memory
         cache lives for the service lifetime.
     window / max_batch:
-        Coalescing knobs, forwarded to :class:`RequestCoalescer`.
+        Coalescing knobs, forwarded to :class:`RequestCoalescer`: batches
+        dispatch on a clock ticking every ``window`` seconds (default 10 ms;
+        ``0`` dispatches at once), each with every request queued by then.
     snapshot_interval:
         Minimum seconds between periodic cache snapshots (``cache_path``
         only); ``0`` snapshots after every batch.
@@ -190,7 +201,7 @@ class ReproService:
         backend: str = "auto",
         cache: Optional[ConstructionCache] = None,
         cache_path: Optional[str] = None,
-        window: float = 0.005,
+        window: float = 0.01,
         max_batch: int = 256,
         snapshot_interval: float = 30.0,
         max_pending: int = 1024,
@@ -464,10 +475,24 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 class _RequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: ServiceHTTPServer
+    # One send per response: headers and body collect in the buffered wfile,
+    # which handle_one_request() flushes after each do_* (finish() on
+    # close), and TCP_NODELAY lets that send leave at once (a response past
+    # the 8 KiB buffer takes more sends, none waiting on an ACK).  This is
+    # the pairing socketserver.StreamRequestHandler documents.
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     # The daemon logs through /stats, not per-request stderr lines.
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
+
+    def handle_expect_100(self) -> bool:
+        # The interim "100 Continue" must not wait in the buffered wfile for
+        # the final response: the client holds the body back until it sees it.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def _send_json(
         self,
@@ -502,12 +527,24 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"ok": False, "error": f"unknown path {self.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        # Read the body before any answer: on a kept-alive connection, unread
+        # body bytes would parse as the next request.
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):
+            # No byte count to read past (rfile.read(-1) would block until
+            # EOF): answer once and close.
+            self._send_json(
+                400,
+                {"ok": False, "error": f"invalid Content-Length {length!r}"},
+                headers={"Connection": "close"},  # sets close_connection
+            )
+            return
+        body = self.rfile.read(int(length))
         if self.path not in ("/embed", "/simulate", "/invoke"):
             self._send_json(404, {"ok": False, "error": f"unknown path {self.path!r}"})
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            payload = json.loads(body or b"{}")
             if self.path != "/invoke" and isinstance(payload, dict):
                 payload.setdefault("op", self.path[1:])
             request = ServiceRequest.from_dict(payload)

@@ -6,6 +6,9 @@ reference (:func:`repro.survey.runner.evaluate_scenario`) produces for the
 same scenario — ``elapsed_seconds`` timing aside, the repo-wide convention.
 """
 
+import http.client
+import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import build_parser
 from repro.runtime import ConstructionCache
 from repro.service import (
     CoalescerClosed,
@@ -21,10 +25,13 @@ from repro.service import (
     RequestCoalescer,
     ServiceClient,
     ServiceError,
+    ServiceHTTPServer,
     ServiceRequest,
     parse_graph_spec,
     serve,
 )
+from repro.service.coalescer import next_tick
+from repro.service.server import _quantile
 from repro.survey.runner import SurveyOptions, evaluate_scenario
 
 pytestmark = pytest.mark.smoke
@@ -138,6 +145,79 @@ class TestCoalescer:
                 future.result(timeout=10)
         assert sizes[0] == 3  # dispatched at the cap, not after the window
 
+    def test_requests_queued_while_evaluating_form_one_batch(self):
+        sizes = []
+        busy, release = threading.Event(), threading.Event()
+
+        def evaluate(batch):
+            sizes.append(len(batch))
+            busy.set()
+            release.wait(10)
+            return list(batch)
+
+        with RequestCoalescer(evaluate, window=0.0) as coalescer:
+            futures = [coalescer.submit(0)]
+            assert busy.wait(10)
+            futures += [coalescer.submit(index) for index in range(1, 6)]
+            release.set()
+            results = [future.result(timeout=10) for future in futures]
+        assert results == [0, 1, 2, 3, 4, 5]
+        assert sizes == [1, 5]  # no wait when idle, then all that queued
+
+    def test_window_defaults_to_a_10ms_clock(self):
+        with RequestCoalescer(lambda batch: list(batch)) as coalescer:
+            assert coalescer.window == 0.01
+        with ReproService(watchdog_interval=0) as service:
+            assert service.coalescer.window == 0.01
+        assert build_parser().parse_args(["serve"]).window == 10.0
+
+    def test_batches_leave_on_the_window_clock(self):
+        # A request just before a tick leaves alone at that tick; one just
+        # after it waits for the next (a window timed from the first request
+        # would have taken both).
+        window, sizes = 0.4, []
+
+        def evaluate(batch):
+            sizes.append(len(batch))
+            return list(batch)
+
+        with RequestCoalescer(evaluate, window=window) as coalescer:
+            tick = next_tick(time.monotonic() + window / 2, window)
+            time.sleep(max(0.0, tick - window / 4 - time.monotonic()))
+            first = coalescer.submit(0)
+            time.sleep(max(0.0, tick + window / 4 - time.monotonic()))
+            second = coalescer.submit(1)
+            assert [first.result(timeout=10), second.result(timeout=10)] == [0, 1]
+        assert sizes == [1, 1]
+
+    def test_a_request_whose_tick_passed_leaves_when_the_evaluator_frees(self):
+        window, started = 0.3, []
+        busy, release = threading.Event(), threading.Event()
+
+        def evaluate(batch):
+            started.append(time.monotonic())
+            busy.set()
+            release.wait(10)
+            return list(batch)
+
+        with RequestCoalescer(evaluate, window=window) as coalescer:
+            first = coalescer.submit(0)
+            assert busy.wait(10)
+            queued_at = time.monotonic()
+            second = coalescer.submit(1)
+            time.sleep(max(0.0, next_tick(queued_at, window) - time.monotonic()))
+            released_at = time.monotonic()
+            release.set()
+            assert [first.result(timeout=10), second.result(timeout=10)] == [0, 1]
+        assert started[1] - released_at < window / 2  # no second wait
+
+    @pytest.mark.parametrize(
+        "moment, window, expected",
+        [(0.25, 0.1, 0.3), (0.3, 0.1, 0.3), (1.0, 0.5, 1.0), (7.5, 0.0, 7.5)],
+    )
+    def test_next_tick(self, moment, window, expected):
+        assert next_tick(moment, window) == pytest.approx(expected)
+
     def test_evaluator_exception_fails_the_batch_futures(self):
         def evaluate(batch):
             raise RuntimeError("kernel exploded")
@@ -230,6 +310,22 @@ class TestCacheSnapshots:
         assert ConstructionCache.load(path).construction_count >= 1
 
 
+@pytest.mark.parametrize(
+    "values, q, expected",
+    [
+        ([1, 2, 3, 4], 0.50, 2),
+        (list(range(1, 101)), 0.99, 99),
+        (list(range(1, 11)), 0.90, 9),
+        (list(range(1, 11)), 0.95, 10),
+        ([1, 2, 3], 0.50, 2),
+        ([7], 0.99, 7),
+        ([], 0.50, 0.0),
+    ],
+)
+def test_quantile_is_nearest_rank(values, q, expected):
+    assert _quantile(values, q) == expected
+
+
 @pytest.fixture(scope="class")
 def http_service():
     service = ReproService(window=0.02)
@@ -315,6 +411,135 @@ class TestHTTPEndToEnd:
         client = ServiceClient("http://127.0.0.1:1", timeout=0.5)
         with pytest.raises(OSError):
             client.embed("torus:4,6", "mesh:4,6")
+
+
+class _RecordingSocket(socket.socket):
+    """An accepted connection that records each send/sendall call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.writes = []
+
+    def send(self, data, *flags):
+        self.writes.append(bytes(data))
+        return super().send(data, *flags)
+
+    def sendall(self, data, *flags):
+        self.writes.append(bytes(data))
+        return super().sendall(data, *flags)
+
+
+class _RecordingServer(ServiceHTTPServer):
+    def __init__(self, address, service):
+        super().__init__(address, service)
+        self.accepted = []
+
+    def get_request(self):
+        connection, address = super().get_request()
+        recording = _RecordingSocket(
+            connection.family,
+            connection.type,
+            connection.proto,
+            fileno=connection.detach(),
+        )
+        self.accepted.append(recording)
+        return recording, address
+
+
+EMBED_BODY = b'{"guest": "torus:4,6", "host": "mesh:2,2,2,3"}'
+
+
+def _post(path, length, body=EMBED_BODY, extra=b""):
+    head = b"POST %s HTTP/1.1\r\nHost: test\r\nContent-Length: %s\r\n%s\r\n"
+    return head % (path, length, extra) + body
+
+
+def _read_response(sock, data=b""):
+    """One response off a raw socket: (status, headers, body, bytes after)."""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(4096)
+        assert chunk, f"EOF inside a response head: {data!r}"
+        data += chunk
+    head, _, rest = data.partition(b"\r\n\r\n")
+    status, *lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, value in (line.split(":", 1) for line in lines)
+    }
+    length = int(headers.get("content-length", 0))
+    while len(rest) < length:
+        chunk = sock.recv(4096)
+        assert chunk, "EOF inside a response body"
+        rest += chunk
+    return status, headers, rest[:length], rest[length:]
+
+
+def _read_to_eof(sock, data=b""):
+    while True:
+        chunk = sock.recv(4096)
+        if not chunk:
+            return data
+        data += chunk
+
+
+class TestHTTPTransport:
+    """Wire-level behaviour of the front end, on raw sockets (no timing)."""
+
+    def test_response_leaves_in_one_send_on_a_nodelay_socket(self):
+        with ReproService(watchdog_interval=0) as service:
+            server = _RecordingServer(("127.0.0.1", 0), service)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            connection = http.client.HTTPConnection(
+                *server.server_address[:2], timeout=30
+            )
+            try:
+                connection.request("POST", "/embed", body=EMBED_BODY)
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == 200 and json.loads(body)["ok"]
+                (accepted,) = server.accepted
+                assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                assert len(accepted.writes) == 1  # headers and body together
+                assert accepted.writes[0].startswith(b"HTTP/1.1 200")
+                assert accepted.writes[0].endswith(body)
+            finally:
+                connection.close()
+                server.shutdown()
+                server.server_close()
+
+    @pytest.mark.parametrize("length", [b"-1", b"abc"])
+    def test_invalid_content_length_is_one_400_then_eof(self, http_service, length):
+        _, client, _ = http_service
+        with socket.create_connection((client.host, client.port), timeout=2) as sock:
+            sock.sendall(_post(b"/embed", length))
+            status, headers, body, rest = _read_response(sock)
+            rest = _read_to_eof(sock, rest)
+        assert status.startswith("HTTP/1.1 400")
+        assert headers["connection"] == "close"
+        assert "Content-Length" in json.loads(body)["error"]
+        assert rest == b""  # one response, then the server closed
+
+    def test_unknown_post_path_reads_its_body(self, http_service):
+        _, client, _ = http_service
+        with socket.create_connection((client.host, client.port), timeout=2) as sock:
+            sock.sendall(_post(b"/nope", b"%d" % len(EMBED_BODY)))
+            status, _, _, rest = _read_response(sock)
+            assert status.startswith("HTTP/1.1 404")
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+            status, _, body, _ = _read_response(sock, rest)
+        assert status.startswith("HTTP/1.1 200") and json.loads(body)["ok"]
+
+    def test_expect_100_continue_is_answered_before_the_body(self, http_service):
+        _, client, _ = http_service
+        with socket.create_connection((client.host, client.port), timeout=2) as sock:
+            expect = b"Expect: 100-continue\r\n"
+            sock.sendall(_post(b"/embed", b"%d" % len(EMBED_BODY), b"", expect))
+            status, _, _, rest = _read_response(sock)
+            assert status.startswith("HTTP/1.1 100")
+            sock.sendall(EMBED_BODY)
+            status, _, body, _ = _read_response(sock, rest)
+        assert status.startswith("HTTP/1.1 200")
+        assert json.loads(body)["record"]["dilation"] == 1
 
 
 class TestServeDaemon:
