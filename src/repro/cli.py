@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
@@ -125,6 +126,28 @@ def parse_backend(name: str) -> str:
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
     return name
+
+
+def at_least(minimum: float, convert=int):
+    """An argparse ``type``: ``convert(text)``, finite and ``>= minimum``.
+
+    Out-of-range numbers are usage errors, not constructor tracebacks.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if not (math.isfinite(value) and value >= minimum):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _load_cache(args: argparse.Namespace):
@@ -764,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--window",
-        type=float,
+        type=at_least(0, float),
         default=10.0,
         help="request-coalescing clock in milliseconds: a batch leaves on "
         "the next tick with every request queued by then, so a request "
@@ -772,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-batch",
-        type=int,
+        type=at_least(1),
         default=256,
         help="hard cap on coalesced batch size (default 256)",
     )
@@ -797,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-pending",
-        type=int,
+        type=at_least(1),
         default=1024,
         help="admission-queue bound; beyond it requests are shed with "
         "503 + Retry-After (default 1024)",

@@ -3,7 +3,7 @@
 A long-running daemon (``repro serve``) keeps one warm
 :class:`~repro.runtime.cache.ConstructionCache` and the cached graph arrays
 resident and answers embed/measure/simulate queries over HTTP.  The key
-mechanism is the **async request coalescer**: batches leave on the ticks
+mechanism is the **request coalescer**: batches leave on the ticks
 of a fixed window clock (10 ms by default), each with every request queued
 by then — including all that queued while the previous batch evaluated —
 and each batch is grouped by ``(guest kind+shape, host kind+shape)``
@@ -16,8 +16,8 @@ one write on a ``TCP_NODELAY`` socket.
     The JSON wire format: :class:`~repro.service.protocol.ServiceRequest`
     and its lossless conversion to survey scenarios.
 ``coalescer``
-    :class:`~repro.service.coalescer.RequestCoalescer` — the asyncio
-    batch collector with a serialized evaluation thread.
+    :class:`~repro.service.coalescer.RequestCoalescer` — one thread that
+    collects each batch from a queue and evaluates it.
 ``server``
     :class:`~repro.service.server.ReproService` (the resident evaluator,
     periodic atomic cache snapshots, ``/stats`` counters) and the stdlib

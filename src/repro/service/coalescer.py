@@ -1,10 +1,10 @@
-"""The async request coalescer — many concurrent requests, one kernel pass.
+"""The request coalescer — many concurrent requests, one kernel pass.
 
 The batched survey layer (:mod:`repro.survey.batch`) already answers *many
 same-signature queries* in one fused stacked-kernel pass; what a server adds
-is the gathering.  :class:`RequestCoalescer` runs a private asyncio event
-loop on a background thread and turns a stream of individually submitted
-requests into evaluation batches:
+is the gathering.  :class:`RequestCoalescer` runs one daemon thread that
+collects individually submitted requests from a queue into batches and
+evaluates each batch itself:
 
 * batches leave on the ticks of a fixed *window* clock (default 10 ms):
   a batch dispatches at the first tick after its first request arrived —
@@ -19,9 +19,9 @@ requests into evaluation batches:
   that evaluation leaves as soon as the evaluator is free.  Under
   sustained load batch sizes grow with throughput — natural backpressure,
   no tuning.  ``window=0`` dispatches at once;
-* the batch is handed to a single-threaded evaluation executor (the
-  evaluator owns shared mutable state — the resident construction cache —
-  so evaluation is deliberately serialized).
+* the thread that collects a batch also evaluates it, so evaluation is
+  serialized (the evaluator owns shared mutable state — the resident
+  construction cache).
 
 Submission is thread-safe (``submit`` is called from HTTP handler threads)
 and returns a ``concurrent.futures.Future`` that resolves to whatever the
@@ -34,12 +34,12 @@ byte-identical to the per-request reference by construction.
 
 from __future__ import annotations
 
-import asyncio
 import math
+import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence
+from concurrent.futures import Future
+from typing import Callable, Dict, List, Sequence
 
 __all__ = ["CoalescerClosed", "RequestCoalescer"]
 
@@ -66,7 +66,7 @@ class _Pending:
     def __init__(self, request: object):
         self.request = request
         self.future: Future = Future()
-        # time.monotonic() is the clock of the coalescer's event loop.
+        # time.monotonic() is the clock the coalescer's ticks are read on.
         self.enqueued_at = time.monotonic()
 
 
@@ -76,7 +76,7 @@ class RequestCoalescer:
     Parameters
     ----------
     evaluate_batch:
-        ``(requests) -> results`` — called on the evaluation thread with the
+        ``(requests) -> results`` — called on the coalescer thread with the
         collected requests (in arrival order) and expected to return one
         result per request, positionally.  A raised exception fails every
         future of the batch.
@@ -95,81 +95,62 @@ class RequestCoalescer:
         window: float = 0.01,
         max_batch: int = 256,
     ):
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
+        if not (math.isfinite(window) and window >= 0):
+            raise ValueError(f"window must be finite and >= 0, got {window}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.window = window
         self.max_batch = max_batch
         self._evaluate_batch = evaluate_batch
-        self._closed = threading.Event()
+        # Guards _closed, _outstanding and the batch counters.
         self._lock = threading.Lock()
-        self._outstanding_lock = threading.Lock()
+        self._closed = False
         self._outstanding: set = set()
+        # Pending requests, then one None from close() to stop the thread.
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self.batches = 0
         self.coalesced_batches = 0
         self.max_batch_size = 0
         self.requests_batched = 0
         self.batch_size_histogram: Dict[int, int] = {}
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-service-eval"
-        )
-        self._loop = asyncio.new_event_loop()
-        self._queue: Optional[asyncio.Queue] = None
-        self._collector: Optional[asyncio.Task] = None
-        self._started = threading.Event()
         self._thread = threading.Thread(
-            target=self._run_loop, name="repro-service-coalescer", daemon=True
+            target=self._run, name="repro-service-coalescer", daemon=True
         )
         self._thread.start()
-        self._started.wait()
 
     # ------------------------------------------------------------------ #
-    # Event-loop thread
+    # Coalescer thread
     # ------------------------------------------------------------------ #
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._queue = asyncio.Queue()
-        self._collector = self._loop.create_task(self._collect())
-        self._started.set()
-        try:
-            self._loop.run_forever()
-        finally:
-            self._loop.close()
-
-    async def _collect(self) -> None:
-        assert self._queue is not None
-        loop = asyncio.get_event_loop()
+    def _run(self) -> None:
         while True:
-            first = await self._queue.get()
-            batch: List[_Pending] = [first]
+            first = self._queue.get()
+            if first is None:
+                return
+            batch = [first]
             deadline = next_tick(first.enqueued_at, self.window)
-            # Everything that queued while the last batch evaluated.
-            while len(batch) < self.max_batch and not self._queue.empty():
-                batch.append(self._queue.get_nowait())
             while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
+                remaining = deadline - time.monotonic()
                 try:
-                    batch.append(await asyncio.wait_for(self._queue.get(), remaining))
-                except asyncio.TimeoutError:
+                    if remaining > 0:
+                        # A longer timed wait raises OverflowError.
+                        remaining = min(remaining, threading.TIMEOUT_MAX)
+                        item = self._queue.get(timeout=remaining)
+                    else:
+                        # The tick passed: take only what already queued,
+                        # all that queued during the last evaluation included.
+                        item = self._queue.get_nowait()
+                except queue.Empty:
                     break
-            # Await the evaluation so a slow batch back-pressures into a
-            # *bigger* next batch (requests keep queueing meanwhile) instead
-            # of a pile-up of queued single-request batches.  Evaluation
-            # itself runs on the executor thread, never on the loop.
-            try:
-                await loop.run_in_executor(self._executor, self._dispatch, batch)
-            except asyncio.CancelledError:
-                # close() cancelled the collector mid-evaluation: the
-                # executor still finishes the in-flight batch (close joins
-                # it); nothing to unwind here.
-                raise
+                if item is None:  # the stop close() queued
+                    break
+                batch.append(item)
+            if self._closed:
+                return  # no batch evaluates after close(), which fails it
+            # Evaluating before the next get is what makes a slow batch
+            # back-pressure into a *bigger* next batch (requests keep
+            # queueing meanwhile) instead of a pile-up of single requests.
+            self._dispatch(batch)
 
-    # ------------------------------------------------------------------ #
-    # Evaluation thread
-    # ------------------------------------------------------------------ #
     def _dispatch(self, batch: List[_Pending]) -> None:
         with self._lock:
             self.batches += 1
@@ -199,57 +180,38 @@ class RequestCoalescer:
     # Caller-facing API (any thread)
     # ------------------------------------------------------------------ #
     def submit(self, request: object) -> Future:
-        """Enqueue a request; the future resolves to the evaluator's result."""
-        if self._closed.is_set():
-            raise CoalescerClosed("the coalescer is closed")
+        """Enqueue a request; the future resolves to the evaluator's result.
+
+        Raises :class:`CoalescerClosed` once closed, or once the coalescer
+        thread has died (nothing would ever read the queue).
+        """
         item = _Pending(request)
-        with self._outstanding_lock:
-            self._outstanding.add(item)
         item.future.add_done_callback(lambda _future: self._forget(item))
-
-        def _enqueue() -> None:
-            assert self._queue is not None
-            if self._closed.is_set():
-                if not item.future.done():
-                    item.future.set_exception(
-                        CoalescerClosed("the coalescer is closed")
-                    )
-                return
-            self._queue.put_nowait(item)
-
-        try:
-            self._loop.call_soon_threadsafe(_enqueue)
-        except RuntimeError as error:
-            # The event loop already stopped (a crashed or closed coalescer
-            # losing a race with submit): fail the future instead of
-            # leaving a caller blocked on it forever.
-            if not item.future.done():
-                item.future.set_exception(
-                    CoalescerClosed(f"the coalescer event loop is gone: {error}")
-                )
+        with self._lock:
+            if self._closed:
+                raise CoalescerClosed("the coalescer is closed")
+            if not self._thread.is_alive():
+                raise CoalescerClosed("the coalescer thread is gone")
+            self._outstanding.add(item)
+            self._queue.put(item)
         return item.future
 
     def _forget(self, item: _Pending) -> None:
-        with self._outstanding_lock:
+        with self._lock:
             self._outstanding.discard(item)
 
     def pending_count(self) -> int:
         """Requests submitted but not yet resolved (admission-control input)."""
-        with self._outstanding_lock:
+        with self._lock:
             return len(self._outstanding)
 
     def is_alive(self) -> bool:
         """Can this coalescer still make progress on submitted requests?
 
-        False once closed, once the loop thread has died, or once the
-        collector task has finished (a crash in :meth:`_collect` leaves the
-        loop spinning but nothing consuming the queue) — the signal the
+        False once closed or once its thread has died — the signal the
         service watchdog polls to decide a restart is due.
         """
-        if self._closed.is_set() or not self._thread.is_alive():
-            return False
-        collector = self._collector
-        return collector is None or not collector.done()
+        return not self._closed and self._thread.is_alive()
 
     def batch_stats(self) -> Dict[str, object]:
         """Counters of the batches formed so far (thread-safe snapshot)."""
@@ -267,50 +229,27 @@ class RequestCoalescer:
             }
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop collecting, fail queued requests, finish the in-flight batch.
+        """Stop collecting, finish the in-flight batch, fail the rest.
 
-        Bounded: if the loop thread does not exit within ``timeout`` (a
-        wedged evaluator holding the in-flight batch), every request still
-        pending fails with :class:`CoalescerClosed` instead of blocking its
-        caller forever, and the evaluator thread is abandoned rather than
-        joined.
+        Bounded: if the thread does not exit within ``timeout`` (a wedged
+        evaluator holding the in-flight batch), every request still pending
+        fails with :class:`CoalescerClosed` instead of blocking its caller
+        forever, and the thread is abandoned rather than joined.
         """
-        if self._closed.is_set():
-            return
-        self._closed.set()
-
-        def _shutdown() -> None:
-            assert self._queue is not None and self._collector is not None
-            self._collector.cancel()
-            while not self._queue.empty():
-                item = self._queue.get_nowait()
-                if not item.future.done():
-                    item.future.set_exception(
-                        CoalescerClosed("the coalescer is closed")
-                    )
-            self._loop.call_soon(self._loop.stop)
-
-        deadline = time.monotonic() + timeout
-        try:
-            self._loop.call_soon_threadsafe(_shutdown)
-        except RuntimeError:
-            pass  # loop already stopped (crashed thread): sweep below
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._queue.put(None)
         self._thread.join(timeout)
-        # Bounded wait for the in-flight batch: the evaluator resolves the
-        # outstanding futures when it finishes; a wedged one never does.
-        while self.pending_count() and time.monotonic() < deadline:
-            time.sleep(0.005)
-        wedged = self._thread.is_alive() or self.pending_count() > 0
-        # A wedged evaluator cannot be interrupted; don't join it.
-        self._executor.shutdown(wait=not wedged)
-        with self._outstanding_lock:
+        note = " (evaluation thread is wedged)" if self._thread.is_alive() else ""
+        with self._lock:
             stranded = list(self._outstanding)
         for item in stranded:
             if not item.future.done():
                 item.future.set_exception(
                     CoalescerClosed(
-                        "the coalescer closed before this request completed"
-                        + (" (evaluation thread is wedged)" if wedged else "")
+                        "the coalescer closed before this request completed" + note
                     )
                 )
 

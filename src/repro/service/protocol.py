@@ -108,6 +108,10 @@ class ServiceRequest:
             raise ProtocolError(
                 f"congestion must be a boolean, got {self.congestion!r}"
             )
+        for name in ("strategy", "traffic"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ProtocolError(f"{name} must be a string, got {value!r}")
         if self.op == "simulate" and not self.traffic:
             raise ProtocolError("simulate requests need a traffic pattern")
         # Eager parse: surfaces bad specs at request-construction time.

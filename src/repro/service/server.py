@@ -4,7 +4,7 @@
 :class:`~repro.runtime.context.ExecutionContext` — resident
 :class:`~repro.runtime.cache.ConstructionCache`, cached graph arrays,
 batched evaluation on — for the whole process lifetime, and answers
-requests through the async coalescer (:mod:`repro.service.coalescer`):
+requests through the request coalescer (:mod:`repro.service.coalescer`):
 each batch — the requests that arrived before a tick of the window clock —
 is converted to survey scenarios and evaluated by
 :func:`repro.survey.runner.evaluate_shard`, i.e. grouped by
@@ -26,7 +26,7 @@ daemon restarts warm.
 
 The HTTP front end is deliberately stdlib-only
 (:class:`http.server.ThreadingHTTPServer`): handler threads block on the
-coalescer future while the event loop gathers their batch.  Each response
+coalescer future while the coalescer thread gathers their batch.  Each response
 (headers and body) leaves in one buffered write on a ``TCP_NODELAY``
 socket: two small writes with Nagle's algorithm on would hold the second
 back until the client's delayed ACK of the first, ~40 ms on Linux.
@@ -191,8 +191,8 @@ class ReproService:
         ``store.write`` injection points.
     watchdog_interval:
         Seconds between liveness checks of the coalescer thread; a dead
-        coalescer (crashed collector task or loop thread) is replaced and
-        counted in ``coalescer_restarts``.  ``0`` disables the watchdog.
+        coalescer (its thread ended) is replaced and counted in
+        ``coalescer_restarts``.  ``0`` disables the watchdog.
     """
 
     def __init__(
@@ -319,7 +319,7 @@ class ReproService:
     # Watchdog
     # ------------------------------------------------------------------ #
     def _watch_coalescer(self) -> None:
-        """Replace a dead coalescer (crashed loop/collector) with a fresh one."""
+        """Replace a dead coalescer (its thread ended) with a fresh one."""
         while not self._closed:
             time.sleep(self._watchdog_interval)
             if self._closed or self._draining:
@@ -347,9 +347,9 @@ class ReproService:
         Requests become scenarios and run as one shard (grouped by signature
         and stacked inside :func:`evaluate_shard`); the congestion flag is
         an evaluation *option*, not part of the stacking signature, so the
-        batch splits into at most two shard passes.  Runs on the coalescer's
-        single evaluation thread — the only thread that touches the resident
-        cache — under the resident context.
+        batch splits into at most two shard passes.  Runs on the coalescer
+        thread — the only thread that touches the resident cache — under the
+        resident context.
         """
         records: List[Optional[SurveyRecord]] = [None] * len(requests)
         for congestion in (False, True):
@@ -380,7 +380,7 @@ class ReproService:
     def _maybe_snapshot(self, force: bool = False) -> bool:
         """Atomically snapshot the resident cache when due; True if written.
 
-        Called on the evaluation thread after each batch (and from
+        Called on the coalescer thread after each batch (and from
         :meth:`close`), so saves never race evaluation.  Skips when nothing
         new was memoized since the last snapshot.
         """

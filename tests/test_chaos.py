@@ -241,6 +241,14 @@ class TestSurveyRecovery:
         assert [record.status for record in report.records] == ["ok", "ok"]
 
 
+class EndThread(BaseException):
+    """Gets past the coalescer's ``except Exception`` and ends its thread."""
+
+
+def end_the_thread(batch):
+    raise EndThread("the evaluator ended the coalescer thread")
+
+
 class TestCoalescerHardening:
     def test_close_fails_pending_requests_when_evaluator_is_wedged(self):
         release = threading.Event()
@@ -259,6 +267,33 @@ class TestCoalescerHardening:
             future.result(timeout=1)
         release.set()
 
+    # max_batch=1: the queued request makes a full batch without reading
+    # the stop, and still must not evaluate after close().
+    @pytest.mark.parametrize("max_batch", [1, 256])
+    def test_close_finishes_the_in_flight_batch_and_fails_the_queue(self, max_batch):
+        busy, release = threading.Event(), threading.Event()
+
+        def held(batch):
+            busy.set()
+            release.wait(10)
+            return [request.upper() for request in batch]
+
+        coalescer = RequestCoalescer(held, window=0.01, max_batch=max_batch)
+        in_flight = coalescer.submit("a")
+        assert busy.wait(10)
+        queued = coalescer.submit("b")
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        try:
+            coalescer.close(timeout=5)
+        finally:
+            timer.cancel()
+        assert in_flight.result(timeout=1) == "A"
+        with pytest.raises(CoalescerClosed) as excinfo:
+            queued.result(timeout=1)
+        assert "wedged" not in str(excinfo.value)
+        assert coalescer.pending_count() == 0
+
     def test_pending_count_tracks_outstanding_requests(self):
         release = threading.Event()
 
@@ -274,15 +309,20 @@ class TestCoalescerHardening:
             future.result(timeout=10)
             assert coalescer.pending_count() == 0
 
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_is_alive_reflects_collector_health(self):
-        coalescer = RequestCoalescer(lambda batch: list(batch), window=0.01)
+        coalescer = RequestCoalescer(end_the_thread, window=0.01)
         assert coalescer.is_alive()
-        coalescer._loop.call_soon_threadsafe(coalescer._collector.cancel)
+        stranded = coalescer.submit("request")
         deadline = time.monotonic() + 5
         while coalescer.is_alive() and time.monotonic() < deadline:
             time.sleep(0.01)
         assert not coalescer.is_alive()
+        with pytest.raises(CoalescerClosed, match="thread is gone"):
+            coalescer.submit("late")  # fails fast, not on an unread queue
         coalescer.close()
+        with pytest.raises(CoalescerClosed, match="closed before"):
+            stranded.result(timeout=1)
 
 
 EMBED = ServiceRequest(op="embed", guest="torus:4,6", host="mesh:2,2,2,3")
@@ -312,15 +352,19 @@ class TestServiceRecovery:
                 service.handle(EMBED, timeout=0.1)
             assert service.stats.timeouts == 1
 
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_watchdog_restarts_a_dead_coalescer(self):
         with ReproService(window=0.001, watchdog_interval=0.05) as service:
             dead = service.coalescer
-            dead._loop.call_soon_threadsafe(dead._collector.cancel)
+            dead._evaluate_batch = end_the_thread
+            stranded = service.submit(EMBED)
             deadline = time.monotonic() + 10
             while service.coalescer_restarts == 0 and time.monotonic() < deadline:
                 time.sleep(0.02)
             assert service.coalescer_restarts >= 1
             assert service.coalescer is not dead
+            with pytest.raises(CoalescerClosed):
+                stranded.result(timeout=5)
             record, _ = service.handle(EMBED)  # the replacement serves
             assert record.status == "ok"
             assert (

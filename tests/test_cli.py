@@ -94,6 +94,24 @@ class TestCommands:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--window", "-1"),
+            ("--window", "nan"),
+            ("--window", "inf"),
+            ("--max-batch", "0"),
+            ("--max-pending", "0"),
+        ],
+    )
+    def test_out_of_range_serve_flag_is_a_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}: must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "command",
         [
             ["embed", "--guest", "torus:4,4", "--host", "mesh:4,4"],

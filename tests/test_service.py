@@ -73,6 +73,15 @@ class TestProtocol:
                 op="embed", guest="torus:4,6", host="mesh:4,6", congestion="yes"
             )
 
+    @pytest.mark.parametrize("field", ["strategy", "traffic"])
+    @pytest.mark.parametrize("value", [["x"], {"x": 1}, 3], ids=["list", "dict", "int"])
+    def test_strategy_and_traffic_must_be_strings(self, field, value):
+        # An unhashable value used to reach the shard evaluator and fail
+        # every request of its batch.
+        payload = {"op": "simulate", "guest": "torus:4,6", "host": "mesh:2,2,2,3"}
+        with pytest.raises(ProtocolError, match=f"{field} must be a string"):
+            ServiceRequest.from_dict({**payload, field: value})
+
     def test_from_dict_rejects_stray_and_missing_fields(self):
         with pytest.raises(ProtocolError, match="unknown request field"):
             ServiceRequest.from_dict(
@@ -232,6 +241,18 @@ class TestCoalescer:
             future = coalescer.submit("request")
             with pytest.raises(RuntimeError, match="0 results"):
                 future.result(timeout=10)
+
+    @pytest.mark.parametrize("window", [-0.01, float("nan"), float("inf")])
+    def test_window_must_be_finite_and_non_negative(self, window):
+        with pytest.raises(ValueError, match="window must be finite"):
+            RequestCoalescer(lambda batch: list(batch), window=window)
+
+    def test_a_window_past_the_longest_thread_wait_still_serves(self):
+        with RequestCoalescer(
+            lambda batch: list(batch), window=threading.TIMEOUT_MAX * 2, max_batch=2
+        ) as coalescer:
+            futures = [coalescer.submit(index) for index in range(2)]
+            assert [future.result(timeout=10) for future in futures] == [0, 1]
 
     def test_submit_after_close_raises(self):
         coalescer = RequestCoalescer(lambda batch: list(batch), window=0.01)
@@ -405,6 +426,9 @@ class TestHTTPEndToEnd:
         assert excinfo.value.status == 400
         with pytest.raises(ServiceError) as excinfo:
             client.invoke({"op": "embed", "guest": "torus:4,6"})
+        assert excinfo.value.status == 400
+        with pytest.raises(ServiceError) as excinfo:
+            client.simulate("torus:4,6", "mesh:2,2,2,3", traffic=["x"])
         assert excinfo.value.status == 400
 
     def test_client_unreachable_server(self):
