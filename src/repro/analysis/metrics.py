@@ -17,6 +17,7 @@ import numpy as np
 from ..core.embedding import Embedding
 from ..numbering.arrays import (
     compact_index_dtype,
+    shape_tables,
     stacked_edge_congestion,
 )
 
@@ -145,25 +146,130 @@ def stacked_edge_dilations(host, edge_u, edge_v, images):
     )
 
 
-def stacked_dilation_summary(host, edge_u, edge_v, images):
-    """``(dilation, average_dilation)`` columns for a stack of embeddings.
+def stacked_dilation_summary(hosts, edge_us, edge_vs, images):
+    """``(dilation, average_dilation)`` columns for a ragged stack of embeddings.
 
-    One fused pass over the shared edge-index arrays: the ``(batch,)``
-    ``int64`` maxima and ``(batch,)`` ``float64`` means of the stacked
-    per-edge distances.  Both reductions run over the contiguous rows of the
-    distance matrix, so each row's result is bit-for-bit the per-embedding
-    ``dilation()`` / ``average_dilation()`` value.
+    The four arguments are equal-length sequences: row ``i`` is the
+    embedding with host-index row ``images[i]`` into ``hosts[i]`` of a guest
+    whose edges join the ranks ``edge_us[i]`` and ``edge_vs[i]``.  Guests
+    and hosts may differ from row to row.  The rows' edges are concatenated
+    and measured in one pass per dimension, then reduced per row with
+    ``reduceat``; rows run in consecutive chunks of at most
+    :data:`_CHUNK_EDGES` edges, so the temporaries stay bounded however many
+    rows a call holds.
+
+    Returns the ``(rows,)`` ``int64`` maxima and ``(rows,)`` ``float64``
+    means, each bit-for-bit the row's ``dilation()`` / ``average_dilation()``:
+    the mean is the exact integer sum over the edge count, which is what
+    ``ndarray.mean`` computes for integers (it sums in ``float64``, exact
+    below ``2**53``, then divides).  A row without edges gives ``(0, 0.0)``.
     """
-    images = np.asarray(images)
-    batch = images.shape[0]
-    edge_u = np.asarray(edge_u)
-    if edge_u.size == 0:
-        return (
-            np.zeros(batch, dtype=np.int64),
-            np.zeros(batch, dtype=np.float64),
+    dilation = np.zeros(len(images), dtype=np.int64)
+    average = np.zeros(len(images), dtype=np.float64)
+    counts = [len(edges) for edges in edge_us]
+    for rows in _edge_chunks(counts):
+        sizes = [counts[row] for row in rows]
+        distances = _ragged_edge_distances(
+            [hosts[row] for row in rows],
+            [edge_us[row] for row in rows],
+            [edge_vs[row] for row in rows],
+            [images[row] for row in rows],
+            sizes,
         )
-    dilations = stacked_edge_dilations(host, edge_u, edge_v, images)
-    return dilations.max(axis=1), dilations.mean(axis=1)
+        starts = np.cumsum([0] + sizes[:-1])
+        dilation[rows] = np.maximum.reduceat(distances, starts)
+        average[rows] = np.add.reduceat(distances, starts) / sizes
+    return dilation, average
+
+
+#: Most guest edges one chunk of :func:`stacked_dilation_summary` measures
+#: at once (a row with more edges is a chunk of its own).  A chunk holds a
+#: few ``int64`` arrays of this length; a survey shard of the exhaustive
+#: sweep up to 128 nodes is one chunk.
+_CHUNK_EDGES = 1 << 16
+
+
+def _edge_chunks(counts):
+    """Consecutive lists of the rows with edges, each within :data:`_CHUNK_EDGES`.
+
+    Rows without edges are left out: they keep ``(0, 0.0)`` and must never
+    reach ``reduceat``, which reads one element even for an empty segment.
+    """
+    chunk, held = [], 0
+    for row, count in enumerate(counts):
+        if not count:
+            continue
+        if held and held + count > _CHUNK_EDGES:
+            yield chunk
+            chunk, held = [], 0
+        chunk.append(row)
+        held += count
+    if chunk:
+        yield chunk
+
+
+def _ragged_edge_distances(hosts, edge_us, edge_vs, images, counts):
+    """Per-edge host distances of a ragged stack, concatenated row by row.
+
+    ``counts[i]`` is the number of edges of row ``i``.
+
+    The distinct hosts' digit tables (:func:`shape_tables`) sit side by side
+    in one ``(width, nodes)`` coordinate table, ``width`` being the largest
+    host dimension; a host with fewer dimensions reads 0 in the rest.  Each
+    image is shifted into its host's block of columns, so one gather per
+    dimension measures every edge.  A dimension adds ``min(δ, l - δ)`` with
+    ``l`` its extent on a torus and twice its extent on a mesh, where the
+    minimum is always ``δ``; padded dimensions have ``δ = l = 0``.
+
+    Raises :class:`IndexError` when an image or edge rank leaves its row,
+    which would otherwise read another row's nodes.
+    """
+    blocks: Dict[tuple, int] = {}
+    distinct = []  # (host, its first column)
+    host_of_row = []
+    nodes = 0
+    for host in hosts:
+        key = (host.is_torus, host.shape)
+        index = blocks.get(key)
+        if index is None:
+            index = blocks[key] = len(distinct)
+            distinct.append((host, nodes))
+            nodes += host.size
+        host_of_row.append(index)
+    width = max(host.dimension for host, _ in distinct)
+    coords = np.zeros((width, nodes), dtype=np.int64)
+    wraps = np.zeros((width, len(distinct)), dtype=np.int64)
+    for index, (host, first) in enumerate(distinct):
+        dimension = host.dimension
+        block = slice(first, first + host.size)
+        coords[:dimension, block] = shape_tables(host.shape).digits.T
+        wraps[:dimension, index] = host.shape
+        if not host.is_torus:
+            wraps[:dimension, index] *= 2
+
+    lengths = [len(image) for image in images]
+    ranks = np.concatenate(images, dtype=np.int64)
+    if ranks.min() < 0 or (ranks >= np.repeat([h.size for h in hosts], lengths)).any():
+        raise IndexError("an image rank is not a node of its row's host")
+    ranks += np.repeat([distinct[index][1] for index in host_of_row], lengths)
+    edge_u = np.concatenate(edge_us, dtype=np.int64)
+    edge_v = np.concatenate(edge_vs, dtype=np.int64)
+    limits = np.repeat(lengths, counts)
+    for ends in (edge_u, edge_v):
+        if ends.min() < 0 or (ends >= limits).any():
+            raise IndexError("an edge rank is not a node of its row's guest")
+    shift = np.repeat(np.cumsum([0] + lengths[:-1]), counts)
+    a = ranks[edge_u + shift]
+    b = ranks[edge_v + shift]
+
+    total = np.zeros(a.size, dtype=np.int64)
+    step = np.empty_like(total)
+    for column, wrap in zip(coords, wraps[:, np.repeat(host_of_row, counts)]):
+        np.subtract(column[a], column[b], out=step)
+        np.abs(step, out=step)
+        np.minimum(step, wrap - step, out=step)
+        total += step
+    return total
 
 
 def stacked_objective_components(host, edge_u, edge_v, images, *, with_congestion):

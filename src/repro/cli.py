@@ -657,12 +657,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_survey.add_argument(
         "--workers",
-        type=int,
+        type=at_least(1),
         default=None,
         help="worker processes (default: cpu count; 1 = sequential)",
     )
     p_survey.add_argument(
-        "--shard-size", type=int, default=64, help="scenarios per worker shard"
+        "--shard-size", type=at_least(1), default=64, help="scenarios per worker shard"
     )
     p_survey.add_argument(
         "--shard-dir",
@@ -680,7 +680,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="results file (.json or .csv); empty string disables writing",
     )
     p_survey.add_argument(
-        "--limit", type=int, default=None, help="evaluate only the first N scenarios"
+        "--limit",
+        type=at_least(1),
+        default=None,
+        help="evaluate only the first N scenarios",
     )
     p_survey.add_argument(
         "--congestion", action="store_true", help="also measure edge congestion"
@@ -742,13 +745,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_opt.add_argument(
         "--budget",
-        type=int,
+        type=at_least(0),
         default=2000,
         help="candidate-evaluation budget (default 2000)",
     )
     p_opt.add_argument(
         "--population",
-        type=int,
+        type=at_least(1),
         default=16,
         help="target population size (default 16)",
     )

@@ -42,9 +42,9 @@ _SHAPE_MEMO_SIZE = 1024
 def compact_index_dtype(max_value: int):
     """The smallest integer dtype that holds node ranks up to ``max_value``.
 
-    Batched survey evaluation stacks many host-index arrays into one
-    ``(batch, size)`` matrix; at ``int64`` that matrix is the dominant
-    allocation of a shard, and every graph the paper studies fits ``int32``
+    Batched survey congestion stacks a signature's host-index arrays into
+    one ``(batch, size)`` matrix; at ``int64`` that matrix is the dominant
+    allocation of the pass, and every graph the paper studies fits ``int32``
     comfortably.  The explicit guard (rather than a silent modular cast)
     keeps a hypothetical ``>= 2**31``-node graph correct: it simply stays at
     ``int64``.

@@ -7,9 +7,9 @@ mechanism is the **request coalescer**: batches leave on the ticks
 of a fixed window clock (10 ms by default), each with every request queued
 by then — including all that queued while the previous batch evaluated —
 and each batch is grouped by ``(guest kind+shape, host kind+shape)``
-signature, stacked into the batched survey layer's ``(batch, size)``
-matrices and answered by one fused kernel pass, with responses
-byte-identical to the per-request reference path.  Each response leaves in
+signature and measured by the batched survey layer in one ragged kernel
+pass over all its signatures, with responses byte-identical to the
+per-request reference path.  Each response leaves in
 one write on a ``TCP_NODELAY`` socket.
 
 ``protocol``

@@ -1,8 +1,8 @@
 """The request coalescer — many concurrent requests, one kernel pass.
 
 The batched survey layer (:mod:`repro.survey.batch`) already answers *many
-same-signature queries* in one fused stacked-kernel pass; what a server adds
-is the gathering.  :class:`RequestCoalescer` runs one daemon thread that
+queries*, of one signature or of many, in one stacked-kernel pass; what a
+server adds is the gathering.  :class:`RequestCoalescer` runs one daemon thread that
 collects individually submitted requests from a queue into batches and
 evaluates each batch itself:
 

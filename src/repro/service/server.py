@@ -8,9 +8,10 @@ requests through the request coalescer (:mod:`repro.service.coalescer`):
 each batch — the requests that arrived before a tick of the window clock —
 is converted to survey scenarios and evaluated by
 :func:`repro.survey.runner.evaluate_shard`, i.e. grouped by
-``(guest kind+shape, host kind+shape)`` signature, stacked into
-``(batch, size)`` matrices and answered by one
-``stacked_dilation_summary``/stacked-congestion/vectorized-event-loop pass.
+``(guest kind+shape, host kind+shape)`` signature and answered by one
+ragged ``stacked_dilation_summary`` call over every signature of the
+batch, one ``stacked_congestion`` call per signature when congestion is
+asked for, and one vectorized event loop for the simulations.
 Responses are therefore byte-identical to the per-request reference path —
 the same contract the batched survey layer pins.
 

@@ -7,36 +7,36 @@ rebuild and one event loop per simulation scenario.  This module evaluates a
 whole *shard* at once instead:
 
 * scenarios are grouped by their ``(guest kind+shape, host kind+shape)``
-  signature; each signature materializes its graphs once, derives (or fetches
-  from the runtime :class:`~repro.runtime.cache.ConstructionCache`) one
-  shared edge-index array, and stacks the signature's host-index arrays into
-  a single ``(batch, size)`` matrix in the smallest sufficient dtype;
-* dilation, average dilation and (optionally) congestion are computed for
-  the whole stack in fused NumPy passes
-  (:mod:`repro.analysis.metrics` stacked kernels) — bit-for-bit the
-  per-scenario values;
+  signature; each signature materializes its graphs once and derives (or
+  fetches from the runtime :class:`~repro.runtime.cache.ConstructionCache`)
+  one shared edge-index array;
+* dilation and average dilation of every row of every signature come from
+  one ragged :func:`~repro.analysis.metrics.stacked_dilation_summary` call
+  per shard, and congestion (when asked for) from one
+  :func:`~repro.analysis.metrics.stacked_congestion` call per signature
+  over its ``(batch, size)`` stack — bit-for-bit the per-scenario values;
 * simulation scenarios share one memoized traffic pattern per
   ``(pattern, guest signature)`` and one
   :class:`~repro.netsim.network.HostNetwork` per host signature, and all of
   a shard's phases advance together through one round-based vectorized event
   loop (:func:`repro.netsim.simulator.simulate_endpoint_phases`);
 * records are assembled column-wise from the stacked results, in scenario
-  order.
+  order, each built once at the end with its share of the shard's time.
 
 The per-scenario path (:func:`repro.survey.runner.evaluate_scenario`) stays
 as the cross-checked reference — ``use_context(batch=False)`` forces it, and
 the differential suite ``tests/test_survey_batch.py`` pins the two paths'
 records byte-identical (``elapsed_seconds`` timings aside).  Any signature
 group or simulation phase the batched kernels cannot handle falls back to
-the reference path for exactly the affected scenarios, so failure semantics
-(one bad pair must not kill a sweep) are preserved record for record.
+the reference path for exactly the affected scenarios (a failed shard-wide
+measurement re-runs group by group first), so failure semantics (one bad
+pair must not kill a sweep) are preserved record for record.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.metrics import (
     stack_host_index_arrays,
@@ -150,29 +150,56 @@ class _ShardState:
         return entry
 
 
-def _group_metrics(state: _ShardState, guest, host, embeddings, with_congestion):
-    """Stacked ``strategy row -> (dilation, average, congestion)`` columns.
+def _shard_metrics(state: _ShardState, groups, with_congestion):
+    """Stacked ``(signature, strategy) -> (dilation, average, congestion)``.
 
-    ``embeddings`` is the signature group's ``row key -> Embedding`` dict (in
-    insertion order).  One fused pass over the shared edge-index arrays per
-    group; raises only if the stacked kernels themselves fail, in which case
-    the caller falls back to the per-scenario reference for the group.
+    One ragged :func:`stacked_dilation_summary` call measures every row of
+    every signature group in ``groups``; congestion, when asked for, runs
+    per signature through :func:`stacked_congestion`.  If that raises, the
+    same kernels re-run group by group, and only the groups that still
+    raise are left out: the caller hands exactly their scenarios to the
+    per-scenario reference.
     """
-    rows = list(embeddings)
-    edge_u, edge_v = _shared_edge_arrays(guest, state.cache)
-    images = stack_host_index_arrays([embeddings[row] for row in rows], host)
-    dilation, average = stacked_dilation_summary(host, edge_u, edge_v, images)
-    congestion = (
-        stacked_congestion(host, edge_u, edge_v, images) if with_congestion else None
-    )
-    return {
-        row: (
-            int(dilation[offset]),
-            float(average[offset]),
-            int(congestion[offset]) if congestion is not None else None,
-        )
-        for offset, row in enumerate(rows)
-    }
+    try:
+        return _measure_groups(state, groups, with_congestion)
+    except Exception:  # noqa: BLE001 - isolate the failing group(s)
+        metrics = {}
+        for signature, group in groups.items():
+            try:
+                metrics.update(
+                    _measure_groups(state, {signature: group}, with_congestion)
+                )
+            except Exception:  # noqa: BLE001 - group falls back to the reference path
+                continue
+        return metrics
+
+
+def _measure_groups(state: _ShardState, groups, with_congestion):
+    """The measurement of :func:`_shard_metrics`; raises on any failure."""
+    keys, hosts, edge_us, edge_vs, images = [], [], [], [], []
+    for signature, group in groups.items():
+        edge_u, edge_v = _shared_edge_arrays(group["guest"], state.cache)
+        for strategy, embedding in group["rows"].items():
+            keys.append((signature, strategy))
+            hosts.append(group["host"])
+            edge_us.append(edge_u)
+            edge_vs.append(edge_v)
+            images.append(embedding.host_index_array())
+    dilation, average = stacked_dilation_summary(hosts, edge_us, edge_vs, images)
+    congestion = [None] * len(keys)
+    if with_congestion:
+        row = 0
+        for group in groups.values():
+            host, embeddings = group["host"], list(group["rows"].values())
+            column = stacked_congestion(
+                host,
+                edge_us[row],
+                edge_vs[row],
+                stack_host_index_arrays(embeddings, host),
+            )
+            congestion[row : row + len(embeddings)] = column.tolist()
+            row += len(embeddings)
+    return dict(zip(keys, zip(dilation.tolist(), average.tolist(), congestion)))
 
 
 def evaluate_shard_batched(
@@ -189,7 +216,9 @@ def evaluate_shard_batched(
 
     started = time.perf_counter()
     state = _ShardState()
-    records: List[Optional[SurveyRecord]] = [None] * len(scenarios)
+    # Per position: a finished reference-path record (with its own timing)
+    # or a batched record's columns, built into a record once at the end.
+    records: List[object] = [None] * len(scenarios)
 
     # ---------------------------------------------------------------- #
     # Pass 1: resolve graphs and constructions, group by signature.
@@ -216,7 +245,7 @@ def evaluate_shard_batched(
         strategy = scenario.strategy if scenario.traffic else "paper"
         status, payload = state.embedding(strategy, guest, host)
         if status != "ok":
-            records[position] = SurveyRecord(status=status, error=payload, **base)
+            records[position] = dict(base, status=status, error=payload)
             continue
         signature = ((guest.kind.value, guest.shape), (host.kind.value, host.shape))
         group = groups.setdefault(
@@ -238,18 +267,9 @@ def evaluate_shard_batched(
             )
 
     # ---------------------------------------------------------------- #
-    # Pass 2: stacked metric kernels, one fused pass per signature.
+    # Pass 2: one ragged measurement pass over every row of the shard.
     # ---------------------------------------------------------------- #
-    metrics: Dict[Tuple[Tuple[GraphSpec, GraphSpec], str], Tuple] = {}
-    for signature, group in groups.items():
-        try:
-            columns = _group_metrics(
-                state, group["guest"], group["host"], group["rows"], options.with_congestion
-            )
-        except Exception:  # noqa: BLE001 - group falls back to the reference path
-            continue
-        for row, values in columns.items():
-            metrics[(signature, row)] = values
+    metrics = _shard_metrics(state, groups, options.with_congestion)
 
     # ---------------------------------------------------------------- #
     # Pass 3: all simulation phases through one vectorized event loop.
@@ -266,9 +286,7 @@ def evaluate_shard_batched(
             job["scenario"].traffic, groups[job["signature"]]["guest"]
         )
         if status != "ok":
-            records[job["position"]] = SurveyRecord(
-                status="error", error=payload, **job["base"]
-            )
+            records[job["position"]] = dict(job["base"], status="error", error=payload)
         else:
             job["endpoints"] = payload
             ready_jobs.append(job)
@@ -303,7 +321,8 @@ def evaluate_shard_batched(
             dilation, average, congestion = values
             embedding = group["rows"][strategy]
             if not scenario.traffic:
-                records[position] = SurveyRecord(
+                records[position] = dict(
+                    base,
                     status="ok",
                     strategy=embedding.strategy,
                     predicted_dilation=embedding.predicted_dilation,
@@ -311,26 +330,26 @@ def evaluate_shard_batched(
                     average_dilation=average,
                     congestion=congestion,
                     matches_prediction=embedding.matches_prediction(measured=dilation),
-                    **base,
                 )
                 continue
             outcome = outcomes.get(position)
             if outcome is None or isinstance(outcome, Exception):
                 if isinstance(outcome, UnsupportedEmbeddingError):
-                    records[position] = SurveyRecord(
-                        status="unsupported", error=str(outcome), **base
+                    records[position] = dict(
+                        base, status="unsupported", error=str(outcome)
                     )
                 elif isinstance(outcome, Exception):
-                    records[position] = SurveyRecord(
+                    records[position] = dict(
+                        base,
                         status="error",
                         error=f"{type(outcome).__name__}: {outcome}",
-                        **base,
                     )
                 else:  # no outcome recorded at all: reference path
                     records[position] = evaluate_scenario(scenario, options)
                 continue
             statistics = outcome.statistics
-            records[position] = SurveyRecord(
+            records[position] = dict(
+                base,
                 status="ok",
                 strategy=scenario.strategy,
                 predicted_dilation=embedding.predicted_dilation,
@@ -344,13 +363,12 @@ def evaluate_shard_batched(
                 max_link_load=statistics.max_link_load_messages,
                 estimated_time=statistics.estimated_completion_time,
                 makespan=outcome.makespan,
-                **base,
             )
 
     share = (time.perf_counter() - started) / max(len(scenarios), 1)
     return [
-        record
-        if record.elapsed_seconds
-        else dataclasses.replace(record, elapsed_seconds=share)
+        SurveyRecord(elapsed_seconds=share, **record)
+        if isinstance(record, dict)
+        else record
         for record in records
     ]

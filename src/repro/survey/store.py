@@ -120,22 +120,36 @@ class SurveyRecord:
         return cls(**{key: data.get(key) for key in FIELDS})  # type: ignore[arg-type]
 
 
+#: Encodes one record object as ``json.dump(..., indent=1)`` lays it out at
+#: its depth in the document, braces aside: the C encoder writes the member
+#: separator, newline and indent itself, so no encoded text is rewritten.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",\n   ", ": "))
+
+
 def write_json(records: Sequence[SurveyRecord], path: PathLike) -> Path:
     """Write records as a JSON document (list of objects plus a count header).
 
-    The write is atomic (temp file + ``os.replace``): a kill mid-write leaves
-    the previous document intact instead of a torn shard that silently fails
-    the resume check and costs a full recompute.
+    The bytes are exactly ``json.dump(payload, indent=1)`` plus a newline,
+    but streamed: the header, record separators and footer are written by
+    hand and each record goes through the C encoder on its own, so the
+    document is never held in memory (``json.dump`` with an indent runs the
+    pure-Python encoder).  The write is atomic (temp file + ``os.replace``):
+    a kill mid-write leaves the previous document intact instead of a torn
+    shard that silently fails the resume check and costs a full recompute.
     """
     path = Path(path)
-    payload = {
-        "format": "repro-survey/1",
-        "count": len(records),
-        "records": [record.as_dict() for record in records],
-    }
+    encode = _RECORD_ENCODER.encode
     with atomic_write(path) as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+        handle.write(f'{{\n "format": "repro-survey/1",\n "count": {len(records)},\n')
+        if records:
+            separator = ' "records": [\n  {\n   '
+            for record in records:
+                handle.write(separator)
+                handle.write(encode(record.as_dict())[1:-1])
+                separator = "\n  },\n  {\n   "
+            handle.write("\n  }\n ]\n}\n")
+        else:
+            handle.write(' "records": []\n}\n')
     return path
 
 

@@ -7,6 +7,9 @@ import pytest
 from repro.cli import build_parser, main, parse_graph
 from repro.graphs.base import Mesh, Torus
 
+SURVEY = ["survey", "--smoke", "--output", ""]
+OPTIMIZE = ["optimize", "--guest", "torus:4,4", "--host", "mesh:4,4"]
+
 
 class TestParseGraph:
     def test_torus(self):
@@ -106,6 +109,32 @@ class TestCommands:
     def test_out_of_range_serve_flag_is_a_usage_error(self, flag, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--port", "0", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}: must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            # `scenarios[:-1]` used to drop the last scenario and exit 0.
+            (SURVEY, "--limit", "-1"),
+            (SURVEY, "--limit", "0"),
+            # A negative shard size used to run silently in shards of 1.
+            (SURVEY, "--shard-size", "-3"),
+            (SURVEY, "--shard-size", "0"),
+            (SURVEY, "--workers", "0"),
+            # These used to end in a ValueError traceback from the options.
+            (OPTIMIZE, "--population", "0"),
+            (OPTIMIZE, "--budget", "-5"),
+        ],
+        ids=lambda part: part[0] if isinstance(part, list) else part,
+    )
+    def test_out_of_range_survey_and_optimize_flags_are_usage_errors(
+        self, command, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + [flag, value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and f"argument {flag}: must be finite" in err

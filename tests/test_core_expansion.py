@@ -1,10 +1,13 @@
 """Unit tests for the expansion condition and factor search (Definition 30)."""
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import expansion
 from repro.core.expansion import (
     ExpansionFactor,
     find_expansion_factor,
@@ -109,3 +112,77 @@ class TestUnitDilationTorusFactor:
     def test_none_when_no_two_part_factorization(self):
         # (4, 6) -> (4, 6, ...) with a singleton group cannot satisfy length >= 2.
         assert find_unit_dilation_torus_factor((2, 6), (2, 2, 3)) is None
+
+
+@st.composite
+def factor_questions(draw):
+    """``(source, target)``: a split and shuffle of ``source``, or a near miss."""
+    source = draw(small_shapes(max_dim=3, max_len=12))
+    target = []
+    for length in source:
+        # Split each length into two parts where it has a divisor.
+        divisors = [d for d in range(2, length) if length % d == 0]
+        if divisors and draw(st.booleans()):
+            part = draw(st.sampled_from(divisors))
+            target += [part, length // part]
+        else:
+            target.append(length)
+    if draw(st.booleans()):
+        target[0] += 1  # a product mismatch: no factor exists
+    return source, draw(st.permutations(target))
+
+
+def first_factor_unmemoized(source, target, **kwargs):
+    return next(iter_expansion_factors(source, target, limit=1, **kwargs), None)
+
+
+def first_unit_dilation_factor_unmemoized(source, target):
+    if any(length % 2 for length in source):
+        return None
+    for factor in iter_expansion_factors(
+        source, target, min_parts_per_list=2, limit=64
+    ):
+        if factor.all_lists_contain_even():
+            return factor.with_even_first()
+    return None
+
+
+class TestFactorSearchMemo:
+    """The memo keys on ``sorted(target)``: exact, since order never matters."""
+
+    @given(factor_questions())
+    @settings(max_examples=60, deadline=None)
+    def test_every_order_of_the_target_gives_the_unmemoized_first_factor(
+        self, question
+    ):
+        source, target = question
+        expected = first_factor_unmemoized(source, target)
+        expected_two_part = first_factor_unmemoized(
+            source, target, min_parts_per_list=2
+        )
+        expected_unit = first_unit_dilation_factor_unmemoized(source, target)
+        for order in set(itertools.permutations(target)):
+            assert first_factor_unmemoized(source, order) == expected
+            assert find_expansion_factor(source, order) == expected
+            assert (
+                find_expansion_factor(source, list(order), min_parts_per_list=2)
+                == expected_two_part
+            )
+            assert first_unit_dilation_factor_unmemoized(source, order) == expected_unit
+            assert find_unit_dilation_torus_factor(source, order) == expected_unit
+
+    def test_repeated_questions_share_one_search(self):
+        factor = find_expansion_factor((6, 12), (6, 3, 2, 2))
+        assert find_expansion_factor([6, 12], (2, 3, 6, 2)) is factor
+        unit = find_unit_dilation_torus_factor((6, 12), (6, 3, 2, 2))
+        assert find_unit_dilation_torus_factor((6, 12), [2, 2, 3, 6]) is unit
+
+    @pytest.mark.parametrize(
+        "memo",
+        [expansion._first_expansion_factor, expansion._first_unit_dilation_factor],
+        ids=["expansion", "unit_dilation"],
+    )
+    def test_memos_are_bounded(self, memo):
+        maxsize = memo.cache_info().maxsize
+        # Bounded, yet far above the 422 questions of a sampled 64-node sweep.
+        assert maxsize is not None and maxsize >= 1024

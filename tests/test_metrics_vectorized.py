@@ -10,12 +10,14 @@ structured ones.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import metrics
 from repro.analysis.metrics import (
     average_dilation_cost,
     dilation_cost,
@@ -198,7 +200,7 @@ class TestStackedRowsEqualLoop:
             host, edge_u, edge_v, images, with_congestion=True
         )
         summary_max, summary_mean = stacked_dilation_summary(
-            host, edge_u, edge_v, images
+            [host] * batch, [edge_u] * batch, [edge_v] * batch, images
         )
         for row in range(batch):
             embedding = Embedding.from_index_array(
@@ -211,6 +213,120 @@ class TestStackedRowsEqualLoop:
             assert dil_sum[row] == sum(dilations)
             assert summary_mean[row] == sum(dilations) / len(dilations)
             assert congestion[row] == loop_congestion
+
+
+#: Host and guest shapes of the ragged stacks: 1-D graphs, length-2 torus
+#: dimensions (whose wrap edge doubles the forward edge) and mixed radices,
+#: several shapes per node count so guests and hosts differ.
+RAGGED_SHAPES = [
+    (4,), (2, 2),
+    (6,), (2, 3), (3, 2),
+    (8,), (2, 4), (2, 2, 2),
+    (12,), (3, 4), (2, 6), (2, 2, 3),
+]
+
+
+@st.composite
+def ragged_rows(draw):
+    """One row of a ragged stack: ``(guest, host, image)`` of equal size."""
+    host_shape = draw(st.sampled_from(RAGGED_SHAPES))
+    size = math.prod(host_shape)
+    guest_shape = draw(
+        st.sampled_from([shape for shape in RAGGED_SHAPES if math.prod(shape) == size])
+    )
+    guest = make_graph(draw(graph_kinds), guest_shape)
+    host = make_graph(draw(graph_kinds), host_shape)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return guest, host, rng.permutation(size).astype(dtype)
+
+
+def ragged_call(rows):
+    """``stacked_dilation_summary`` over ``(guest, host, image)`` rows."""
+    guests, hosts, images = zip(*rows)
+    edges = [guest.edge_index_arrays() for guest in guests]
+    return stacked_dilation_summary(
+        list(hosts), [u for u, _ in edges], [v for _, v in edges], list(images)
+    )
+
+
+def loop_dilations(guest, host, image):
+    embedding = Embedding.from_index_array(
+        guest, host, np.asarray(image, dtype=np.int64), strategy="random"
+    )
+    with use_context(backend="loop"):
+        return embedding.edge_dilations()
+
+
+class TestRaggedDilationSummary:
+    """Rows of different guests and hosts share one ragged call."""
+
+    @given(
+        rows=st.lists(ragged_rows(), min_size=1, max_size=8),
+        chunk_edges=st.sampled_from([1, 10, 40, metrics._CHUNK_EDGES]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_rows_match_loop_reference(self, rows, chunk_edges):
+        # Small chunk bounds put chunk boundaries between (and a row past
+        # the bound alone in) every position of the stack.
+        with mock.patch.object(metrics, "_CHUNK_EDGES", chunk_edges):
+            dilation, average = ragged_call(rows)
+        assert dilation.dtype == np.int64 and average.dtype == np.float64
+        assert dilation.shape == average.shape == (len(rows),)
+        for row, (guest, host, image) in enumerate(rows):
+            dilations = loop_dilations(guest, host, image)
+            assert dilation[row] == max(dilations)
+            assert average[row] == sum(dilations) / len(dilations)
+
+    def test_zero_edge_rows_give_zeros(self):
+        guest, host = Mesh((3, 2)), Torus((2, 3))
+        edge_u, edge_v = guest.edge_index_arrays()
+        none = np.zeros(0, dtype=np.int64)
+        image = np.arange(6, dtype=np.int32)
+        dilation, average = stacked_dilation_summary(
+            [host] * 3, [none, edge_u, none], [none, edge_v, none], [image] * 3
+        )
+        dilations = loop_dilations(guest, host, image)
+        assert dilation.tolist() == [0, max(dilations), 0]
+        assert average.tolist() == [0.0, sum(dilations) / len(dilations), 0.0]
+
+    def test_empty_call_returns_two_empty_columns(self):
+        dilation, average = stacked_dilation_summary([], [], [], [])
+        assert dilation.shape == average.shape == (0,)
+        assert dilation.dtype == np.int64 and average.dtype == np.float64
+
+    def test_call_past_the_chunk_bound_splits_and_matches_single_rows(self):
+        host = Torus((4, 4, 4))
+        guests = [Torus((4, 4, 4)), Mesh((8, 8)), Torus((2, 4, 8)), Mesh((64,))]
+        rng = np.random.default_rng(7)
+        rows = [
+            (guests[index % len(guests)], host, rng.permutation(64))
+            for index in range(600)
+        ]
+        counts = [guest.num_edges() for guest, _, _ in rows]
+        assert sum(counts) > metrics._CHUNK_EDGES
+        assert len(list(metrics._edge_chunks(counts))) > 1
+        dilation, average = ragged_call(rows)
+        for row, one in enumerate(rows):
+            single = ragged_call([one])
+            assert (dilation[row], average[row]) == (single[0][0], single[1][0])
+        for row in range(0, len(rows), 97):
+            dilations = loop_dilations(*rows[row])
+            assert dilation[row] == max(dilations)
+            assert average[row] == sum(dilations) / len(dilations)
+
+    def test_ranks_outside_their_row_raise(self):
+        guest, host = Mesh((2, 3)), Torus((6,))
+        edge_u, edge_v = guest.edge_index_arrays()
+        bad_image = np.array([0, 1, 2, 3, 4, 6])  # 6 is the next row's first node
+        with pytest.raises(IndexError, match="image rank"):
+            stacked_dilation_summary(
+                [host, host], [edge_u] * 2, [edge_v] * 2, [bad_image, np.arange(6)]
+            )
+        with pytest.raises(IndexError, match="edge rank"):
+            stacked_dilation_summary(  # the guest's last rank + 1 is 6
+                [host, host], [edge_u] * 2, [edge_v + 1] * 2, [np.arange(6)] * 2
+            )
 
 
 class TestShapeTables:

@@ -7,6 +7,8 @@ warns and starts cold), the case-insensitive CSV boolean parser, and the
 Ctrl-C exit path of the CLI.
 """
 
+import json
+import math
 import pickle
 import warnings
 
@@ -106,6 +108,79 @@ class TestAtomicWrite:
             write_json(bad, path)
         assert read_json(path) == good
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def indent_one_dump(records):
+    """The document ``write_json`` wrote before it streamed: ``json.dump``."""
+    payload = {
+        "format": "repro-survey/1",
+        "count": len(records),
+        "records": [record.as_dict() for record in records],
+    }
+    return (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+
+
+#: Strings that would break a writer which splits or rewrites encoded text:
+#: member-separator look-alikes (inside and at the end of a string), record
+#: and list closers, backslashes, quotes and non-ASCII text.
+AWKWARD_STRINGS = [
+    'a, "b": 1',
+    "ends with a separator, ",
+    'x}, {"y": 2',
+    "closes the list}]",
+    "back\\slash \\\" and \\n",
+    "non-ASCII: Σ, é, 漢, \u2028, \x00",
+    '",\n   "',
+]
+
+
+class TestStreamingJsonWriter:
+    """``write_json`` streams, yet writes ``json.dump(indent=1)``'s bytes."""
+
+    def assert_same_bytes(self, records, tmp_path):
+        path = tmp_path / "records.json"
+        write_json(records, path)
+        assert path.read_bytes() == indent_one_dump(records)
+        return path
+
+    def test_real_sweep(self, tmp_path):
+        records = run_survey(
+            all_pairs(16), SurveyOptions(workers=1, with_congestion=True)
+        ).records
+        assert {record.status for record in records} >= {"ok", "unsupported"}
+        path = self.assert_same_bytes(records, tmp_path)
+        assert read_json(path) == records
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_empty_list_and_one_record(self, count, tmp_path):
+        records = [make_record()][:count]
+        path = self.assert_same_bytes(records, tmp_path)
+        assert read_json(path) == records
+
+    def test_awkward_strings(self, tmp_path):
+        records = [
+            make_record(scenario_id=f"s{index}", error=text, strategy=text[::-1])
+            for index, text in enumerate(AWKWARD_STRINGS)
+        ]
+        path = self.assert_same_bytes(records, tmp_path)
+        assert read_json(path) == records
+
+    def test_nan_and_infinite_floats(self, tmp_path):
+        records = [
+            make_record(
+                average_dilation=math.nan,
+                estimated_time=math.inf,
+                makespan=-math.inf,
+            )
+        ]
+        path = self.assert_same_bytes(records, tmp_path)
+        (back,) = read_json(path)
+        assert math.isnan(back.average_dilation)
+        assert back.estimated_time == math.inf and back.makespan == -math.inf
+        assert {**back.as_dict(), "average_dilation": None} == {
+            **records[0].as_dict(),
+            "average_dilation": None,
+        }
 
 
 class TestBoolCells:

@@ -135,6 +135,52 @@ class TestBatchedRecordIdentity:
         assert batched[1].status == "error" and "KeyError" in batched[1].error
         assert batched[2].status == "error" and "SimulationError" in batched[2].error
 
+    @pytest.mark.parametrize("with_congestion", [False, True])
+    def test_failing_group_alone_takes_the_reference_path(
+        self, monkeypatch, with_congestion
+    ):
+        # The shard-wide measurement raises whenever the poisoned host is in
+        # it; the group-by-group retry must hand exactly that signature's
+        # scenarios to the reference path and measure the rest batched.
+        from repro.survey import batch, runner
+
+        poisoned = Mesh((2, 2, 2, 3))
+        real_summary = batch.stacked_dilation_summary
+
+        def summary(hosts, edge_us, edge_vs, images):
+            if poisoned in hosts:
+                raise RuntimeError("stacked kernel declined")
+            return real_summary(hosts, edge_us, edge_vs, images)
+
+        referenced = []
+        real_reference = runner.evaluate_scenario
+
+        def reference(scenario, options):
+            referenced.append(scenario.scenario_id)
+            return real_reference(scenario, options)
+
+        monkeypatch.setattr(batch, "stacked_dilation_summary", summary)
+        monkeypatch.setattr(runner, "evaluate_scenario", reference)
+        pair = ("torus", (4, 6), "mesh", (2, 2, 2, 3))
+        scenarios = [
+            Scenario(*pair),
+            Scenario("mesh", (4, 6), "torus", (6, 4)),
+            Scenario("mesh", (6, 4), "mesh", (2, 2, 2, 3)),
+            Scenario("torus", (3, 4), "mesh", (12,)),
+            Scenario(*pair, strategy="paper", traffic="transpose"),
+        ]
+        options = SurveyOptions(workers=1, with_congestion=with_congestion)
+        batched = evaluate_shard_batched(scenarios, options)
+        assert sorted(referenced) == sorted(
+            scenario.scenario_id
+            for scenario in scenarios
+            if scenario.host_shape == poisoned.shape
+        )
+        monkeypatch.undo()
+        assert_identical_records(
+            batched, [evaluate_scenario(s, options) for s in scenarios]
+        )
+
     @settings(max_examples=25, deadline=None)
     @given(pairs=st.lists(same_size_shape_pairs(), min_size=1, max_size=6))
     def test_hypothesis_shape_pairs_identical(self, pairs):
