@@ -55,7 +55,6 @@ from .simulator import (
     analytic_phase_estimate,
     simulate_endpoint_phases,
     simulate_phase,
-    simulate_phases,
     simulate_phases_rounds,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "SimulationResult",
     "analytic_phase_estimate",
     "simulate_phase",
-    "simulate_phases",
     "simulate_endpoint_phases",
     "simulate_phases_rounds",
 ]

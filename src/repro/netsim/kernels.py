@@ -107,16 +107,17 @@ class LinkIndexSpace:
 
 @dataclass(frozen=True)
 class RouteArrays:
-    """CSR-style batch of dimension-ordered routes.
+    """CSR-style batch of routes.
 
     ``link_ids[starts[i]:starts[i + 1]]`` are the directed-link ids message
-    ``i`` traverses, in hop order (dimension 0 corrected first, exactly the
-    order of :func:`repro.graphs.paths.dimension_order_path`).  ``offsets``
-    holds the per-dimension signed step counts and ``hops`` their absolute
-    row sums (the route lengths, equal to the host graph distance).
+    ``i`` traverses, in hop order, and ``hops[i]`` is their count.
+    :func:`expand_routes` builds dimension-ordered routes (dimension 0
+    corrected first, exactly the order of
+    :func:`repro.graphs.paths.dimension_order_path`), each as long as the
+    host graph distance; :func:`apply_fault_detours` swaps the cut ones for
+    their detours.
     """
 
-    offsets: "object"
     hops: "object"
     starts: "object"
     link_ids: "object"
@@ -163,10 +164,7 @@ def expand_routes(space: LinkIndexSpace, src_digits, dst_digits) -> RouteArrays:
     total = int(run_lengths.sum())
     if total == 0:
         return RouteArrays(
-            offsets=offsets,
-            hops=hops,
-            starts=starts,
-            link_ids=np.zeros(0, dtype=np.int64),
+            hops=hops, starts=starts, link_ids=np.zeros(0, dtype=np.int64)
         )
 
     # Flat host rank of the position from which the dimension-j run departs:
@@ -209,7 +207,7 @@ def expand_routes(space: LinkIndexSpace, src_digits, dst_digits) -> RouteArrays:
     link_ids[0] = first_link[0]
     link_ids[run_start[1:]] = first_link[1:] - last_link[:-1]
     np.cumsum(link_ids, out=link_ids)
-    return RouteArrays(offsets=offsets, hops=hops, starts=starts, link_ids=link_ids)
+    return RouteArrays(hops=hops, starts=starts, link_ids=link_ids)
 
 
 def accumulate_link_loads(
@@ -278,9 +276,8 @@ def apply_fault_detours(
     endpoint, or a disconnected pair, raises
     :class:`~repro.exceptions.SimulationError`.
 
-    The returned ``offsets`` are carried over unchanged (they describe the
-    pristine dimension-ordered plan); ``hops``/``starts``/``link_ids``
-    reflect the actual detoured routes.
+    Returns ``routes`` itself when no route is cut, else new arrays whose
+    ``hops``/``starts``/``link_ids`` describe the detoured routes.
     """
     from .weights import directed_slot_id
 
@@ -325,6 +322,4 @@ def apply_fault_detours(
     link_ids = (
         np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
     )
-    return RouteArrays(
-        offsets=routes.offsets, hops=hops, starts=starts, link_ids=link_ids
-    )
+    return RouteArrays(hops=hops, starts=starts, link_ids=link_ids)

@@ -17,12 +17,18 @@ low-dilation embeddings translate into faster communication phases.
 
 Both evaluations resolve their implementation from the ambient execution
 context (:mod:`repro.runtime.context`), the same switch as the construction
-builders and cost measures: the array backend batches the routing and the
-link-load accumulation over flat directed-link ids
-(:mod:`repro.netsim.kernels`) and keys the event loop by link id over
-preallocated route arrays; the loop backend is the retained per-message
-reference, cross-checked hop-for-hop and float-for-float by the
-differential tests.  Force it with ``use_context(backend="loop")``.
+builders and cost measures.  The array backend has one simulation path,
+:func:`simulate_endpoint_phases`: it places, routes (one
+:func:`~repro.netsim.kernels.expand_routes` call per link-index space),
+detours around faults and prices any number of phases over flat
+directed-link ids (:mod:`repro.netsim.kernels`), drains them through one
+round-based event loop and reduces each phase's link loads with
+:func:`~repro.netsim.kernels.accumulate_link_loads`.  :func:`simulate_phase`
+runs it with a single phase; :func:`analytic_phase_estimate` shares its
+placement, routing and pricing without the drain.  The loop backend is the
+retained per-message reference, cross-checked hop-for-hop and
+float-for-float by the differential tests.  Force it with
+``use_context(backend="loop")``.
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ __all__ = [
     "SimulationResult",
     "analytic_phase_estimate",
     "simulate_phase",
-    "simulate_phases",
     "simulate_endpoint_phases",
     "simulate_phases_rounds",
 ]
@@ -132,51 +137,74 @@ def _check_faults(network: HostNetwork, faults) -> None:
         )
 
 
-def _phase_arrays_from_ranks(
-    network: HostNetwork, embedding: Embedding, source_ranks, target_ranks, sizes,
-    faults=None,
-):
-    """Routed and priced phase data from already-placed guest endpoint ranks."""
-    _check_topology(network, embedding)
-    _check_faults(network, faults)
-    images = embedding.host_index_array()
-    space = network.link_index_space()
-    source_images = images[source_ranks]
-    target_images = images[target_ranks]
-    digits = shape_tables(space.shape).digits
-    routes = expand_routes(space, digits[source_images], digits[target_images])
-    if faults is not None:
-        routes = apply_fault_detours(space, routes, faults, source_images, target_images)
-    # CostModel.link_occupancy is pure arithmetic, so it vectorizes as-is:
-    # one source of truth for the per-hop cost on both backend paths.
-    occupancy = network.cost_model.link_occupancy(sizes)
-    weights = network.link_weight_array()
-    hop_occupancy = None
-    if weights is not None:
-        hop_occupancy = np.repeat(occupancy, routes.hops) * weights[routes.link_ids]
-    return space, routes, sizes, occupancy, hop_occupancy
+def _priced_phases(phases):
+    """Placed, routed and priced data of many phases for the array backend.
 
+    ``phases`` holds ``(network, embedding, (source_ranks, target_ranks,
+    sizes), faults)`` entries: guest endpoint ranks as
+    :meth:`~repro.netsim.traffic.TrafficPattern.endpoint_rank_arrays`
+    returns them, and a materialized :class:`~repro.graphs.faults.Faults`
+    of the host topology or ``None``.  All phases sharing one link-index
+    space expand their routes in a single :func:`expand_routes` call
+    (expansion is row-wise, so a concatenated batch expands to the
+    concatenation of the per-phase expansions); fault detours and link
+    weights then apply per phase.
 
-def _phase_arrays(
-    network: HostNetwork, embedding: Embedding, traffic: TrafficPattern, faults=None
-):
-    """Placed, routed and priced phase data for the vectorized paths.
-
-    Returns ``(space, routes, sizes, occupancy, hop_occupancy)`` — the
-    directed-link id space, the CSR route arrays (fault detours applied),
-    the per-message size / link-occupancy arrays, and the per-hop occupancy
-    (``None`` for homogeneous links, where the per-message value repeats).
+    Returns one ``(space, routes, sizes, occupancy, hop_occupancy)`` per
+    phase — the directed-link id space, the CSR route arrays (detours
+    applied), the per-message size and link-occupancy arrays, and the
+    per-hop occupancy (``None`` for homogeneous links, where the
+    per-message value repeats).
     """
-    source_ranks, target_ranks, sizes = traffic.endpoint_rank_arrays(embedding.guest.shape)
-    return _phase_arrays_from_ranks(
-        network, embedding, source_ranks, target_ranks, sizes, faults=faults
-    )
+    groups: Dict[int, Tuple[object, List[int]]] = {}  # per link-index space
+    placed = []  # per phase: the host ranks of its message endpoints
+    for index, entry in enumerate(phases):
+        network, embedding, (source_ranks, target_ranks, _), faults = entry
+        _check_topology(network, embedding)
+        _check_faults(network, faults)
+        images = embedding.host_index_array()
+        space = network.link_index_space()
+        groups.setdefault(id(space), (space, []))[1].append(index)
+        placed.append((images[source_ranks], images[target_ranks]))
+    expanded: List = [None] * len(phases)
+    for space, members in groups.values():
+        digits = shape_tables(space.shape).digits
+        merged = expand_routes(
+            space,
+            digits[np.concatenate([placed[index][0] for index in members])],
+            digits[np.concatenate([placed[index][1] for index in members])],
+        )
+        lower = 0
+        for index in members:
+            upper = lower + placed[index][0].size
+            hop_lower = int(merged.starts[lower])
+            expanded[index] = RouteArrays(
+                hops=merged.hops[lower:upper],
+                starts=merged.starts[lower : upper + 1] - hop_lower,
+                link_ids=merged.link_ids[hop_lower : int(merged.starts[upper])],
+            )
+            lower = upper
+    priced = []
+    for index, (network, _embedding, (_, _, sizes), faults) in enumerate(phases):
+        space = network.link_index_space()
+        routes = expanded[index]
+        if faults is not None:
+            routes = apply_fault_detours(space, routes, faults, *placed[index])
+        # CostModel.link_occupancy is pure arithmetic, so it vectorizes as-is:
+        # one source of truth for the per-hop cost on both backend paths.
+        occupancy = network.cost_model.link_occupancy(sizes)
+        weights = network.link_weight_array()
+        hop_occupancy = None
+        if weights is not None:
+            hop_occupancy = np.repeat(occupancy, routes.hops) * weights[routes.link_ids]
+        priced.append((space, routes, sizes, occupancy, hop_occupancy))
+    return priced
 
 
-def _statistics_from_link_loads(
-    routes, occupancy, counts, volume, busy, hop_occupancy=None
+def _statistics_from_arrays(
+    space, routes, sizes, occupancy, hop_occupancy
 ) -> PhaseStatistics:
-    """Reduce per-link load arrays to a :class:`PhaseStatistics`."""
+    """Fully vectorized analytic statistics (no per-message Python)."""
     num_messages = routes.num_messages
     if num_messages == 0:
         return PhaseStatistics(
@@ -190,6 +218,9 @@ def _statistics_from_link_loads(
             max_uncontended_message_time=0.0,
             estimated_completion_time=0.0,
         )
+    counts, volume, busy = accumulate_link_loads(
+        space, routes, sizes, occupancy, hop_occupancy=hop_occupancy
+    )
     hops = routes.hops
     max_link_busy = float(busy.max())
     if hop_occupancy is None:
@@ -218,20 +249,6 @@ def _statistics_from_link_loads(
     )
 
 
-def _statistics_from_arrays(
-    space, routes, sizes, occupancy, hop_occupancy=None
-) -> PhaseStatistics:
-    """Fully vectorized analytic statistics (no per-message Python)."""
-    if routes.num_messages == 0:
-        return _statistics_from_link_loads(routes, occupancy, None, None, None)
-    counts, volume, busy = accumulate_link_loads(
-        space, routes, sizes, occupancy, hop_occupancy=hop_occupancy
-    )
-    return _statistics_from_link_loads(
-        routes, occupancy, counts, volume, busy, hop_occupancy=hop_occupancy
-    )
-
-
 def analytic_phase_estimate(
     network: HostNetwork,
     embedding: Embedding,
@@ -253,8 +270,9 @@ def analytic_phase_estimate(
     per-link weights come from the network's ``link_weights`` spec.
     """
     if use_array_path():
+        endpoints = traffic.endpoint_rank_arrays(embedding.guest.shape)
         return _statistics_from_arrays(
-            *_phase_arrays(network, embedding, traffic, faults=faults)
+            *_priced_phases([(network, embedding, endpoints, faults)])[0]
         )
     _check_faults(network, faults)
     return _statistics_from_routes(
@@ -312,158 +330,40 @@ def _statistics_from_routes(model, routes, link_weight=None) -> PhaseStatistics:
     )
 
 
-def simulate_phases(phase_inputs, *, max_events: int = 5_000_000) -> List[SimulationResult]:
-    """Simulate many placed phases, sharing one vectorized event loop.
-
-    ``phase_inputs`` is a sequence of ``(network, embedding, traffic)``
-    triples.  Under the array backend every phase is expanded once and all of
-    them advance together through :func:`simulate_phases_rounds` (their link
-    id blocks are disjoint, so the merged loop is exactly the per-phase
-    results — it only amortizes the per-round Python overhead); under the
-    loop backend the phases are simulated one by one with the reference
-    implementation.  Either way the results equal
-    ``[simulate_phase(*p) for p in phase_inputs]`` field for field.
-    """
-    if not use_array_path():
-        return [
-            simulate_phase(network, embedding, traffic, max_events=max_events)
-            for network, embedding, traffic in phase_inputs
-        ]
-    expanded = [
-        _phase_arrays(network, embedding, traffic)
-        for network, embedding, traffic in phase_inputs
-    ]
-    outcomes = simulate_phases_rounds(
-        [
-            (space, routes, occupancy, hop_occupancy)
-            for space, routes, _sizes, occupancy, hop_occupancy in expanded
-        ],
-        max_events=max_events,
-    )
-    return [
-        SimulationResult(
-            makespan=makespan,
-            statistics=_statistics_from_arrays(
-                space, routes, sizes, occupancy, hop_occupancy
-            ),
-            per_message_completion=tuple(completion),
-        )
-        for (space, routes, sizes, occupancy, hop_occupancy), (
-            makespan,
-            completion,
-        ) in zip(expanded, outcomes)
-    ]
-
-
 def simulate_endpoint_phases(
     phases, *, max_events: int = 5_000_000
 ) -> List[SimulationResult]:
-    """Like :func:`simulate_phases`, but from placed guest endpoint ranks.
+    """Simulate many placed phases, sharing one vectorized event loop.
 
     ``phases`` is a sequence of ``(network, embedding, (source_ranks,
-    target_ranks, sizes))`` triples — the arrays a
+    target_ranks, sizes), faults)`` entries: the guest endpoint arrays a
     :meth:`~repro.netsim.traffic.TrafficPattern.endpoint_rank_arrays` call
     (or the vectorized generators of
-    :func:`~repro.netsim.traffic.traffic_rank_arrays`) would produce.  This
-    is the batched survey path's entry point: no :class:`Message` tuples
-    exist at any point, all phases sharing one link-index space expand their
-    routes in a single :func:`~repro.netsim.kernels.expand_routes` call
-    (``expand_routes`` is row-wise, so a concatenated batch expands to the
-    concatenation of the per-phase expansions), and every phase advances
-    through one shared round loop.  Array kernels only — the results equal
-    ``simulate_phase`` over the equivalent patterns field for field.
+    :func:`~repro.netsim.traffic.traffic_rank_arrays`) would produce, and a
+    materialized :class:`~repro.graphs.faults.Faults` of the host topology
+    or ``None``.  This is the array backend's one simulation path, for a
+    whole survey shard or a single :func:`simulate_phase`: no
+    :class:`Message` tuples exist at any point, and every phase advances
+    through one shared round loop (:func:`simulate_phases_rounds`; their
+    link-id blocks are disjoint, so merging only amortizes the per-round
+    overhead).  The results equal the loop backend's ``simulate_phase``
+    over the equivalent patterns field for field.
     """
-    groups: Dict[int, Dict] = {}  # one entry per distinct link-index space
-    priced: List = [None] * len(phases)
-    for index, (network, embedding, (source_ranks, target_ranks, sizes)) in enumerate(
-        phases
-    ):
-        _check_topology(network, embedding)
-        if network.link_weights is not None:
-            raise SimulationError(
-                "simulate_endpoint_phases does not support weighted links; "
-                "use simulate_phase per phase instead"
-            )
-        space = network.link_index_space()
-        images = embedding.host_index_array()
-        group = groups.setdefault(id(space), {"space": space, "items": []})
-        group["items"].append((index, images[source_ranks], images[target_ranks]))
-        priced[index] = (sizes, network.cost_model.link_occupancy(sizes))
-    routes: List = [None] * len(phases)
-    statistics: List = [None] * len(phases)
-    for group in groups.values():
-        space = group["space"]
-        items = group["items"]
-        digits = shape_tables(space.shape).digits
-        merged = expand_routes(
-            space,
-            digits[np.concatenate([src for _, src, _ in items])],
-            digits[np.concatenate([dst for _, _, dst in items])],
-        )
-        lower = 0
-        for index, src, _dst in items:
-            upper = lower + src.size
-            hop_lower = int(merged.starts[lower])
-            hop_upper = int(merged.starts[upper])
-            routes[index] = RouteArrays(
-                offsets=merged.offsets[lower:upper],
-                hops=merged.hops[lower:upper],
-                starts=merged.starts[lower : upper + 1] - hop_lower,
-                link_ids=merged.link_ids[hop_lower:hop_upper],
-            )
-            lower = upper
-        # Per-phase link-load statistics from the merged expansion: one
-        # scatter-add per quantity for the whole group, phases separated by
-        # slot-block offsets.  Each phase's hops are contiguous in the
-        # merged arrays and keep their (message, hop) order, so every
-        # (phase, link) bin receives exactly the adds — in exactly the order
-        # — of the per-phase `accumulate_link_loads` scatter, and the float
-        # sums stay bit-for-bit equal.
-        slots = space.num_slots
-        message_counts = np.asarray([src.size for _, src, _ in items], dtype=np.int64)
-        phase_of_hop = np.repeat(
-            np.repeat(np.arange(len(items), dtype=np.int64), message_counts),
-            merged.hops,
-        )
-        grouped_ids = merged.link_ids + phase_of_hop * slots
-        length = len(items) * slots
-        sizes_of_hop = np.repeat(
-            np.concatenate([priced[index][0] for index, _s, _d in items]), merged.hops
-        )
-        occupancy_of_hop = np.repeat(
-            np.concatenate([priced[index][1] for index, _s, _d in items]), merged.hops
-        )
-        counts = np.bincount(grouped_ids, minlength=length).reshape(-1, slots)
-        volume = np.bincount(
-            grouped_ids, weights=sizes_of_hop, minlength=length
-        ).reshape(-1, slots)
-        busy = np.bincount(
-            grouped_ids, weights=occupancy_of_hop, minlength=length
-        ).reshape(-1, slots)
-        for position, (index, _src, _dst) in enumerate(items):
-            statistics[index] = _statistics_from_link_loads(
-                routes[index],
-                priced[index][1],
-                counts[position],
-                volume[position],
-                busy[position],
-            )
+    priced = _priced_phases(phases)
     outcomes = simulate_phases_rounds(
         [
-            (network.link_index_space(), phase_routes, occupancy)
-            for (network, _e, _t), phase_routes, (_sizes, occupancy) in zip(
-                phases, routes, priced
-            )
+            (space, routes, occupancy, hop_occupancy)
+            for space, routes, _sizes, occupancy, hop_occupancy in priced
         ],
         max_events=max_events,
     )
     return [
         SimulationResult(
             makespan=makespan,
-            statistics=phase_statistics,
+            statistics=_statistics_from_arrays(*phase),
             per_message_completion=tuple(completion),
         )
-        for phase_statistics, (makespan, completion) in zip(statistics, outcomes)
+        for phase, (makespan, completion) in zip(priced, outcomes)
     ]
 
 
@@ -479,14 +379,15 @@ class _LinkRequest:
 def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
     """Round-based vectorized event loop over one or many expanded phases.
 
-    ``phases`` is a sequence of ``(space, routes, occupancy)`` triples (the
-    output of the per-phase route expansion) — or 4-tuples with a trailing
-    per-*hop* occupancy array (aligned with ``routes.link_ids``) for
-    heterogeneous links; a ``None`` fourth element means homogeneous, where
-    each message's occupancy simply repeats over its hops.  The result is one
-    ``(makespan, per_message_completion)`` pair per phase.  All phases run in
-    a single loop: link ids are offset into disjoint blocks, so the phases
-    cannot interact, and merging them only makes each round's batch larger.
+    ``phases`` is a sequence of ``(space, routes, occupancy,
+    hop_occupancy)`` entries: the link-index space, the expanded routes,
+    the per-message occupancy, and the per-*hop* occupancy (aligned with
+    ``routes.link_ids``) of heterogeneous links or ``None`` for homogeneous
+    links, where each message's occupancy repeats over its hops.  The
+    result is one ``(makespan, per_message_completion)`` pair per phase.
+    All phases run in a single loop: link ids are offset into disjoint
+    blocks, so the phases cannot interact, and merging them only makes each
+    round's batch larger.
 
     Each round advances *every* ready message at once instead of popping one
     heap event per hop.  Correctness relies on the batch window: with
@@ -525,9 +426,7 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
     counts: List[int] = []
     link_parts, first_parts, last_parts, occ_parts = [], [], [], []
     for index in live:
-        entry = phases[index]
-        space, routes, occupancy = entry[0], entry[1], entry[2]
-        hop_part = entry[3] if len(entry) > 3 else None
+        space, routes, occupancy, hop_part = phases[index]
         counts.append(routes.num_messages)
         link_parts.append(routes.link_ids + link_offset)
         first_parts.append(routes.starts[:-1])
@@ -694,8 +593,8 @@ def simulate_phase(
 
     Placement and routing are shared between the analytic statistics and
     the event loop, so each phase expands its routes exactly once.  The
-    array backend advances the phase with the round-based vectorized event
-    loop (:func:`simulate_phases_rounds`); the node-tuple heap loop of the
+    array backend runs the phase as a one-phase
+    :func:`simulate_endpoint_phases` call; the node-tuple heap loop of the
     loop backend is its cross-checked reference.
 
     ``faults`` (a materialized :class:`~repro.graphs.faults.Faults` of the
@@ -704,19 +603,11 @@ def simulate_phase(
     scale each hop's occupancy.
     """
     if use_array_path():
-        space, expanded, sizes, occupancy, hop_occupancy = _phase_arrays(
-            network, embedding, traffic, faults=faults
+        endpoints = traffic.endpoint_rank_arrays(embedding.guest.shape)
+        (result,) = simulate_endpoint_phases(
+            [(network, embedding, endpoints, faults)], max_events=max_events
         )
-        ((makespan, completion),) = simulate_phases_rounds(
-            [(space, expanded, occupancy, hop_occupancy)], max_events=max_events
-        )
-        return SimulationResult(
-            makespan=makespan,
-            statistics=_statistics_from_arrays(
-                space, expanded, sizes, occupancy, hop_occupancy
-            ),
-            per_message_completion=tuple(completion),
-        )
+        return result
 
     _check_faults(network, faults)
     model = network.cost_model

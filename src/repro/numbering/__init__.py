@@ -45,9 +45,7 @@ from .batch import (
 from .distance import (
     graph_distance_indices,
     mesh_distance,
-    mesh_distance_array,
     torus_distance,
-    torus_distance_array,
 )
 from .sequences import (
     cyclic_pairs,
@@ -80,8 +78,6 @@ __all__ = [
     "group_collapse",
     "mesh_distance",
     "torus_distance",
-    "mesh_distance_array",
-    "torus_distance_array",
     "graph_distance_indices",
     "sequence_pairs",
     "cyclic_pairs",

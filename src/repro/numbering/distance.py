@@ -23,8 +23,6 @@ __all__ = [
     "mesh_distance",
     "torus_distance",
     "chebyshev_mesh_distance",
-    "mesh_distance_array",
-    "torus_distance_array",
     "graph_distance_indices",
 ]
 
@@ -53,28 +51,6 @@ def torus_distance(a: Sequence[int], b: Sequence[int], shape: Sequence[int]) -> 
         diff = abs(x - y)
         total += min(diff, length - diff)
     return total
-
-
-def mesh_distance_array(a_digits, b_digits):
-    """Vectorized δm over ``(n, d)`` digit arrays -> ``(n,)`` distances (Lemma 6)."""
-    a_digits = np.asarray(a_digits, dtype=np.int64)
-    b_digits = np.asarray(b_digits, dtype=np.int64)
-    if a_digits.shape != b_digits.shape:
-        raise ValueError("digit arrays must have the same shape")
-    return np.abs(a_digits - b_digits).sum(axis=-1)
-
-
-def torus_distance_array(a_digits, b_digits, shape: Sequence[int]):
-    """Vectorized δt over ``(n, d)`` digit arrays -> ``(n,)`` distances (Lemma 5)."""
-    a_digits = np.asarray(a_digits, dtype=np.int64)
-    b_digits = np.asarray(b_digits, dtype=np.int64)
-    if a_digits.shape != b_digits.shape:
-        raise ValueError("digit arrays must have the same shape")
-    lengths = np.asarray(tuple(shape), dtype=np.int64)
-    if a_digits.shape[-1] != lengths.size:
-        raise ValueError("digit arrays and shape must have the same dimension")
-    diff = np.abs(a_digits - b_digits)
-    return np.minimum(diff, lengths - diff).sum(axis=-1)
 
 
 def graph_distance_indices(a_indices, b_indices, shape: Sequence[int], *, torus: bool):

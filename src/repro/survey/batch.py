@@ -291,16 +291,18 @@ def evaluate_shard_batched(
             job["endpoints"] = payload
             ready_jobs.append(job)
     if ready_jobs:
-        triples = [
-            (job["network"], job["embedding"], job["endpoints"]) for job in ready_jobs
+        # Fault scenarios took the reference path in pass 1: no faults here.
+        phases = [
+            (job["network"], job["embedding"], job["endpoints"], None)
+            for job in ready_jobs
         ]
         try:
-            results = simulate_endpoint_phases(triples)
+            results = simulate_endpoint_phases(phases)
         except Exception:  # noqa: BLE001 - isolate the failing phase(s)
             results = []
-            for triple in triples:
+            for phase in phases:
                 try:
-                    results.append(simulate_endpoint_phases([triple])[0])
+                    results.append(simulate_endpoint_phases([phase])[0])
                 except Exception as error:  # noqa: BLE001
                     results.append(error)
         for job, result in zip(ready_jobs, results):

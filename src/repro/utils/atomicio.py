@@ -18,6 +18,11 @@ sibling, never a half-written artifact.  After the replace the containing
 inode, and a power cut right after a snapshot could otherwise silently
 undo it (the classic "rename then lose the rename" crash window).
 
+The temp file gets the permissions a plain ``open()`` would give the
+destination (``0o666`` less the umask, applied by the kernel at creation)
+or, when the destination exists, that file's own mode, so a replace does
+not change who may read it.
+
 The write path carries the chaos plane's ``store.write`` injection point:
 under an active :class:`~repro.runtime.chaos.ChaosPlan`, a ``torn_write``
 fault aborts the write after the payload hit the temp file but *before*
@@ -28,10 +33,10 @@ the rename — exactly the crash the machinery defends against — and a
 from __future__ import annotations
 
 import os
-import tempfile
+import stat
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Iterator, Optional, Tuple, Union
 
 __all__ = ["atomic_write"]
 
@@ -60,15 +65,19 @@ def atomic_write(
         raise ValueError(f"atomic_write mode must be 'w' or 'wb', got {mode!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, temp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
+    try:
+        kept_mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        kept_mode = None
+    descriptor, temp_name = _create_sibling(path)
     try:
         if mode == "wb":
             handle = os.fdopen(descriptor, mode)
         else:
             handle = os.fdopen(descriptor, mode, encoding=encoding, newline=newline)
         try:
+            if kept_mode is not None:
+                os.fchmod(handle.fileno(), kept_mode)
             yield handle
             handle.flush()
             os.fsync(handle.fileno())
@@ -87,6 +96,23 @@ def atomic_write(
         except OSError:
             pass
         raise
+
+
+def _create_sibling(path: Path) -> Tuple[int, str]:
+    """Create a fresh ``.NAME.RANDOM.tmp`` file beside ``path``; ``(fd, name)``.
+
+    ``O_EXCL`` makes the name ours alone, and the ``0o666`` mode lets the
+    kernel apply the process umask exactly as it does for ``open()``
+    (``tempfile.mkstemp`` would force ``0o600``, and changing the umask is
+    process-wide, racing any other thread that creates files).
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        name = str(path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            return os.open(name, flags, 0o666), name
+        except FileExistsError:
+            continue
 
 
 def _fsync_directory(directory: Path) -> None:

@@ -36,7 +36,11 @@ from repro.numbering.arrays import (
     indices_to_digits,
     shape_tables,
 )
-from repro.numbering.distance import mesh_distance, mesh_distance_array, torus_distance, torus_distance_array
+from repro.numbering.distance import (
+    graph_distance_indices,
+    mesh_distance,
+    torus_distance,
+)
 
 from .conftest import graph_kinds, small_shapes
 
@@ -71,10 +75,10 @@ class TestDistanceArrays:
         ranks = st.integers(min_value=0, max_value=size - 1)
         a = [data.draw(ranks) for _ in range(10)]
         b = [data.draw(ranks) for _ in range(10)]
+        mesh_vec = graph_distance_indices(np.array(a), np.array(b), shape, torus=False)
+        torus_vec = graph_distance_indices(np.array(a), np.array(b), shape, torus=True)
         a_digits = indices_to_digits(np.array(a), shape)
         b_digits = indices_to_digits(np.array(b), shape)
-        mesh_vec = mesh_distance_array(a_digits, b_digits)
-        torus_vec = torus_distance_array(a_digits, b_digits, shape)
         for row, (x, y) in enumerate(zip(a_digits, b_digits)):
             assert mesh_vec[row] == mesh_distance(tuple(x), tuple(y))
             assert torus_vec[row] == torus_distance(tuple(x), tuple(y), shape)

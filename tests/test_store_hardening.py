@@ -9,7 +9,9 @@ Ctrl-C exit path of the CLI.
 
 import json
 import math
+import os
 import pickle
+import stat
 import warnings
 
 import pytest
@@ -108,6 +110,39 @@ class TestAtomicWrite:
             write_json(bad, path)
         assert read_json(path) == good
         assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+@pytest.fixture
+def umask_022():
+    """Run the test under the common ``022`` umask, whatever the caller's."""
+    previous = os.umask(0o022)
+    yield
+    os.umask(previous)
+
+
+def permission_bits(path):
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+@pytest.mark.usefixtures("umask_022")
+class TestAtomicWritePermissions:
+    def test_new_files_get_the_permissions_of_a_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w") as handle:
+            handle.write("x")
+        write_json([], tmp_path / "r.json")
+        write_csv([], tmp_path / "r.csv")
+        ConstructionCache().save(tmp_path / "cache.pkl")
+        for name in ("r.json", "r.csv", "cache.pkl"):
+            assert permission_bits(tmp_path / name) == permission_bits(plain), name
+
+    def test_replace_keeps_the_destination_mode(self, tmp_path):
+        target = tmp_path / "r.json"
+        write_json([], target)
+        target.chmod(0o640)
+        write_json([make_record()], target)
+        assert permission_bits(target) == 0o640
+        assert read_json(target) == [make_record()]
 
 
 def indent_one_dump(records):

@@ -10,8 +10,8 @@ Two contracts are pinned here:
   backend's heap loop bit for bit: makespans, per-message completion times
   and statistics, including with dyadic message sizes (where float ties are
   exact and tie-breaking order is actually observable), on weighted links
-  whose rounds mix ready times, and whether phases run one at a time or
-  merged into one loop.
+  whose rounds mix ready times, on routes detoured around dead links, and
+  whether phases run one at a time or merged into one loop.
 """
 
 import json
@@ -26,14 +26,15 @@ from repro.cli import main
 from repro.core.embedding import Embedding
 from repro.exceptions import InvalidEmbeddingError, SimulationError
 from repro.graphs.base import Mesh, Torus, make_graph
+from repro.graphs.faults import FaultSpec
 from repro.netsim import (
     CostModel,
     HostNetwork,
     LinkWeightSpec,
     Message,
     TrafficPattern,
+    simulate_endpoint_phases,
     simulate_phase,
-    simulate_phases,
 )
 from repro.numbering.arrays import compact_index_dtype
 from repro.runtime import ConstructionCache, ExecutionContext, use_context
@@ -276,31 +277,18 @@ def _placed_phase(draw):
 placed_phases = st.composite(_placed_phase)
 
 
-@st.composite
-def weighted_phases(draw):
-    """A placed phase on heterogeneous links with non-dyadic message sizes.
+#: Same-size pairs that put extent-2 mesh lines under the traffic, whose
+#: backward hops both simulators must price (and detour) by the same link id.
+HETEROGENEOUS_PAIRS = [
+    (Torus((2, 3)), Mesh((2, 3))),
+    (Torus((3, 4)), Mesh((2, 2, 3))),
+    (Mesh((4, 3)), Mesh((3, 2, 2))),
+    (Torus((2, 2, 2)), Mesh((2, 4))),
+    (Mesh((3, 4)), Torus((3, 2, 2))),
+]
 
-    Per-link weights and sizes without exact binary fractions give every
-    hop its own occupancy, and a per-hop latency large against their
-    spread keeps the batch window wide, so rounds often queue requests of
-    different ready times on one link.  The pairs put extent-2 mesh lines
-    under the traffic, whose backward hops both simulators must price by
-    the same link id.
-    """
-    guest, host = draw(
-        st.sampled_from(
-            [
-                (Torus((2, 3)), Mesh((2, 3))),
-                (Torus((3, 4)), Mesh((2, 2, 3))),
-                (Mesh((4, 3)), Mesh((3, 2, 2))),
-                (Torus((2, 2, 2)), Mesh((2, 4))),
-                (Mesh((3, 4)), Torus((3, 2, 2))),
-            ]
-        )
-    )
-    embedding = build_strategy(
-        draw(st.sampled_from(["paper", "lexicographic", "random"])), guest, host
-    )
+
+def _non_dyadic_traffic(draw, guest):
     nodes = list(guest.nodes())
     sizes = st.sampled_from([0.3, 0.7, 1.1, 1.3])
     messages = draw(
@@ -315,14 +303,78 @@ def weighted_phases(draw):
             max_size=40,
         )
     )
-    weights = LinkWeightSpec(
-        draw(st.sampled_from(["random", "dimension"])),
-        draw(st.sampled_from([0.1, 0.3])),
-        draw(st.integers(0, 99)),
+    return TrafficPattern(name="weighted", messages=tuple(messages))
+
+
+def _link_weights(draw, kinds):
+    kind = draw(st.sampled_from(kinds))
+    if kind is None:
+        return None
+    return LinkWeightSpec(
+        kind, draw(st.sampled_from([0.1, 0.3])), draw(st.integers(0, 99))
     )
-    model = CostModel(alpha=draw(st.sampled_from([2.5, 4.0])), bandwidth=1.0)
-    network = HostNetwork(host, model, link_weights=weights)
-    return network, embedding, TrafficPattern(name="weighted", messages=tuple(messages))
+
+
+def _cost_model(draw):
+    return CostModel(alpha=draw(st.sampled_from([2.5, 4.0])), bandwidth=1.0)
+
+
+@st.composite
+def weighted_phases(draw):
+    """A placed phase on heterogeneous links with non-dyadic message sizes.
+
+    Per-link weights and sizes without exact binary fractions give every
+    hop its own occupancy, and a per-hop latency large against their
+    spread keeps the batch window wide, so rounds often queue requests of
+    different ready times on one link.
+    """
+    guest, host = draw(st.sampled_from(HETEROGENEOUS_PAIRS))
+    embedding = build_strategy(
+        draw(st.sampled_from(["paper", "lexicographic", "random"])), guest, host
+    )
+    traffic = _non_dyadic_traffic(draw, guest)
+    weights = _link_weights(draw, ["random", "dimension"])
+    network = HostNetwork(host, _cost_model(draw), link_weights=weights)
+    return network, embedding, traffic
+
+
+@st.composite
+def faulted_phase_lists(draw):
+    """1-4 ``(network, embedding, traffic, faults)`` phases for one merged call.
+
+    Each phase has ``random``, ``dimension`` or no link weights and one to
+    three dead links (``FaultSpec`` ``n0l{1..3}s{seed}``) or none.  Phases
+    draw their network from a pool of up to three, so some share one
+    :class:`HostNetwork` (and one merged route expansion) and some do not.
+    """
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        guest, host = draw(st.sampled_from(HETEROGENEOUS_PAIRS))
+        weights = _link_weights(draw, ["random", "dimension", None])
+        pool.append((guest, HostNetwork(host, _cost_model(draw), link_weights=weights)))
+    phases = []
+    for _ in range(draw(st.integers(1, 4))):
+        guest, network = draw(st.sampled_from(pool))
+        host = network.topology
+        embedding = build_strategy(
+            draw(st.sampled_from(["paper", "lexicographic", "random"])), guest, host
+        )
+        dead_links = draw(st.integers(0, 3))
+        faults = (
+            FaultSpec(num_links=dead_links, seed=draw(st.integers(0, 999))).apply(host)
+            if dead_links
+            else None
+        )
+        phases.append((network, embedding, _non_dyadic_traffic(draw, guest), faults))
+    return phases
+
+
+def endpoint_phases(phases):
+    """Fault-free ``simulate_endpoint_phases`` entries for placed phases."""
+    return [
+        (network, embedding, traffic.endpoint_rank_arrays(embedding.guest.shape), None)
+        for network, embedding, traffic in phases
+    ]
 
 
 class TestRoundSimulatorEquivalence:
@@ -342,7 +394,7 @@ class TestRoundSimulatorEquivalence:
     @given(st.lists(placed_phases(), min_size=1, max_size=4))
     def test_merged_phases_equal_individual_phases(self, phases):
         with use_context(backend="array"):
-            merged = simulate_phases(phases)
+            merged = simulate_endpoint_phases(endpoint_phases(phases))
             individual = [simulate_phase(*phase) for phase in phases]
         assert [result.makespan for result in merged] == [
             result.makespan for result in individual
@@ -358,9 +410,46 @@ class TestRoundSimulatorEquivalence:
     @given(st.lists(weighted_phases(), min_size=1, max_size=4))
     def test_merged_weighted_phases_equal_the_loop_oracle(self, phases):
         with use_context(backend="array"):
-            merged = simulate_phases(phases)
+            merged = simulate_endpoint_phases(endpoint_phases(phases))
         with use_context(backend="loop"):
             oracle = [simulate_phase(*phase) for phase in phases]
+        assert [result.makespan for result in merged] == [
+            result.makespan for result in oracle
+        ]
+        assert [result.per_message_completion for result in merged] == [
+            result.per_message_completion for result in oracle
+        ]
+        assert [result.statistics for result in merged] == [
+            result.statistics for result in oracle
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(faulted_phase_lists())
+    def test_merged_faulted_weighted_phases_equal_the_loop_oracle(self, phases):
+        entries = [
+            (
+                network,
+                embedding,
+                traffic.endpoint_rank_arrays(embedding.guest.shape),
+                faults,
+            )
+            for network, embedding, traffic, faults in phases
+        ]
+        with use_context(backend="loop"):
+            try:
+                oracle = [
+                    simulate_phase(network, embedding, traffic, faults=faults)
+                    for network, embedding, traffic, faults in phases
+                ]
+            except SimulationError:
+                oracle = None
+        if oracle is None:
+            # The faults cut some message's endpoints apart: the merged
+            # call fails as a whole.
+            with pytest.raises(SimulationError):
+                simulate_endpoint_phases(entries)
+            return
+        merged = simulate_endpoint_phases(entries)
         assert [result.makespan for result in merged] == [
             result.makespan for result in oracle
         ]
@@ -379,8 +468,10 @@ class TestRoundSimulatorEquivalence:
         empty = TrafficPattern(name="empty", messages=())
         self_loop = TrafficPattern(name="self", messages=(Message(node, node),))
         with use_context(backend="array"):
-            results = simulate_phases(
-                [(network, embedding, empty), (network, embedding, self_loop)]
+            results = simulate_endpoint_phases(
+                endpoint_phases(
+                    [(network, embedding, empty), (network, embedding, self_loop)]
+                )
             )
         assert results[0].makespan == 0.0
         assert results[0].per_message_completion == ()
@@ -398,7 +489,9 @@ class TestRoundSimulatorEquivalence:
             with pytest.raises(SimulationError):
                 simulate_phase(network, embedding, traffic, max_events=3)
             with pytest.raises(SimulationError):
-                simulate_phases([(network, embedding, traffic)], max_events=3)
+                simulate_endpoint_phases(
+                    endpoint_phases([(network, embedding, traffic)]), max_events=3
+                )
         # A degenerate-window phase (alpha 0, infinite bandwidth collapses
         # the batch window) still terminates and matches the loop reference.
         slow = HostNetwork(host, CostModel(alpha=0.0, bandwidth=float("inf")))
@@ -412,7 +505,9 @@ class TestRoundSimulatorEquivalence:
     def test_max_events_boundary_is_the_phase_hop_count(self):
         # An event is one served hop: a phase completes under a budget of
         # exactly its hop count and fails one below it, whatever the other
-        # phases of a merged call hold — on both simulators.
+        # phases of a merged call hold — on both simulators.  The merged
+        # call is the array path; the loop backend runs the phases one by
+        # one.
         from repro.netsim import neighbor_exchange_traffic
 
         guest, host = Torus((4, 4)), Mesh((2, 2, 2, 2))
@@ -424,12 +519,20 @@ class TestRoundSimulatorEquivalence:
         with use_context(backend="loop"):
             h1, h2 = (simulate_phase(*phase).statistics.total_hops for phase in phases)
         assert 0 < h1 < h2
-        for backend in ("array", "loop"):
+        merged = {
+            "array": lambda budget: simulate_endpoint_phases(
+                endpoint_phases(phases), max_events=budget
+            ),
+            "loop": lambda budget: [
+                simulate_phase(*phase, max_events=budget) for phase in phases
+            ],
+        }
+        for backend, run in merged.items():
             with use_context(backend=backend):
-                simulate_phases(phases, max_events=h2)
+                run(h2)
                 simulate_phase(network, embedding, full, max_events=h2)
                 with pytest.raises(SimulationError):
-                    simulate_phases(phases, max_events=h2 - 1)
+                    run(h2 - 1)
                 with pytest.raises(SimulationError):
                     simulate_phase(network, embedding, full, max_events=h2 - 1)
 
