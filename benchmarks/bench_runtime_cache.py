@@ -1,6 +1,6 @@
 """BENCH-RUNTIME-CACHE: warm construction cache vs re-construction.
 
-MaT87's constructions are pure functions of ``(strategy family, guest kind
+MaT87's constructions are pure functions of ``(strategy name, guest kind
 and shape, host kind and shape)``, so the runtime's
 :class:`~repro.runtime.cache.ConstructionCache` can memoize them across
 survey shards and CLI invocations.  This benchmark runs the construction
@@ -11,18 +11,21 @@ same execution context:
 * **cold** — an empty cache: every supported pair runs the full dispatcher
   (strategy selection, factor searches, batch-kernel construction) and is
   memoized;
-* **warm** — the same pass again: every pair resolves to a content-addressed
-  cache hit (family memo + stored host-index array), skipping
-  re-construction entirely.
+* **warm** — the same pass again: every pair resolves to one
+  content-addressed cache hit under ``"strategy:paper"`` (the stored
+  host-index array, rebuilt into an ``Embedding`` without re-construction;
+  unsupported pairs re-raise their stored message).  The graphs come from
+  the interned ``make_graph``, so the warm pass does cache work only.
 
 The warm pass must be at least ``SPEEDUP_FLOOR``x faster, and the cached
 embeddings must be node-for-node identical to freshly built ones (the golden
 tables are pinned byte-identical with caching on and off in
 ``tests/test_runtime_cache.py``).  Run with ``-s`` to see the measured
-ratio.  The same memo survives worker-process boundaries (warm-start dict)
-and process exits (``ConstructionCache.save``/``load`` — the CLI ``--cache``
-flag), which is what makes repeated ``repro survey`` / ``repro simulate``
-invocations skip construction.
+ratio.  The same memo survives worker-process boundaries (each pool worker
+starts from the parent's context, cache included, and returns the entries
+its shards added) and process exits (``ConstructionCache.save``/``load`` —
+the CLI ``--cache`` flag), which is what makes repeated ``repro survey`` /
+``repro simulate`` invocations skip construction.
 """
 
 import time
@@ -88,8 +91,8 @@ def test_warm_cache_speedup_over_reconstruction():
 
 
 def test_warm_start_dict_carries_the_speedup_to_a_new_cache():
-    # The survey engine ships cache.snapshot() to worker processes; a cache
-    # warm-started from that dict must hit immediately.
+    # A cache warm-started from another cache's snapshot dict — as a survey
+    # worker starts from its parent's context — must hit immediately.
     scenarios = scenarios_for_suite("squares", max_nodes=4096)
     parent = ConstructionCache()
     with use_context(cache=parent):

@@ -71,23 +71,10 @@ def repair_embedding(embedding: Embedding, faults: Faults) -> Embedding:
     notes["fault_repairs"] = len(broken)
     if faults.spec is not None:
         notes["faults"] = faults.spec.token
-    if use_array_path():
-        return Embedding.from_index_array(
-            guest,
-            host,
-            np.asarray(images, dtype=np.int64),
-            strategy=strategy,
-            predicted_dilation=embedding.predicted_dilation,
-            notes=notes,
-        )
-    mapping = {
-        guest.index_node(rank): host.index_node(image)
-        for rank, image in enumerate(images)
-    }
-    return Embedding(
-        guest=guest,
-        host=host,
-        mapping=mapping,
+    return Embedding.from_index_array(
+        guest,
+        host,
+        images,
         strategy=strategy,
         predicted_dilation=embedding.predicted_dilation,
         notes=notes,

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .analysis.metrics import EmbeddingReport, evaluate_embedding
-from .core.dispatch import embed as _dispatch_embed
 from .graphs.base import CartesianGraph, make_graph
 from .netsim import HostNetwork, simulate_phase, traffic_pattern
 from .optimize import OptimizeOptions, OptimizeResult, optimize_embedding
@@ -63,11 +62,7 @@ def embed(guest: GraphLike, host: GraphLike, *, strategy: str = "paper"):
     ``"lexicographic"`` / ``"bfs"`` / ``"random"``.  Construction is
     memoized through the ambient context's cache when one is installed.
     """
-    guest = _as_graph(guest)
-    host = _as_graph(host)
-    if strategy == "paper":
-        return _dispatch_embed(guest, host)
-    return build_strategy(strategy, guest, host)
+    return build_strategy(strategy, _as_graph(guest), _as_graph(host))
 
 
 def measure(embedding, *, with_congestion: bool = False) -> EmbeddingReport:

@@ -32,8 +32,7 @@ from ..exceptions import (
 from ..graphs.base import CartesianGraph, Mesh
 from ..numbering.arrays import digits_to_indices, indices_to_digits
 from ..numbering.batch import t_columns
-from ..runtime.cache import embedding_cache_key
-from ..runtime.context import current
+from ..runtime.registry import build_strategy
 from ..utils.listops import apply_permutation, find_permutation, is_permutation_of
 from .basic import line_in_graph_embedding, ring_in_graph_embedding
 from .embedding import Embedding, use_array_path
@@ -163,10 +162,11 @@ def embed(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     node-for-node identical embeddings — the differential test harness
     asserts this for every strategy this dispatcher can select.
 
-    When the context carries a construction cache
-    (:class:`~repro.runtime.cache.ConstructionCache`), the result is
-    memoized under ``(strategy family, guest kind+shape, host kind+shape)``
-    — the constructions are pure functions of that key, so a warm cache
+    This is ``build_strategy("paper", guest, host)``: when the context
+    carries a construction cache
+    (:class:`~repro.runtime.cache.ConstructionCache`), the result — or the
+    unsupported verdict — is memoized under ``("embedding",
+    "strategy:paper", guest kind+shape, host kind+shape)``, so a warm cache
     skips re-construction entirely (see ``benchmarks/bench_runtime_cache.py``).
 
     Raises
@@ -177,47 +177,17 @@ def embed(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
         When none of the paper's conditions (expansion, reduction, square,
         basic, same-shape) applies to the pair of shapes.
     """
+    return build_strategy("paper", guest, host)
+
+
+def _dispatch(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
+    """The uncached strategy-selection body of :func:`embed` (the registry's
+    ``"paper"`` builder)."""
     if guest.size > host.size:
         raise ShapeMismatchError(
             f"guest has {guest.size} nodes but host has {host.size}; "
             "the guest must not be larger than the host"
         )
-    cache = current().cache
-    if cache is None:
-        return _dispatch(guest, host)
-    memo = cache.fetch_family(guest, host)
-    if memo is None:
-        # Cold pair: build first, then derive the family from the strategy
-        # label (strategy_family ∘ _dispatch == strategy_for, pinned by
-        # tests/test_dispatch_strategy_agreement.py) — one factor search,
-        # not two.  Unsupported pairs memoize the error message so a warm
-        # sweep skips the failed searches entirely.
-        cache.misses += 1
-        try:
-            embedding = _dispatch(guest, host)
-        except UnsupportedEmbeddingError as error:
-            cache.store_family(guest, host, "unsupported", error=str(error))
-            raise
-        family = strategy_family(embedding.strategy)
-        cache.store_family(guest, host, family)
-        cache.store_embedding(embedding_cache_key(family, guest, host), embedding)
-        return embedding
-    family, unsupported_message = memo
-    if family == "unsupported":
-        raise UnsupportedEmbeddingError(unsupported_message)
-    key = embedding_cache_key(family, guest, host)
-    cached = cache.fetch_embedding(key, guest, host)
-    if cached is not None:
-        return cached
-    # Family memo without its construction (e.g. a partially merged warm
-    # start): rebuild and fill the gap.
-    embedding = _dispatch(guest, host)
-    cache.store_embedding(key, embedding)
-    return embedding
-
-
-def _dispatch(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
-    """The uncached strategy-selection body of :func:`embed`."""
     if guest.size < host.size:
         return embed_subshape(guest, host)
 
@@ -234,19 +204,10 @@ def _dispatch(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
             embedding = ring_in_graph_embedding(host)
         # The builders create their own 1-D guest; rebuild with the caller's
         # guest object so identities (kind/shape) are preserved exactly.
-        if use_array_path():
-            return Embedding.from_index_array(
-                guest,
-                host,
-                embedding.host_index_array(),
-                strategy=embedding.strategy,
-                predicted_dilation=embedding.predicted_dilation,
-                notes=embedding.notes,
-            )
-        return Embedding(
-            guest=guest,
-            host=host,
-            mapping={guest.index_node(x): embedding.map_index(x) for x in range(guest.size)},
+        return Embedding.from_index_array(
+            guest,
+            host,
+            embedding.host_index_array(),
             strategy=embedding.strategy,
             predicted_dilation=embedding.predicted_dilation,
             notes=embedding.notes,

@@ -21,12 +21,13 @@ Special cases follow the paper's terminology:
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import InvalidShapeError
-from ..numbering.arrays import digit_weights, shape_tables
+from ..numbering.arrays import _SHAPE_MEMO_SIZE, digit_weights, shape_tables
 from ..numbering.distance import graph_distance_indices, mesh_distance, torus_distance
 from ..numbering.radix import RadixBase
 from ..types import GraphKind, Node, Shape, ShapedGraphSpec, as_shape
@@ -380,8 +381,18 @@ class Hypercube(Torus):
 
 
 def make_graph(kind: GraphKind | str, shape: Iterable[int]) -> CartesianGraph:
-    """Construct a torus or mesh from a kind and a shape."""
-    kind = GraphKind(kind)
+    """The torus or mesh of a kind and a shape, interned.
+
+    Graphs are immutable, so every call with the same ``(kind, shape)``
+    returns one shared object, and its lazily derived arrays (edge ranks,
+    neighbour matrix) are computed once per process.  An invalid shape
+    raises :class:`~repro.exceptions.InvalidShapeError` on every call.
+    """
+    return _graph(GraphKind(kind), tuple(shape))
+
+
+@functools.lru_cache(maxsize=_SHAPE_MEMO_SIZE)
+def _graph(kind: GraphKind, shape: Tuple[int, ...]) -> CartesianGraph:
     if kind.is_torus:
         return Torus(shape)
     return Mesh(shape)

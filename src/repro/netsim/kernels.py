@@ -151,39 +151,50 @@ def expand_routes(space: LinkIndexSpace, src_digits, dst_digits) -> RouteArrays:
     src_digits = np.asarray(src_digits, dtype=np.int64)
     dst_digits = np.asarray(dst_digits, dtype=np.int64)
     m, d = src_digits.shape
-    shape = space.shape
     weights = space.weights
 
-    offsets = signed_offset_digits(src_digits, dst_digits, shape, torus=space.is_torus)
+    # Each (m, d) temporary alive at once raises the call's memory peak, so
+    # the runs are read out of the offsets before anything else is built.
+    offsets = signed_offset_digits(
+        src_digits, dst_digits, space.shape, torus=space.is_torus
+    )
     runs = np.abs(offsets)
     hops = runs.sum(axis=1)
     starts = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(hops, out=starts[1:])
-
-    run_lengths = runs.ravel()
-    total = int(run_lengths.sum())
-    if total == 0:
+    # One entry per non-empty run: its flat (message, dimension) position,
+    # its length and its direction.
+    run = np.flatnonzero(runs)
+    if run.size == 0:
         return RouteArrays(
             hops=hops, starts=starts, link_ids=np.zeros(0, dtype=np.int64)
         )
+    length = runs.ravel()[run]
+    backward = offsets.ravel()[run] < 0
+    del offsets, runs
 
-    # Flat host rank of the position from which the dimension-j run departs:
-    # dims < j at the target, dims >= j at the source.
-    delta_flat = (dst_digits - src_digits) * weights
+    # Flat host rank of the position from which the dimension-j run departs
+    # (dims < j at the target, dims >= j at the source): the source node of
+    # the run's first hop.
+    delta_flat = dst_digits - src_digits
+    delta_flat *= weights
     departure = np.zeros((m, d), dtype=np.int64)
     np.cumsum(delta_flat[:, :-1], axis=1, out=departure[:, 1:])
+    del delta_flat
     departure += (src_digits @ weights)[:, None]
+    first_link = departure.ravel()[run]
+    del departure
 
-    # One entry per non-empty run: its length, its per-hop id step (the
-    # signed digit weight) and the link id of its first hop.
-    run = np.flatnonzero(run_lengths)
-    length = run_lengths[run]
+    # Per run: the per-hop id step (the signed digit weight) and the link
+    # ids of its first and last hops.
     dim = run % d
-    backward = offsets.ravel()[run] < 0
     step = weights[dim]
     np.negative(step, out=step, where=backward)
-    first_link = departure.ravel()[run]
     first_link += (2 * dim + backward) * space.num_nodes
+    if space.is_torus:
+        coord = src_digits.ravel()[run]
+        ring = space.lengths[dim]
+    del run, dim
     last_link = (length - 1) * step
     last_link += first_link
     run_start = np.cumsum(length)
@@ -197,15 +208,14 @@ def expand_routes(space: LinkIndexSpace, src_digits, dst_digits) -> RouteArrays:
         # A run is at most half a ring long, so it wraps at most once: at
         # the hop whose source coordinate would leave [0, l_j), the id
         # moves one ring against the direction of travel.
-        coord = src_digits.ravel()[run]
-        ring = space.lengths[dim]
         before_wrap = np.where(backward, coord + 1, ring - coord)
         wrap = np.flatnonzero(before_wrap < length)
         wrap_jump = ring[wrap] * step[wrap]
         link_ids[run_start[wrap] + before_wrap[wrap]] -= wrap_jump
         last_link[wrap] -= wrap_jump
     link_ids[0] = first_link[0]
-    link_ids[run_start[1:]] = first_link[1:] - last_link[:-1]
+    first_link[1:] -= last_link[:-1]
+    link_ids[run_start[1:]] = first_link[1:]
     np.cumsum(link_ids, out=link_ids)
     return RouteArrays(hops=hops, starts=starts, link_ids=link_ids)
 

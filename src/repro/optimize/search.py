@@ -420,14 +420,20 @@ def optimize_embedding(
     if cache is not None:
         cache.store_optimum(options.objective, guest, host, state)
 
-    notes = {
-        "objective": options.objective,
-        "objective_value": best_objective,
-        "search_steps": steps,
-        "seeded_from": best_provenance,
-    }
+    embedding = Embedding.from_index_array(
+        guest,
+        host,
+        best_row,
+        strategy="optimized",
+        notes={
+            "objective": options.objective,
+            "objective_value": best_objective,
+            "search_steps": steps,
+            "seeded_from": best_provenance,
+        },
+    )
     return OptimizeResult(
-        embedding=_embedding_from_row(guest, host, best_row, notes=notes),
+        embedding=embedding,
         objective_mode=options.objective,
         objective=best_objective,
         dilation=dilation,
@@ -449,33 +455,6 @@ def _score_single(engine, row: Sequence[int]) -> Tuple[int, int, Optional[int]]:
         dil_max[0],
         dil_sum[0],
         congestion[0] if congestion is not None else None,
-    )
-
-
-def _embedding_from_row(guest, host, row: Sequence[int], *, notes) -> Embedding:
-    """A live ``Embedding`` for a host-rank row, honouring the backend."""
-    if use_array_path():
-        return Embedding.from_index_array(
-            guest,
-            host,
-            np.asarray(row, dtype=np.int64),
-            strategy="optimized",
-            predicted_dilation=None,
-            notes=dict(notes),
-        )
-    guest_base = guest.radix_base
-    host_base = host.radix_base
-    mapping = {
-        guest_base.to_digits(rank): host_base.to_digits(int(image))
-        for rank, image in enumerate(row)
-    }
-    return Embedding(
-        guest=guest,
-        host=host,
-        mapping=mapping,
-        strategy="optimized",
-        predicted_dilation=None,
-        notes=dict(notes),
     )
 
 

@@ -1,31 +1,37 @@
 """Content-addressed construction cache — the memo layer of the runtime.
 
-MaT87's constructions are pure functions of ``(strategy family, guest kind
-and shape, host kind and shape)``: two calls with the same key always produce
-the node-for-node identical embedding (the differential test harness pins
-this).  That makes them ideal for content-addressed memoization across survey
-shards and across repeated CLI invocations.
+Every registry strategy, the paper's dispatcher included, is a pure
+function of ``(strategy name, guest kind and shape, host kind and shape)``:
+two calls with the same key always produce the node-for-node identical
+embedding (the differential test harness pins this).  That makes the
+constructions ideal for content-addressed memoization across survey shards
+and across repeated CLI invocations.  Memoization happens in exactly one
+place, :func:`repro.runtime.registry.build_strategy`.
 
 :class:`ConstructionCache` stores, per key, the *portable* payload of an
 embedding — the flat host-index sequence plus the strategy name, predicted
 dilation and notes — never a live :class:`~repro.core.embedding.Embedding`
 object.  The payload is
 
-* **backend-agnostic** — reconstructed under either the array or the loop
-  backend, so golden tables are byte-identical with caching on and off;
+* **backend-agnostic** — the live embedding is rebuilt from the index array
+  under either backend (its tuple ``mapping`` materializes lazily), so
+  golden tables are byte-identical with caching on and off;
 * **picklable** — the whole cache (a plain dict of tuples/arrays) ships to
   survey worker processes as a warm-start dict and round-trips through
   :meth:`ConstructionCache.save` / :meth:`ConstructionCache.load` so repeated
   ``repro survey`` / ``repro simulate`` invocations skip re-construction
   entirely.
 
-Key format (see ``docs/ARCHITECTURE.md``)::
+A pair the strategy does not support is memoized under the same key as its
+:class:`~repro.exceptions.UnsupportedEmbeddingError` message, and a warm
+lookup raises it again without re-running the failed factor searches.
 
-    ("embedding", <strategy family>, <guest kind>, <guest shape>,
+Key formats (see ``docs/ARCHITECTURE.md``)::
+
+    ("embedding", "strategy:<name>", <guest kind>, <guest shape>,
                                      <host kind>,  <host shape>)
-
-The leading namespace tag leaves room for future route/table memo entries in
-the same store.
+    ("optimum", <objective>, <guest kind>, <guest shape>,
+                             <host kind>,  <host shape>)
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from ..exceptions import UnsupportedEmbeddingError
 from ..utils.atomicio import atomic_write
 
 __all__ = [
@@ -43,8 +50,6 @@ __all__ = [
     "ConstructionCache",
     "OptimizerState",
     "embedding_cache_key",
-    "edge_arrays_cache_key",
-    "family_cache_key",
     "optimum_cache_key",
 ]
 
@@ -55,46 +60,15 @@ PathLike = Union[str, Path]
 CacheKey = Tuple[object, ...]
 
 
-def embedding_cache_key(strategy_family: str, guest, host) -> CacheKey:
-    """The content address of a construction.
+def embedding_cache_key(name: str, guest, host) -> CacheKey:
+    """The content address of the registry strategy ``name`` on a pair.
 
-    ``strategy_family`` is :func:`repro.core.dispatch.strategy_for`'s family
-    for the paper's dispatcher, or ``"strategy:<name>"`` for registry-built
-    competitors (baselines).  The remaining components are the guest and host
-    identities — kind plus shape — which fully determine every construction
-    the dispatcher can select.
+    The guest and host identities — kind plus shape — fully determine every
+    construction a deterministic strategy can make.
     """
     return (
         "embedding",
-        strategy_family,
-        guest.kind.value,
-        tuple(guest.shape),
-        host.kind.value,
-        tuple(host.shape),
-    )
-
-
-def edge_arrays_cache_key(graph) -> CacheKey:
-    """The address of a graph's memoized derived edge-index arrays.
-
-    ``edge_index_arrays`` is a pure function of the graph identity (kind plus
-    shape); memoizing the pair lets batched survey shards — which rebuild
-    graph objects from scenario specs — skip the per-signature re-derivation
-    entirely.
-    """
-    return ("edges", graph.kind.value, tuple(graph.shape))
-
-
-def family_cache_key(guest, host) -> CacheKey:
-    """The address of a memoized pair → strategy-family resolution.
-
-    ``strategy_for`` is itself a pure function of the graph identities (it
-    runs the expansion/reduction factor searches), so the dispatcher memoizes
-    its answer alongside the constructions — a warm cache skips the search as
-    well as the build.
-    """
-    return (
-        "family",
+        f"strategy:{name}",
         guest.kind.value,
         tuple(guest.shape),
         host.kind.value,
@@ -163,45 +137,12 @@ def _portable_indices(embedding):
     return array
 
 
-def _materialize(payload: CachedConstruction, guest, host):
-    """Rebuild a live :class:`Embedding` from a cached payload.
-
-    Resolution honours the ambient backend: the array backend rehydrates the
-    flat index array directly (sharing the read-only cached array, no copy);
-    the loop backend rebuilds the tuple ``mapping`` dict.
-    """
-    from ..core.embedding import Embedding, use_array_path
-
-    if use_array_path():
-        return Embedding.from_index_array(
-            guest,
-            host,
-            payload.host_indices,
-            strategy=payload.strategy,
-            predicted_dilation=payload.predicted_dilation,
-            notes=dict(payload.notes),
-        )
-    guest_base = guest.radix_base
-    host_base = host.radix_base
-    mapping = {
-        guest_base.to_digits(rank): host_base.to_digits(int(image))
-        for rank, image in enumerate(payload.host_indices)
-    }
-    return Embedding(
-        guest=guest,
-        host=host,
-        mapping=mapping,
-        strategy=payload.strategy,
-        predicted_dilation=payload.predicted_dilation,
-        notes=dict(payload.notes),
-    )
-
-
 class ConstructionCache:
     """A content-addressed, picklable memo store for constructions.
 
     The backing ``data`` dict is deliberately plain (key tuple →
-    :class:`CachedConstruction`): it is the warm-start dict shipped to survey
+    :class:`CachedConstruction`, unsupported-pair message or
+    :class:`OptimizerState`): it is the warm-start dict shipped to survey
     workers, the merge unit for worker deltas, and the pickle payload of
     :meth:`save`.  Hit/miss counters are per-instance observability only and
     are not persisted.
@@ -220,23 +161,33 @@ class ConstructionCache:
     def __contains__(self, key: CacheKey) -> bool:
         return key in self.data
 
-    def clear(self) -> None:
-        self.data.clear()
-        self.hits = 0
-        self.misses = 0
-
     # ------------------------------------------------------------------ #
     # Embedding entries
     # ------------------------------------------------------------------ #
     def fetch_embedding(self, key: CacheKey, guest, host):
         """The memoized embedding for ``key`` rebuilt for ``guest``/``host``,
-        or ``None`` on a miss."""
+        or ``None`` on a miss.
+
+        A memoized unsupported pair counts as a hit and raises its stored
+        :class:`~repro.exceptions.UnsupportedEmbeddingError` message.
+        """
         payload = self.data.get(key)
         if payload is None:
             self.misses += 1
             return None
         self.hits += 1
-        return _materialize(payload, guest, host)
+        if isinstance(payload, str):
+            raise UnsupportedEmbeddingError(payload)
+        from ..core.embedding import Embedding
+
+        return Embedding.from_index_array(
+            guest,
+            host,
+            payload.host_indices,
+            strategy=payload.strategy,
+            predicted_dilation=payload.predicted_dilation,
+            notes=payload.notes,
+        )
 
     def store_embedding(self, key: CacheKey, embedding) -> None:
         """Memoize an embedding under its content address."""
@@ -247,41 +198,16 @@ class ConstructionCache:
             notes=dict(embedding.notes),
         )
 
+    def store_unsupported(self, key: CacheKey, message: str) -> None:
+        """Memoize that the strategy does not support the pair of ``key``."""
+        self.data[key] = message
+
     @property
     def construction_count(self) -> int:
-        """Memoized constructions only — ``len(self)`` also counts the
-        family bookkeeping entries, so user-facing reports use this."""
-        return sum(1 for key in self.data if key[0] == "embedding")
-
-    # ------------------------------------------------------------------ #
-    # Strategy-family entries (memoized ``strategy_for`` answers)
-    # ------------------------------------------------------------------ #
-    def fetch_family(self, guest, host) -> Optional[Tuple[str, Optional[str]]]:
-        """The memoized ``(family, error)`` for a pair, or ``None``.
-
-        ``error`` is the stored :class:`UnsupportedEmbeddingError` message
-        for ``"unsupported"`` pairs and ``None`` otherwise.  Family lookups
-        are bookkeeping for the embedding entries, so they do not touch the
-        hit/miss counters.
-        """
-        entry = self.data.get(family_cache_key(guest, host))
-        if isinstance(entry, str):
-            return entry, None
-        if isinstance(entry, tuple) and len(entry) == 2:
-            return entry
-        return None
-
-    def store_family(
-        self, guest, host, family: str, error: Optional[str] = None
-    ) -> None:
-        """Memoize a pair's strategy family.
-
-        ``"unsupported"`` pairs store the dispatcher's error message too, so
-        a warm sweep re-raises it directly instead of re-running the failed
-        factor searches.
-        """
-        self.data[family_cache_key(guest, host)] = (
-            family if error is None else (family, error)
+        """Memoized constructions only — ``len(self)`` also counts
+        unsupported pairs and optima, so user-facing reports use this."""
+        return sum(
+            isinstance(payload, CachedConstruction) for payload in self.data.values()
         )
 
     # ------------------------------------------------------------------ #
@@ -318,46 +244,10 @@ class ConstructionCache:
         self.data[key] = state
         return True
 
-    def materialize_optimum(self, state: OptimizerState, guest, host):
-        """Rebuild a live ``Embedding`` from a stored optimum (backend-aware)."""
-        payload = CachedConstruction(
-            host_indices=state.host_indices,
-            strategy="optimized",
-            predicted_dilation=None,
-            notes={
-                "objective": state.objective_mode,
-                "objective_value": state.objective,
-                "search_steps": state.steps,
-                "seeded_from": state.provenance,
-            },
-        )
-        return _materialize(payload, guest, host)
-
     @property
     def optimum_count(self) -> int:
         """Stored search optima (all objective modes)."""
         return sum(1 for key in self.data if key[0] == "optimum")
-
-    # ------------------------------------------------------------------ #
-    # Derived-array entries (memoized per-graph tables)
-    # ------------------------------------------------------------------ #
-    def fetch_edge_arrays(self, graph):
-        """The memoized ``edge_index_arrays`` pair of a graph, or ``None``.
-
-        Derived arrays are pure functions of the graph identity, so they are
-        content-addressed under ``("edges", kind, shape)``.  Like the family
-        entries they are bookkeeping for the embedding memo and do not touch
-        the hit/miss counters.
-        """
-        entry = self.data.get(edge_arrays_cache_key(graph))
-        if isinstance(entry, tuple) and len(entry) == 2:
-            return entry
-        return None
-
-    def store_edge_arrays(self, graph, arrays) -> None:
-        """Memoize a graph's ``(u, v)`` edge-endpoint rank arrays."""
-        u, v = arrays
-        self.data[edge_arrays_cache_key(graph)] = (u, v)
 
     # ------------------------------------------------------------------ #
     # Sharing and persistence

@@ -13,10 +13,10 @@ and the extension point for new competitors and workloads:
 
 Builders are pure functions of their inputs — no backend parameter; they
 consult the ambient :mod:`execution context <repro.runtime.context>` for the
-backend, and :func:`build_strategy` memoizes their results through the
-context's construction cache (keyed ``"strategy:<name>"``; the ``"paper"``
-dispatcher memoizes itself under its strategy family inside
-:func:`repro.core.dispatch.embed`).
+backend, and :func:`build_strategy` — the only construction memo — memoizes
+every builder's result through the context's construction cache, keyed
+``"strategy:<name>"``.  The ``"paper"`` entry is the uncached dispatcher;
+:func:`repro.core.dispatch.embed` is ``build_strategy("paper", ...)``.
 
 Default entries load lazily on first lookup, so importing this module never
 drags in the whole package (and the late imports break the otherwise-circular
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
+from ..exceptions import UnsupportedEmbeddingError
 from .cache import embedding_cache_key
 from .context import current
 
@@ -128,9 +129,9 @@ def _load_default_strategies() -> None:
         lexicographic_embedding,
         random_embedding,
     )
-    from ..core.dispatch import embed
+    from ..core.dispatch import _dispatch
 
-    STRATEGIES.register("paper", lambda guest, host: embed(guest, host))
+    STRATEGIES.register("paper", _dispatch)
     STRATEGIES.register("lexicographic", lexicographic_embedding)
     STRATEGIES.register("bfs", bfs_order_embedding)
     STRATEGIES.register(
@@ -166,19 +167,24 @@ def strategy_names() -> Tuple[str, ...]:
 def build_strategy(name: str, guest, host):
     """Build the named strategy's embedding, memoized through the context cache.
 
-    The ``"paper"`` dispatcher handles its own memoization (keyed by strategy
-    *family* inside :func:`repro.core.dispatch.embed`); every other builder is
-    memoized here under ``("embedding", "strategy:<name>", ...)``.
+    Every builder is memoized under ``("embedding", "strategy:<name>",
+    ...)``.  A pair the builder does not support is memoized too: its
+    :class:`~repro.exceptions.UnsupportedEmbeddingError` message is stored
+    and raised again on every warm lookup.
     """
     builder = STRATEGIES.get(name)
     cache = current().cache
-    if cache is None or name == "paper":
+    if cache is None:
         return builder(guest, host)
-    key = embedding_cache_key(f"strategy:{name}", guest, host)
+    key = embedding_cache_key(name, guest, host)
     cached = cache.fetch_embedding(key, guest, host)
     if cached is not None:
         return cached
-    embedding = builder(guest, host)
+    try:
+        embedding = builder(guest, host)
+    except UnsupportedEmbeddingError as error:
+        cache.store_unsupported(key, str(error))
+        raise
     cache.store_embedding(key, embedding)
     return embedding
 

@@ -7,9 +7,9 @@ rebuild and one event loop per simulation scenario.  This module evaluates a
 whole *shard* at once instead:
 
 * scenarios are grouped by their ``(guest kind+shape, host kind+shape)``
-  signature; each signature materializes its graphs once and derives (or
-  fetches from the runtime :class:`~repro.runtime.cache.ConstructionCache`)
-  one shared edge-index array;
+  signature; graphs are interned per ``(kind, shape)`` by
+  :func:`~repro.graphs.base.make_graph`, so every signature shares its
+  guest's edge-index arrays, derived once per process;
 * dilation and average dilation of every row of every signature come from
   one ragged :func:`~repro.analysis.metrics.stacked_dilation_summary` call
   per shard, and congestion (when asked for) from one
@@ -44,16 +44,14 @@ from ..analysis.metrics import (
     stacked_dilation_summary,
 )
 from ..exceptions import UnsupportedEmbeddingError
-from ..graphs.base import CartesianGraph, make_graph
+from ..graphs.base import CartesianGraph
 from ..netsim import (
     HostNetwork,
     simulate_endpoint_phases,
     traffic_pattern,
     traffic_rank_arrays,
 )
-from ..runtime.context import current
 from ..runtime.registry import build_strategy
-from ..types import GraphKind
 from .scenarios import Scenario
 from .store import SurveyRecord
 
@@ -63,36 +61,13 @@ __all__ = ["evaluate_shard_batched"]
 GraphSpec = Tuple[str, Tuple[int, ...]]
 
 
-def _shared_edge_arrays(guest: CartesianGraph, cache):
-    """The guest's ``(u, v)`` edge ranks, via the context memo when present."""
-    if cache is not None:
-        arrays = cache.fetch_edge_arrays(guest)
-        if arrays is not None:
-            return arrays
-    arrays = guest.edge_index_arrays()
-    if cache is not None:
-        cache.store_edge_arrays(guest, arrays)
-    return arrays
-
-
 class _ShardState:
-    """Per-shard memo of graphs, networks, traffic patterns and builds."""
+    """Per-shard memo of networks, traffic patterns and builds."""
 
     def __init__(self):
-        self.context = current()
-        self.cache = self.context.cache
-        self.graphs: Dict[GraphSpec, CartesianGraph] = {}
         self.networks: Dict[GraphSpec, HostNetwork] = {}
         self.patterns: Dict[Tuple[str, GraphSpec], Tuple[str, object]] = {}
         self.builds: Dict[Tuple[str, GraphSpec, GraphSpec], Tuple[str, object]] = {}
-
-    def graph(self, kind: str, shape) -> CartesianGraph:
-        spec = (kind, tuple(shape))
-        graph = self.graphs.get(spec)
-        if graph is None:
-            graph = make_graph(GraphKind(kind), spec[1])
-            self.graphs[spec] = graph
-        return graph
 
     def network(self, host: CartesianGraph) -> HostNetwork:
         spec = (host.kind.value, host.shape)
@@ -150,7 +125,7 @@ class _ShardState:
         return entry
 
 
-def _shard_metrics(state: _ShardState, groups, with_congestion):
+def _shard_metrics(groups, with_congestion):
     """Stacked ``(signature, strategy) -> (dilation, average, congestion)``.
 
     One ragged :func:`stacked_dilation_summary` call measures every row of
@@ -161,24 +136,24 @@ def _shard_metrics(state: _ShardState, groups, with_congestion):
     per-scenario reference.
     """
     try:
-        return _measure_groups(state, groups, with_congestion)
+        return _measure_groups(groups, with_congestion)
     except Exception:  # noqa: BLE001 - isolate the failing group(s)
         metrics = {}
         for signature, group in groups.items():
             try:
                 metrics.update(
-                    _measure_groups(state, {signature: group}, with_congestion)
+                    _measure_groups({signature: group}, with_congestion)
                 )
             except Exception:  # noqa: BLE001 - group falls back to the reference path
                 continue
         return metrics
 
 
-def _measure_groups(state: _ShardState, groups, with_congestion):
+def _measure_groups(groups, with_congestion):
     """The measurement of :func:`_shard_metrics`; raises on any failure."""
     keys, hosts, edge_us, edge_vs, images = [], [], [], [], []
     for signature, group in groups.items():
-        edge_u, edge_v = _shared_edge_arrays(group["guest"], state.cache)
+        edge_u, edge_v = group["guest"].edge_index_arrays()
         for strategy, embedding in group["rows"].items():
             keys.append((signature, strategy))
             hosts.append(group["host"])
@@ -235,12 +210,12 @@ def evaluate_shard_batched(
             # shard-level grouping has nothing further to fuse.
             records[position] = evaluate_scenario(scenario, options)
             continue
-        guest = state.graph(scenario.guest_kind, scenario.guest_shape)
-        host = state.graph(scenario.host_kind, scenario.host_shape)
+        guest = scenario.guest_graph()
+        host = scenario.host_graph()
         base = _record_base(scenario, guest, host)
         # Embedding scenarios always measure the paper dispatcher's
-        # construction (the reference path calls `embed` directly, which is
-        # the registry's "paper" builder); simulation scenarios build the
+        # construction (the reference path calls `embed`, which is
+        # `build_strategy("paper", ...)`); simulation scenarios build the
         # strategy they name.
         strategy = scenario.strategy if scenario.traffic else "paper"
         status, payload = state.embedding(strategy, guest, host)
@@ -269,7 +244,7 @@ def evaluate_shard_batched(
     # ---------------------------------------------------------------- #
     # Pass 2: one ragged measurement pass over every row of the shard.
     # ---------------------------------------------------------------- #
-    metrics = _shard_metrics(state, groups, options.with_congestion)
+    metrics = _shard_metrics(groups, options.with_congestion)
 
     # ---------------------------------------------------------------- #
     # Pass 3: all simulation phases through one vectorized event loop.

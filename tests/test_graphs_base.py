@@ -46,6 +46,27 @@ class TestConstruction:
         spec = ShapedGraphSpec(GraphKind.TORUS, (3, 5))
         assert graph_from_spec(spec) == Torus((3, 5))
 
+    def test_make_graph_interns_one_graph_per_kind_and_shape(self):
+        graph = make_graph("torus", [4, 6])
+        assert graph is make_graph(GraphKind.TORUS, (4, 6))
+        assert graph is not make_graph("mesh", (4, 6))
+        assert graph is not make_graph("torus", (6, 4))
+
+    def test_scenarios_share_interned_graphs_and_their_edge_arrays(self):
+        from repro.survey import Scenario
+
+        first = Scenario("torus", (4, 6), "mesh", (2, 2, 2, 3)).guest_graph()
+        second = Scenario("torus", (4, 6), "torus", (24,)).guest_graph()
+        assert first is second is make_graph("torus", (4, 6))
+        u, v = first.edge_index_arrays()
+        shared_u, shared_v = second.edge_index_arrays()
+        assert u is shared_u and v is shared_v
+
+    def test_make_graph_raises_on_every_invalid_call(self):
+        for _ in range(2):
+            with pytest.raises(InvalidShapeError):
+                make_graph("mesh", (0, 3))
+
     def test_invalid_shape(self):
         with pytest.raises(InvalidShapeError):
             Mesh((0, 3))

@@ -9,6 +9,8 @@ which IEEE-754 summation is exact in any order — so even the accumulated
 float statistics are compared with ``==``, never ``approx``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from repro.netsim import (
     neighbor_exchange_traffic,
     route_message,
     simulate_phase,
+    traffic_rank_arrays,
     transpose_traffic,
 )
 from repro.numbering.arrays import indices_to_digits, signed_offset_digits
@@ -140,6 +143,30 @@ class TestRouteExpansion:
             assert network.link_exists(
                 (graph.index_node(u), graph.index_node(v))
             )
+
+    def test_expansion_frees_its_message_by_dimension_temporaries(self):
+        # Torus(32,32) -> Mesh(4,4,4,4,4) all-to-all-groups: 31,744 messages
+        # over 5 dimensions.  The (m, d) int64 temporaries must not all be
+        # alive at once: the traced peak stays within six of them, outputs
+        # (the hop and link-id arrays) included.
+        guest, host = Torus((32, 32)), Mesh((4, 4, 4, 4, 4))
+        images = embed(guest, host).host_index_array()
+        sources, targets, _ = traffic_rank_arrays("all-to-all-groups", guest)
+        space = HostNetwork(host).link_index_space()
+        src_digits = indices_to_digits(images[sources], host.shape)
+        dst_digits = indices_to_digits(images[targets], host.shape)
+        m, d = src_digits.shape
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            routes = expand_routes(space, src_digits, dst_digits)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (m, d) == (31744, 5)
+        distances = host.distance_indices(images[sources], images[targets])
+        assert routes.total_hops == int(distances.sum())
+        assert peak <= 6 * m * d * 8, peak / (m * d * 8)
 
 
 class TestAnalyticEstimateDifferential:

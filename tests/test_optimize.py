@@ -321,14 +321,15 @@ class TestCachePersistence:
         assert reloaded.fetch_optimum("combined", guest, host) == result.state
         assert reloaded.optimum_count == 1
 
-    def test_materialize_optimum_builds_a_valid_embedding(self):
+    def test_result_embedding_holds_the_stored_row(self):
         guest, host = SMALL
         cache = ConstructionCache()
         result = optimize_embedding(guest, host, FAST, cache=cache)
-        embedding = cache.materialize_optimum(result.state, guest, host)
+        embedding = result.embedding
         embedding.validate()
         assert embedding.strategy == "optimized"
         assert embedding.dilation() == result.dilation
+        assert embedding.host_index_array().tolist() == list(result.state.host_indices)
 
     def test_states_pickle_standalone(self):
         state = OptimizerState(

@@ -10,7 +10,7 @@ from repro.core.dispatch import embed, strategy_for
 from repro.exceptions import UnsupportedEmbeddingError
 from repro.graphs.base import Mesh, Torus
 from repro.runtime import ConstructionCache, use_context
-from repro.runtime.cache import embedding_cache_key, family_cache_key
+from repro.runtime.cache import embedding_cache_key
 
 PAIR = (Torus((4, 6)), Mesh((2, 2, 2, 3)))
 
@@ -18,34 +18,22 @@ PAIR = (Torus((4, 6)), Mesh((2, 2, 2, 3)))
 class TestContentAddressing:
     def test_embedding_key_format(self):
         guest, host = PAIR
-        assert embedding_cache_key("increasing", guest, host) == (
+        assert embedding_cache_key("paper", guest, host) == (
             "embedding",
-            "increasing",
+            "strategy:paper",
             "torus",
             (4, 6),
             "mesh",
             (2, 2, 2, 3),
         )
 
-    def test_family_key_format(self):
-        guest, host = PAIR
-        assert family_cache_key(guest, host) == (
-            "family",
-            "torus",
-            (4, 6),
-            "mesh",
-            (2, 2, 2, 3),
-        )
-
-    def test_dispatcher_memoizes_under_the_family_key(self):
+    def test_dispatcher_memoizes_under_the_paper_strategy_key(self):
         guest, host = PAIR
         cache = ConstructionCache()
         with use_context(cache=cache):
             embed(guest, host)
-        family = strategy_for(guest, host)
-        assert embedding_cache_key(family, guest, host) in cache
-        assert cache.fetch_family(guest, host) == (family, None)
-        assert cache.construction_count == 1 and len(cache) == 2
+        assert list(cache.data) == [embedding_cache_key("paper", guest, host)]
+        assert cache.construction_count == 1 and len(cache) == 1
 
     def test_hit_and_miss_counters(self):
         guest, host = PAIR
@@ -82,7 +70,6 @@ class TestReconstruction:
         with use_context(backend="loop", cache=cache):
             loop_rehydrated = embed(guest, host)
         assert cache.hits == 1
-        assert loop_rehydrated._host_indices is None  # dict-backed rebuild
         assert loop_rehydrated.mapping == array_built.mapping
         assert loop_rehydrated.strategy == array_built.strategy
 
@@ -98,7 +85,10 @@ class TestReconstruction:
             with pytest.raises(UnsupportedEmbeddingError) as warm:
                 embed(guest, host)
         assert str(cold.value) == str(bare.value) == str(warm.value)
-        assert cache.fetch_family(guest, host) == ("unsupported", str(bare.value))
+        key = embedding_cache_key("paper", guest, host)
+        assert cache.data == {key: str(bare.value)}
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert cache.construction_count == 0
 
 
 class TestSharingAndPersistence:

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.exceptions import SimulationError
+from repro.core.dispatch import embed
+from repro.exceptions import SimulationError, UnsupportedEmbeddingError
 from repro.graphs.base import Mesh, Torus
 from repro.netsim import traffic_pattern, traffic_pattern_names
-from repro.runtime import ConstructionCache, use_context
+from repro.runtime import ConstructionCache, embedding_cache_key, use_context
 from repro.runtime.registry import (
     STRATEGIES,
     TRAFFIC_PATTERNS,
@@ -154,15 +155,58 @@ class TestStrategyCaching:
             next(iter(cache.data))[:2]
         )
 
-    def test_paper_strategy_uses_the_family_key(self):
+    def test_paper_strategy_shares_one_key_with_embed(self):
         guest, host = PAIR
         cache = ConstructionCache()
         with use_context(cache=cache):
-            build_strategy("paper", guest, host)
-            build_strategy("paper", guest, host)
-        assert cache.hits == 1
-        families = {key[1] for key in cache.data if key[0] == "embedding"}
-        assert families == {"increasing"}
+            built = build_strategy("paper", guest, host)
+            embedded = embed(guest, host)
+        assert (cache.misses, cache.hits) == (1, 1)
+        assert list(cache.data) == [embedding_cache_key("paper", guest, host)]
+        assert embedded.mapping == built.mapping
+        assert embedded.strategy == built.strategy
+        assert built.strategy.startswith("increasing:")
+
+    @pytest.mark.parametrize("backend", ["array", "loop"])
+    @pytest.mark.parametrize("name", ["paper", "lexicographic", "bfs", "random"])
+    def test_every_default_strategy_memoizes_under_its_name(self, name, backend):
+        guest, host = PAIR
+        cache = ConstructionCache()
+        with use_context(backend=backend, cache=cache):
+            cold = build_strategy(name, guest, host)
+            warm = build_strategy(name, guest, host)
+        assert warm is not cold
+        assert warm.mapping == cold.mapping
+        assert warm.strategy == cold.strategy
+        assert warm.predicted_dilation == cold.predicted_dilation
+        assert warm.notes == cold.notes
+        assert (cache.misses, cache.hits) == (1, 1)
+        assert list(cache.data) == [
+            ("embedding", f"strategy:{name}", "torus", (4, 6), "mesh", (2, 2, 2, 3))
+        ]
+
+    def test_unsupported_pairs_are_memoized_and_raised_again(self):
+        guest, host = PAIR
+        calls = []
+
+        @register_strategy("test-never")
+        def never(guest, host):
+            calls.append((guest, host))
+            raise UnsupportedEmbeddingError(f"never embeds {guest!r}")
+
+        try:
+            cache = ConstructionCache()
+            with use_context(cache=cache):
+                with pytest.raises(UnsupportedEmbeddingError) as cold:
+                    build_strategy("test-never", guest, host)
+                with pytest.raises(UnsupportedEmbeddingError) as warm:
+                    build_strategy("test-never", guest, host)
+        finally:
+            _unregister(STRATEGIES, "test-never")
+        assert len(calls) == 1
+        assert str(warm.value) == str(cold.value) == f"never embeds {guest!r}"
+        assert (cache.misses, cache.hits) == (1, 1)
+        assert cache.construction_count == 0
 
     def test_no_cache_no_memoization(self):
         guest, host = PAIR

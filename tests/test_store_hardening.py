@@ -17,8 +17,9 @@ import warnings
 import pytest
 
 from repro.cli import main
+from repro.core.dispatch import embed
 from repro.graphs.base import Mesh, Torus
-from repro.runtime import ConstructionCache
+from repro.runtime import ConstructionCache, embedding_cache_key
 from repro.survey import (
     SurveyOptions,
     SurveyRecord,
@@ -275,7 +276,8 @@ class TestTornCacheRecovery:
         path = tmp_path / "cache.pkl"
         cache = ConstructionCache()
         for extent in range(4, 40, 2):
-            cache.store_family(Torus((extent, 6)), Mesh((extent, 6)), "increasing")
+            key = embedding_cache_key("paper", Torus((extent, 6)), Mesh((extent, 6)))
+            cache.store_unsupported(key, "not covered")
         cache.save(path)
         truncate_mid_byte(path)
         with pytest.warns(RuntimeWarning, match="unreadable .*starting cold"):
@@ -292,12 +294,15 @@ class TestTornCacheRecovery:
     def test_intact_save_load_round_trip_is_silent(self, tmp_path):
         path = tmp_path / "cache.pkl"
         cache = ConstructionCache()
-        cache.store_family(Torus((4, 6)), Mesh((4, 6)), "increasing")
+        guest, host = Torus((4, 6)), Mesh((4, 6))
+        key = embedding_cache_key("paper", guest, host)
+        cache.store_embedding(key, embed(guest, host))
         cache.save(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             warm = ConstructionCache.load(path)
-        assert warm.fetch_family(Torus((4, 6)), Mesh((4, 6))) == ("increasing", None)
+        rebuilt = warm.fetch_embedding(key, guest, host)
+        assert rebuilt.mapping == embed(guest, host).mapping
         assert [p.name for p in tmp_path.iterdir()] == ["cache.pkl"]
 
 

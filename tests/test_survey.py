@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.cli import main
+from repro.runtime import ConstructionCache, use_context
 from repro.survey import (
     Scenario,
     SurveyOptions,
@@ -99,6 +100,26 @@ class TestRunner:
             strip(r) for r in parallel.records
         ]
         assert not sequential.failed
+
+    def test_pooled_survey_folds_worker_cache_deltas_into_the_parent(self):
+        scenarios = scenarios_for_suite("expansion")
+        pooled = SurveyOptions(workers=2, shard_size=2)
+        strip = lambda r: {**r.as_dict(), "elapsed_seconds": None}
+        inline = ConstructionCache()
+        with use_context(cache=inline):
+            run_survey(scenarios, SurveyOptions(workers=1))
+        cache = ConstructionCache()
+        with use_context(cache=cache):
+            cold = run_survey(scenarios, pooled)
+        assert cold.workers == 2
+        assert set(cache.data) == set(inline.data)
+        assert cold.cache_entries == cache.construction_count
+        hits, misses = cache.hits, cache.misses
+        with use_context(cache=cache):
+            warm = run_survey(scenarios, pooled)
+        assert cache.misses - misses == 0
+        assert cache.hits - hits == len(scenarios)
+        assert [strip(r) for r in warm.records] == [strip(r) for r in cold.records]
 
     def test_run_survey_writes_and_merges_shards(self, tmp_path):
         scenarios = all_pairs(12)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core.embedding import Embedding
 from repro.exceptions import InvalidEmbeddingError, SimulationError
-from repro.graphs.base import Mesh, Torus, make_graph
+from repro.graphs.base import Mesh, Torus
 from repro.graphs.faults import FaultSpec
 from repro.netsim import (
     CostModel,
@@ -37,8 +37,7 @@ from repro.netsim import (
     simulate_phase,
 )
 from repro.numbering.arrays import compact_index_dtype
-from repro.runtime import ConstructionCache, ExecutionContext, use_context
-from repro.runtime.cache import edge_arrays_cache_key
+from repro.runtime import ExecutionContext, use_context
 from repro.runtime.registry import build_strategy
 from repro.survey import (
     Scenario,
@@ -599,28 +598,6 @@ class TestDerivedArrayMemoization:
         assert digits is graph.node_digit_array()
         assert not digits.flags.writeable
         assert [tuple(row) for row in digits.tolist()] == list(graph.nodes())
-
-    def test_construction_cache_memoizes_edge_arrays(self):
-        cache = ConstructionCache()
-        graph = Torus((2, 2, 3))
-        assert cache.fetch_edge_arrays(graph) is None
-        cache.store_edge_arrays(graph, graph.edge_index_arrays())
-        u, v = cache.fetch_edge_arrays(make_graph("torus", (2, 2, 3)))
-        expected_u, expected_v = graph.edge_index_arrays()
-        assert (u == expected_u).all() and (v == expected_v).all()
-        # Bookkeeping entries never count as constructions.
-        assert cache.construction_count == 0
-
-    def test_batched_survey_populates_edge_array_memo(self):
-        cache = ConstructionCache()
-        scenarios = scenarios_for_suite("smoke")
-        with use_context(batch=True, cache=cache):
-            report = run_survey(scenarios, SurveyOptions(workers=1))
-        assert not report.failed
-        assert any(key[0] == "edges" for key in cache.data)
-        # The memoized pair round-trips through the key helper.
-        guest = scenarios[0].guest_graph()
-        assert edge_arrays_cache_key(guest) in cache.data
 
 
 class TestContextAndCli:
