@@ -2,7 +2,9 @@
 
 Submodules map one-to-one onto the paper's sections:
 
-* :mod:`~repro.core.embedding` — the :class:`Embedding` type (Definition 1);
+* :mod:`~repro.core.embedding` — the :class:`Embedding` type (Definition 1)
+  and :class:`Construction`, the form each construction is written in once
+  for both backends;
 * :mod:`~repro.core.basic` — Section 3 basic embeddings (``f``, ``g``, ``r``,
   ``h`` and the helper ``t``);
 * :mod:`~repro.core.same_shape` — Lemma 36 (identity and ``T_L``);
@@ -13,10 +15,13 @@ Submodules map one-to-one onto the paper's sections:
 * :mod:`~repro.core.square` — Section 5 (Theorems 48, 51, 52, 53);
 * :mod:`~repro.core.bounds` — Theorem 47 lower bound, the known optima used
   for comparison, and the Appendix ``ε`` sequence;
-* :mod:`~repro.core.dispatch` — automatic strategy selection.
+* :mod:`~repro.core.dispatch` — automatic strategy selection: :func:`plan`
+  decides once, :func:`embed` builds, :func:`strategy_for` names the family;
+* :mod:`~repro.core.functional` — the pointwise form of a plan's
+  construction, for graphs too large to materialize.
 """
 
-from .embedding import Embedding, use_array_path
+from .embedding import Construction, Embedding, use_array_path
 from .basic import (
     f_sequence,
     f_value,
@@ -70,11 +75,12 @@ from .bounds import (
     lowering_dilation_lower_bound,
     mn86_square_torus_in_ring,
 )
-from .dispatch import embed, strategy_family, strategy_for
+from .dispatch import Plan, embed, plan, strategy_for
 from .functional import FunctionalEmbedding, functional_embed
 from .subshape import embed_subshape, find_subshape
 
 __all__ = [
+    "Construction",
     "Embedding",
     "use_array_path",
     "FunctionalEmbedding",
@@ -125,9 +131,10 @@ __all__ = [
     "harper_hypercube_in_line",
     "epsilon_value",
     "epsilon_sequence",
+    "Plan",
+    "plan",
     "embed",
     "strategy_for",
-    "strategy_family",
     "embed_subshape",
     "find_subshape",
 ]

@@ -15,9 +15,11 @@ The section's results, all reproduced here:
   ring in any ``L``-torus with **dilation 1** (Lemma 27, Theorem 28).
 
 Each ``*_value`` function is the pointwise map of the paper; the
-``*_sequence`` helpers materialize the whole sequence; the high-level
-builders return fully validated :class:`~repro.core.embedding.Embedding`
-objects with the theorem's predicted dilation attached.
+``*_sequence`` helpers materialize the whole sequence; the
+``*_construction`` functions pair each map with its batch kernel as a
+:class:`~repro.core.embedding.Construction`, and the high-level builders
+return the built :class:`~repro.core.embedding.Embedding` with the theorem's
+predicted dilation attached.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from ..numbering.graycode import reflected_digit
 from ..numbering.radix import RadixBase
 from ..types import Node
 from ..utils.listops import apply_permutation, concat, invert_permutation
-from .embedding import Embedding, use_array_path
+from .embedding import Construction, Embedding
 
 __all__ = [
     "t_value",
@@ -48,7 +50,9 @@ __all__ = [
     "h_value",
     "h_sequence",
     "even_first_permutation",
+    "line_construction",
     "line_in_graph_embedding",
+    "ring_construction",
     "ring_in_graph_embedding",
     "predicted_ring_dilation",
 ]
@@ -221,6 +225,17 @@ def even_first_permutation(shape: Sequence[int]) -> Optional[Tuple[Tuple[int, ..
     return reordered, perm
 
 
+def line_construction(host: CartesianGraph) -> Construction:
+    """``f_L``: a line of the host's size in the host, dilation 1 (Theorem 13)."""
+    return Construction(
+        "line:f_L",
+        1,
+        {},
+        lambda node: f_value(host.radix_base, node[0]),
+        lambda: f_flat(host.shape, np.arange(host.size, dtype=np.int64)),
+    )
+
+
 def line_in_graph_embedding(host: CartesianGraph) -> Embedding:
     """Embed a line of the host's size in the host with dilation 1 (Theorem 13).
 
@@ -228,23 +243,7 @@ def line_in_graph_embedding(host: CartesianGraph) -> Embedding:
     batch kernel call; the per-node loop is the retained reference
     implementation (force it with ``use_context(backend="loop")``).
     """
-    base = RadixBase(host.shape)
-    guest = Line(host.size)
-    if use_array_path():
-        return Embedding.from_index_array(
-            guest,
-            host,
-            f_flat(host.shape, np.arange(host.size, dtype=np.int64)),
-            strategy="line:f_L",
-            predicted_dilation=1,
-        )
-    return Embedding.from_callable(
-        guest,
-        host,
-        lambda node: f_value(base, node[0]),
-        strategy="line:f_L",
-        predicted_dilation=1,
-    )
+    return line_construction(host).build(Line(host.size), host)
 
 
 def predicted_ring_dilation(host: CartesianGraph) -> int:
@@ -258,37 +257,23 @@ def predicted_ring_dilation(host: CartesianGraph) -> int:
     return 2
 
 
-def ring_in_graph_embedding(host: CartesianGraph) -> Embedding:
-    """Embed a ring of the host's size in the host with the optimal Section-3 strategy.
+def ring_construction(host: CartesianGraph) -> Construction:
+    """The optimal Section-3 construction of a ring of the host's size in the host.
 
     * host torus → ``h_L`` (dilation 1, Theorem 28);
     * host mesh, even size, dimension ≥ 2 → ``π ∘ h_{L*}`` with an even
       dimension permuted to the front (dilation 1, Theorem 24);
     * otherwise (odd-size mesh or a line) → ``g_L`` (dilation 2, Theorem 17,
       optimal in these cases).
-
-    The ambient context selects the batch-kernel array backend or the
-    per-node loop reference, as for :func:`line_in_graph_embedding`.
     """
-    guest = Ring(host.size)
     shape = host.shape
-    array = use_array_path()
     if host.is_torus:
-        if array:
-            return Embedding.from_index_array(
-                guest,
-                host,
-                h_flat(shape, np.arange(host.size, dtype=np.int64)),
-                strategy="ring:h_L",
-                predicted_dilation=1,
-            )
-        base = RadixBase(shape)
-        return Embedding.from_callable(
-            guest,
-            host,
-            lambda node: h_value(base, node[0]),
-            strategy="ring:h_L",
-            predicted_dilation=1,
+        return Construction(
+            "ring:h_L",
+            1,
+            {},
+            lambda node: h_value(host.radix_base, node[0]),
+            lambda: h_flat(shape, np.arange(host.size, dtype=np.int64)),
         )
     # Host is a mesh.
     if host.dimension >= 2 and host.size % 2 == 0:
@@ -298,42 +283,32 @@ def ring_in_graph_embedding(host: CartesianGraph) -> Embedding:
                 f"mesh {shape} has even size but no even dimension length"
             )
         reordered_shape, perm = reordering
-        if array:
-            digits = h_digits(reordered_shape, np.arange(host.size, dtype=np.int64))
-            return Embedding.from_index_array(
-                guest,
-                host,
-                digits_to_indices(digits[:, list(perm)], shape),
-                strategy="ring:π∘h_L*",
-                predicted_dilation=1,
-                notes={"reordered_shape": reordered_shape, "permutation": perm},
-            )
         base = RadixBase(reordered_shape)
-        return Embedding.from_callable(
-            guest,
-            host,
+
+        def ranks():
+            digits = h_digits(reordered_shape, np.arange(host.size, dtype=np.int64))
+            return digits_to_indices(digits[:, list(perm)], shape)
+
+        return Construction(
+            "ring:π∘h_L*",
+            1,
+            {"reordered_shape": reordered_shape, "permutation": perm},
             lambda node: apply_permutation(perm, h_value(base, node[0])),
-            strategy="ring:π∘h_L*",
-            predicted_dilation=1,
-            notes={"reordered_shape": reordered_shape, "permutation": perm},
+            ranks,
         )
-    predicted = predicted_ring_dilation(host)
-    notes = {"dilation_is_upper_bound": host.size <= 2}
-    if array:
-        return Embedding.from_index_array(
-            guest,
-            host,
-            g_flat(shape, np.arange(host.size, dtype=np.int64)),
-            strategy="ring:g_L",
-            predicted_dilation=predicted,
-            notes=notes,
-        )
-    base = RadixBase(shape)
-    return Embedding.from_callable(
-        guest,
-        host,
-        lambda node: g_value(base, node[0]),
-        strategy="ring:g_L",
-        predicted_dilation=predicted,
-        notes=notes,
+    return Construction(
+        "ring:g_L",
+        predicted_ring_dilation(host),
+        {"dilation_is_upper_bound": host.size <= 2},
+        lambda node: g_value(host.radix_base, node[0]),
+        lambda: g_flat(shape, np.arange(host.size, dtype=np.int64)),
     )
+
+
+def ring_in_graph_embedding(host: CartesianGraph) -> Embedding:
+    """Embed a ring of the host's size in the host with :func:`ring_construction`.
+
+    The ambient context selects the batch-kernel array backend or the
+    per-node loop reference, as for :func:`line_in_graph_embedding`.
+    """
+    return ring_construction(host).build(Ring(host.size), host)

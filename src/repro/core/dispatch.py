@@ -1,8 +1,10 @@
-"""Automatic strategy selection: ``embed(guest, host)``.
+"""Automatic strategy selection: ``plan(guest, host)`` and ``embed(guest, host)``.
 
 The paper's results are organized by the relationship between the two
-shapes; this module encodes the decision procedure so that a caller can
-simply ask for an embedding and get the best construction the paper offers:
+shapes; :func:`plan` encodes the decision procedure once, and every caller
+reads its answer: :func:`embed` builds the plan's construction,
+:func:`strategy_for` reports its family, and
+:func:`~repro.core.functional.functional_embed` evaluates its per-node map.
 
 0. guest strictly smaller than host → an injective subshape embedding
    into an equal-size sub-box of the host (:mod:`repro.core.subshape`);
@@ -21,66 +23,61 @@ simply ask for an embedding and get the best construction the paper offers:
 
 from __future__ import annotations
 
-import numpy as np
+from functools import partial
+from typing import Callable, NamedTuple
 
-from ..exceptions import (
-    NoExpansionError,
-    NoReductionError,
-    ShapeMismatchError,
-    UnsupportedEmbeddingError,
-)
+from ..exceptions import ShapeMismatchError, UnsupportedEmbeddingError
 from ..graphs.base import CartesianGraph, Mesh
-from ..numbering.arrays import digits_to_indices, indices_to_digits
-from ..numbering.batch import t_columns
 from ..runtime.registry import build_strategy
-from ..utils.listops import apply_permutation, find_permutation, is_permutation_of
-from .basic import line_in_graph_embedding, ring_in_graph_embedding
-from .embedding import Embedding, use_array_path
+from ..utils.listops import find_permutation
+from .basic import line_construction, ring_construction
+from .embedding import Construction, Embedding, permutation_construction
 from .expansion import find_expansion_factor
-from .increasing import embed_increasing
-from .lowering import embed_lowering_simple, embed_lowering
-from .reduction import SimpleReductionFactor, find_general_reduction, find_simple_reduction
-from .same_shape import same_shape_embedding, t_vector_value
-from .square import embed_square
-from .subshape import embed_subshape, find_subshape, subshape_inner_shape
+from .increasing import increasing_construction
+from .lowering import general_lowering_construction, simple_lowering_construction
+from .reduction import (
+    SimpleReductionFactor,
+    find_general_reduction,
+    find_simple_reduction,
+)
+from .same_shape import same_shape_construction, t_construction
+from .square import square_construction
+from .subshape import find_subshape, subshape_construction, subshape_inner_shape
 
-__all__ = ["embed", "strategy_for", "strategy_family"]
-
-
-def _permuted_shape_embedding(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
-    """Shapes are permutations of each other: permute coordinates (plus ``T`` if needed)."""
-    permutation = find_permutation(guest.shape, host.shape)
-    assert permutation is not None
-    if guest.is_torus and host.is_mesh and not guest.is_hypercube:
-        shape = guest.shape
-        notes = {"permutation": permutation, "dilation_is_upper_bound": min(shape) <= 2}
-        if use_array_path():
-            digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), shape)
-            relabelled = t_columns(shape, digits)
-            return Embedding.from_index_array(
-                guest,
-                host,
-                digits_to_indices(relabelled[:, list(permutation)], host.shape),
-                strategy="permute-dimensions∘T_L",
-                predicted_dilation=2,
-                notes=notes,
-            )
-        return Embedding.from_callable(
-            guest,
-            host,
-            lambda node: apply_permutation(permutation, t_vector_value(shape, node)),
-            strategy="permute-dimensions∘T_L",
-            predicted_dilation=2,
-            notes=notes,
-        )
-    return Embedding.from_permutation(guest, host, permutation)
+__all__ = ["Plan", "embed", "plan", "strategy_for"]
 
 
-def strategy_for(guest: CartesianGraph, host: CartesianGraph) -> str:
-    """Name of the strategy :func:`embed` would use, without building the mapping.
+class Plan(NamedTuple):
+    """The paper's decision for one pair of shapes.
 
-    Useful for experiment sweeps that only need to know which theorem covers
-    a pair of shapes.
+    ``family`` names the result that covers the pair (``"unsupported"`` when
+    none does).  ``construct()`` returns the pair's
+    :class:`~repro.core.embedding.Construction`, or raises the pair's
+    :class:`~repro.exceptions.UnsupportedEmbeddingError` with its exact
+    message.
+    """
+
+    family: str
+    construct: Callable[[], Construction]
+
+
+def _unsupported(message: str) -> Plan:
+    def construct() -> Construction:
+        raise UnsupportedEmbeddingError(message)
+
+    return Plan("unsupported", construct)
+
+
+def plan(guest: CartesianGraph, host: CartesianGraph) -> Plan:
+    """Which construction of the paper covers ``guest`` in ``host``.
+
+    Only the factor searches run here; nothing is built until
+    ``construct()`` is called.
+
+    Raises
+    ------
+    ShapeMismatchError
+        When the guest has more nodes than the host.
     """
     if guest.size > host.size:
         raise ShapeMismatchError(
@@ -89,66 +86,82 @@ def strategy_for(guest: CartesianGraph, host: CartesianGraph) -> str:
         )
     if guest.size < host.size:
         sub = find_subshape(guest.size, host.shape)
-        if sub is None:
-            return "unsupported"
-        inner = strategy_for(guest, Mesh(subshape_inner_shape(sub)))
-        return "unsupported" if inner == "unsupported" else "subshape"
+        supported = (
+            sub is not None
+            and plan(guest, Mesh(subshape_inner_shape(sub))).family != "unsupported"
+        )
+        # Supported or not, the subshape construction raises the pair's exact
+        # error itself, after building its inner pair through `embed`.
+        return Plan(
+            "subshape" if supported else "unsupported",
+            partial(subshape_construction, guest, host),
+        )
+
     if guest.shape == host.shape:
-        return "same-shape"
-    if is_permutation_of(guest.shape, host.shape):
-        return "permute-dimensions"
+        return Plan("same-shape", partial(same_shape_construction, guest, host))
+
+    permutation = find_permutation(guest.shape, host.shape)
+    if permutation is not None:
+        if guest.is_torus and host.is_mesh and not guest.is_hypercube:
+            construct = partial(t_construction, guest, host, permutation)
+        else:
+            construct = partial(permutation_construction, guest, host, permutation)
+        return Plan("permute-dimensions", construct)
+
     if guest.dimension == 1:
-        return "basic"
+        if guest.is_mesh:
+            return Plan("basic", partial(line_construction, host))
+        return Plan("basic", partial(ring_construction, host))
+
     if host.dimension == 1:
-        return "lowering-simple"
+        # A 1-dimensional host is always a simple reduction: one group
+        # containing every guest dimension, largest length first.
+        factor = SimpleReductionFactor((tuple(sorted(guest.shape, reverse=True)),))
+        return Plan(
+            "lowering-simple",
+            partial(simple_lowering_construction, guest, host, factor),
+        )
+
     if guest.dimension < host.dimension:
         if find_expansion_factor(guest.shape, host.shape) is not None:
-            return "increasing"
+            # The construction runs its own (memoized) factor search, which
+            # prefers a unit-dilation factor for an even torus in a mesh.
+            return Plan("increasing", partial(increasing_construction, guest, host))
         if guest.is_square and host.is_square:
-            return "square-increasing"
-        return "unsupported"
-    if find_simple_reduction(guest.shape, host.shape) is not None:
-        return "lowering-simple"
-    if find_general_reduction(guest.shape, host.shape) is not None:
-        return "lowering-general"
+            return Plan("square-increasing", partial(square_construction, guest, host))
+        return _unsupported(
+            f"{host.shape} is not an expansion of {guest.shape} and the graphs are "
+            "not both square; the paper does not provide an embedding for this pair"
+        )
+
+    simple = find_simple_reduction(guest.shape, host.shape)
+    if simple is not None:
+        return Plan(
+            "lowering-simple",
+            partial(simple_lowering_construction, guest, host, simple),
+        )
+    general = find_general_reduction(guest.shape, host.shape)
+    if general is not None:
+        return Plan(
+            "lowering-general",
+            partial(general_lowering_construction, guest, host, general),
+        )
     if guest.is_square and host.is_square:
-        return "square-lowering"
-    return "unsupported"
+        return Plan("square-lowering", partial(square_construction, guest, host))
+    return _unsupported(
+        f"{host.shape} is not a reduction of {guest.shape} and the graphs are "
+        "not both square; the paper does not provide an embedding for this pair"
+    )
 
 
-#: Ordered (prefix, family) pairs mapping an ``Embedding.strategy`` name to
-#: the :func:`strategy_for` family that produces it.  Order matters: the
-#: simple-reduction prefix must be tried before the general ``lowering:``
-#: one, and the ``square-*`` prefixes before the plain ones they extend.
-_STRATEGY_FAMILIES = (
-    ("subshape:", "subshape"),
-    ("identity", "same-shape"),
-    ("same-shape", "same-shape"),
-    ("permute-dimensions", "permute-dimensions"),
-    ("line:", "basic"),
-    ("ring:", "basic"),
-    ("square-lowering:", "square-lowering"),
-    ("square-increasing:", "square-increasing"),
-    ("lowering:U_V", "lowering-simple"),
-    ("lowering:", "lowering-general"),
-    ("increasing:", "increasing"),
-)
+def strategy_for(guest: CartesianGraph, host: CartesianGraph) -> str:
+    """The family of the strategy :func:`embed` uses, without building the mapping.
 
-
-def strategy_family(strategy: str) -> str:
-    """The :func:`strategy_for` family that produces a given strategy name.
-
-    ``embed`` labels embeddings with the concrete construction
-    (``"increasing:H_V"``, ``"lowering:U_V∘T∘τ"``, ...) while
-    :func:`strategy_for` predicts only the family (``"increasing"``,
-    ``"lowering-simple"``, ...); this maps the former onto the latter so the
-    two code paths can be cross-checked.  Unrecognized names (custom or
-    composed strategies) map to ``"custom"``.
+    Useful for experiment sweeps that only need to know which theorem covers
+    a pair of shapes; ``"unsupported"`` exactly when :func:`embed` raises
+    :class:`~repro.exceptions.UnsupportedEmbeddingError`.
     """
-    for prefix, family in _STRATEGY_FAMILIES:
-        if strategy.startswith(prefix):
-            return family
-    return "custom"
+    return plan(guest, host).family
 
 
 def embed(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
@@ -158,9 +171,9 @@ def embed(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     (:mod:`repro.runtime.context`): the array backend builds the flat
     host-index array with the batch kernels of :mod:`repro.numbering.batch`
     (never touching per-node Python); ``use_context(backend="loop")`` forces
-    the retained per-node reference builders.  Both backends produce
-    node-for-node identical embeddings — the differential test harness
-    asserts this for every strategy this dispatcher can select.
+    the retained per-node reference.  Both backends produce node-for-node
+    identical embeddings — the differential test harness asserts this for
+    every strategy :func:`plan` can select.
 
     This is ``build_strategy("paper", guest, host)``: when the context
     carries a construction cache
@@ -180,63 +193,7 @@ def embed(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     return build_strategy("paper", guest, host)
 
 
-def _dispatch(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
-    """The uncached strategy-selection body of :func:`embed` (the registry's
-    ``"paper"`` builder)."""
-    if guest.size > host.size:
-        raise ShapeMismatchError(
-            f"guest has {guest.size} nodes but host has {host.size}; "
-            "the guest must not be larger than the host"
-        )
-    if guest.size < host.size:
-        return embed_subshape(guest, host)
-
-    if guest.shape == host.shape:
-        return same_shape_embedding(guest, host)
-
-    if is_permutation_of(guest.shape, host.shape):
-        return _permuted_shape_embedding(guest, host)
-
-    if guest.dimension == 1:
-        if guest.is_mesh:
-            embedding = line_in_graph_embedding(host)
-        else:
-            embedding = ring_in_graph_embedding(host)
-        # The builders create their own 1-D guest; rebuild with the caller's
-        # guest object so identities (kind/shape) are preserved exactly.
-        return Embedding.from_index_array(
-            guest,
-            host,
-            embedding.host_index_array(),
-            strategy=embedding.strategy,
-            predicted_dilation=embedding.predicted_dilation,
-            notes=embedding.notes,
-        )
-
-    if host.dimension == 1:
-        # A 1-dimensional host is always a simple reduction: one group
-        # containing every guest dimension, largest length first.
-        group = tuple(sorted(guest.shape, reverse=True))
-        factor = SimpleReductionFactor((group,))
-        return embed_lowering_simple(guest, host, factor)
-
-    if guest.dimension < host.dimension:
-        try:
-            return embed_increasing(guest, host)
-        except NoExpansionError:
-            if guest.is_square and host.is_square:
-                return embed_square(guest, host)
-            raise UnsupportedEmbeddingError(
-                f"{host.shape} is not an expansion of {guest.shape} and the graphs are "
-                "not both square; the paper does not provide an embedding for this pair"
-            ) from None
-
-    try:
-        return embed_lowering(guest, host)
-    except NoReductionError:
-        if guest.is_square and host.is_square:
-            return embed_square(guest, host)
-        raise UnsupportedEmbeddingError(
-            f"{host.shape} is not a reduction of {guest.shape} and the graphs are "
-            "not both square; the paper does not provide an embedding for this pair"
-        ) from None
+def _execute(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
+    """The registry's uncached ``"paper"`` builder: :func:`plan`'s
+    construction, built under the ambient backend."""
+    return plan(guest, host).construct().build(guest, host)

@@ -12,9 +12,11 @@ The class stores the guest graph, the host graph and the mapping, and offers:
 * measured costs (:meth:`dilation`, :meth:`average_dilation`,
   :meth:`edge_congestion`) computed from the host graph's exact distances;
 * composition (:meth:`compose`) used by the paper's multi-step constructions
-  ``G -> G' -> H' -> H``; and
+  ``G -> G' -> H' -> H``;
 * convenient constructors (:meth:`from_callable`, :meth:`identity`,
-  :meth:`from_permutation`, :meth:`from_index_array`).
+  :meth:`from_permutation`, :meth:`from_index_array`); and
+* :class:`Construction`, the form every construction of :mod:`repro.core`
+  is written in once for both backends.
 
 Array-backed representation
 ---------------------------
@@ -35,11 +37,23 @@ are retained (the ``"loop"`` backend) as the cross-checked reference.
 Which path runs is resolved from the ambient execution context
 (:mod:`repro.runtime.context`): wrap calls in
 ``with use_context(backend="loop")`` to force the reference implementations.
+:meth:`Construction.build` is the one place a construction makes that
+choice: the array path calls its ``ranks()``, the loop path evaluates its
+per-node ``image``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -55,7 +69,132 @@ from ..runtime.context import use_array_path
 from ..types import Node
 from ..utils.listops import apply_permutation
 
-__all__ = ["Embedding", "use_array_path"]
+__all__ = [
+    "Construction",
+    "Embedding",
+    "composition",
+    "identity_construction",
+    "permutation_construction",
+    "use_array_path",
+]
+
+
+class Construction(NamedTuple):
+    """One construction of the paper, written once for both backends.
+
+    ``image`` maps a guest node tuple to its host node tuple: the per-node
+    reference, and the pointwise map that
+    :func:`~repro.core.functional.functional_embed` evaluates without
+    enumerating the guest.  ``ranks()`` returns the host rank of every guest
+    rank as one flat ``int64`` array, the batch-kernel form of the same map;
+    it runs only when called.
+    """
+
+    strategy: str
+    predicted_dilation: Optional[int]
+    notes: Dict[str, object]
+    image: Callable[[Node], Node]
+    ranks: Callable[[], np.ndarray]
+
+    def build(self, guest: CartesianGraph, host: CartesianGraph) -> "Embedding":
+        """The embedding under the ambient backend: ``ranks()`` on the array
+        path, ``image`` node by node on the loop path."""
+        if use_array_path():
+            return Embedding.from_index_array(
+                guest,
+                host,
+                self.ranks(),
+                strategy=self.strategy,
+                predicted_dilation=self.predicted_dilation,
+                notes=self.notes,
+            )
+        return Embedding.from_callable(
+            guest,
+            host,
+            self.image,
+            strategy=self.strategy,
+            predicted_dilation=self.predicted_dilation,
+            notes=self.notes,
+        )
+
+
+def identity_construction(guest: CartesianGraph) -> Construction:
+    """The identity onto a host of the guest's shape (dilation 1)."""
+    return Construction(
+        "identity",
+        1,
+        {},
+        lambda node: node,
+        lambda: np.arange(guest.size, dtype=np.int64),
+    )
+
+
+def permutation_construction(
+    guest: CartesianGraph,
+    host: CartesianGraph,
+    permutation: Sequence[int],
+    strategy: str = "permute-dimensions",
+) -> Construction:
+    """Node ``A`` maps to ``apply_permutation(permutation, A)`` (dilation 1)."""
+    permutation = tuple(permutation)
+
+    def ranks():
+        digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
+        return digits_to_indices(digits[:, list(permutation)], host.shape)
+
+    return Construction(
+        strategy,
+        1,
+        {"permutation": permutation},
+        lambda node: apply_permutation(permutation, node),
+        ranks,
+    )
+
+
+def composition(
+    inner: "Embedding", outer: "Embedding", strategy: Optional[str] = None
+) -> Construction:
+    """The construction of ``outer ∘ inner``, of ``inner.guest`` in ``outer.host``.
+
+    ``outer.guest`` must have the same kind and shape as ``inner.host``
+    (it is the intermediate graph of a chain such as ``G -> H' -> H``).
+    The predicted dilation of the composition is the product of the two
+    predictions when both are present (dilation costs compose at most
+    multiplicatively); the flag ``dilation_is_upper_bound`` is propagated
+    if either step only promises an upper bound.
+
+    In the array representation composition is a single gather:
+    ``composed[i] = outer_h[inner_h[i]]`` (the inner image rank in
+    ``inner.host`` *is* the rank in ``outer.guest``).
+    """
+    if (inner.host.kind, inner.host.shape) != (outer.guest.kind, outer.guest.shape):
+        raise ShapeMismatchError(
+            f"cannot compose: inner host is {inner.host!r} "
+            f"but outer guest is {outer.guest!r}"
+        )
+    predicted: Optional[int] = None
+    if inner.predicted_dilation is not None and outer.predicted_dilation is not None:
+        predicted = inner.predicted_dilation * outer.predicted_dilation
+    notes: Dict[str, object] = {
+        "chain": [inner.strategy, outer.strategy],
+        "inner_notes": inner.notes,
+        "outer_notes": outer.notes,
+    }
+    if inner.notes.get("dilation_is_upper_bound") or outer.notes.get(
+        "dilation_is_upper_bound"
+    ):
+        notes["dilation_is_upper_bound"] = True
+    elif predicted is not None and predicted > 1:
+        # Products of exact dilations are still only upper bounds for the
+        # composite (a shorter route may exist in the final host).
+        notes["dilation_is_upper_bound"] = True
+    return Construction(
+        strategy or f"{inner.strategy} ∘ {outer.strategy}",
+        predicted,
+        notes,
+        lambda node: outer.mapping[inner.mapping[node]],
+        lambda: outer.host_index_array()[inner.host_index_array()],
+    )
 
 
 class Embedding:
@@ -195,17 +334,7 @@ class Embedding:
             raise ShapeMismatchError(
                 f"identity embedding requires equal shapes, got {guest.shape} and {host.shape}"
             )
-        if use_array_path():
-            return cls.from_index_array(
-                guest,
-                host,
-                np.arange(guest.size, dtype=np.int64),
-                strategy="identity",
-                predicted_dilation=1,
-            )
-        return cls.from_callable(
-            guest, host, lambda node: node, strategy="identity", predicted_dilation=1
-        )
+        return identity_construction(guest).build(guest, host)
 
     @classmethod
     def from_permutation(
@@ -237,24 +366,8 @@ class Embedding:
                 "a permutation embedding of a (non-hypercube) torus in a mesh does not "
                 "preserve adjacency; use the same-shape T_L embedding instead"
             )
-        if use_array_path():
-            digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
-            return cls.from_index_array(
-                guest,
-                host,
-                digits_to_indices(digits[:, list(permutation)], host.shape),
-                strategy=strategy,
-                predicted_dilation=1,
-                notes={"permutation": tuple(permutation)},
-            )
-        return cls.from_callable(
-            guest,
-            host,
-            lambda node: apply_permutation(permutation, node),
-            strategy=strategy,
-            predicted_dilation=1,
-            notes={"permutation": tuple(permutation)},
-        )
+        construction = permutation_construction(guest, host, permutation, strategy)
+        return construction.build(guest, host)
 
     # ------------------------------------------------------------------ #
     # Representations
@@ -520,58 +633,9 @@ class Embedding:
     def compose(
         self, outer: "Embedding", *, strategy: Optional[str] = None
     ) -> "Embedding":
-        """The embedding ``outer ∘ self`` of ``self.guest`` in ``outer.host``.
-
-        ``outer.guest`` must have the same kind and shape as ``self.host``
-        (it is the intermediate graph of a chain such as ``G -> H' -> H``).
-        The predicted dilation of the composition is the product of the two
-        predictions when both are present (dilation costs compose at most
-        multiplicatively); the flag ``dilation_is_upper_bound`` is propagated
-        if either step only promises an upper bound.
-
-        In the array representation composition is a single gather:
-        ``composed[i] = outer_h[self_h[i]]`` (the inner image rank in
-        ``self.host`` *is* the rank in ``outer.guest``).
-        """
-        if (self.host.kind, self.host.shape) != (outer.guest.kind, outer.guest.shape):
-            raise ShapeMismatchError(
-                f"cannot compose: inner host is {self.host!r} but outer guest is {outer.guest!r}"
-            )
-        predicted: Optional[int] = None
-        if self.predicted_dilation is not None and outer.predicted_dilation is not None:
-            predicted = self.predicted_dilation * outer.predicted_dilation
-        notes: Dict[str, object] = {
-            "chain": [self.strategy, outer.strategy],
-            "inner_notes": self.notes,
-            "outer_notes": outer.notes,
-        }
-        if self.notes.get("dilation_is_upper_bound") or outer.notes.get(
-            "dilation_is_upper_bound"
-        ):
-            notes["dilation_is_upper_bound"] = True
-        elif predicted is not None and predicted > 1:
-            # Products of exact dilations are still only upper bounds for the
-            # composite (a shorter route may exist in the final host).
-            notes["dilation_is_upper_bound"] = True
-        name = strategy or f"{self.strategy} ∘ {outer.strategy}"
-        if use_array_path():
-            return Embedding.from_index_array(
-                self.guest,
-                outer.host,
-                outer.host_index_array()[self.host_index_array()],
-                strategy=name,
-                predicted_dilation=predicted,
-                notes=notes,
-            )
-        mapping = {node: outer.mapping[image] for node, image in self.mapping.items()}
-        return Embedding(
-            guest=self.guest,
-            host=outer.host,
-            mapping=mapping,
-            strategy=name,
-            predicted_dilation=predicted,
-            notes=notes,
-        )
+        """The embedding ``outer ∘ self``: :func:`composition` built under the
+        ambient backend."""
+        return composition(self, outer, strategy).build(self.guest, outer.host)
 
     # ------------------------------------------------------------------ #
     # Presentation

@@ -10,8 +10,9 @@ for graphs up to a few hundred thousand nodes but not for, say, a
 ``(1024, 1024, 1024)``-torus.
 
 :func:`functional_embed` returns a :class:`FunctionalEmbedding` — a thin
-wrapper around the per-node mapping function — for the strategies whose
-pointwise form is direct:
+wrapper around the per-node ``image`` of the construction that
+:func:`repro.core.dispatch.plan` chooses (the same map the loop backend
+materializes) — for the plan families whose pointwise form is direct:
 
 * 1-dimensional guests (lines and rings): ``f_L``, ``g_L``, ``π ∘ h_{L*}``;
 * same-shape pairs: identity or ``T_L``;
@@ -39,16 +40,10 @@ from ..graphs.base import CartesianGraph, graph_from_spec
 from ..numbering.distance import mesh_distance, torus_distance
 from ..numbering.radix import RadixBase
 from ..types import Node, ShapedGraphSpec
-from ..utils.listops import apply_permutation, find_permutation, is_permutation_of
-from .basic import even_first_permutation, f_value, g_value, h_value, predicted_ring_dilation
+from .dispatch import plan
 from .embedding import Embedding
-from .expansion import find_expansion_factor, find_unit_dilation_torus_factor
-from .increasing import F_value, G_value, H_value, predicted_increasing_dilation
-from .lowering import U_value
-from .reduction import find_simple_reduction
-from .same_shape import t_vector_value
 
-__all__ = ["FunctionalEmbedding", "functional_embed"]
+__all__ = ["POINTWISE_FAMILIES", "FunctionalEmbedding", "functional_embed"]
 
 
 @dataclass
@@ -127,12 +122,21 @@ def _spec_of(graph_or_spec) -> ShapedGraphSpec:
     return graph_or_spec
 
 
+#: The :func:`~repro.core.dispatch.plan` families whose construction maps
+#: each node directly, without building an intermediate embedding.
+POINTWISE_FAMILIES = frozenset(
+    {"same-shape", "permute-dimensions", "basic", "increasing", "lowering-simple"}
+)
+
+
 def functional_embed(guest, host) -> FunctionalEmbedding:
     """A pointwise embedding between the two graphs (specs or graph objects).
 
-    Covers the strategies listed in the module docstring; raises
-    :class:`UnsupportedEmbeddingError` for pairs that need an intermediate
-    materialized mapping (general reduction, square chains).
+    Evaluates the per-node map of the construction
+    :func:`~repro.core.dispatch.plan` chooses, for the families listed in the
+    module docstring; raises :class:`UnsupportedEmbeddingError` for pairs
+    that need an intermediate materialized mapping (general reduction,
+    square chains) or that the paper does not cover.
     """
     guest_spec = _spec_of(guest)
     host_spec = _spec_of(host)
@@ -140,127 +144,24 @@ def functional_embed(guest, host) -> FunctionalEmbedding:
         raise ShapeMismatchError(
             f"guest has {guest_spec.size} nodes but host has {host_spec.size}"
         )
-    guest_shape, host_shape = guest_spec.shape, host_spec.shape
-    torus_guest = guest_spec.is_torus and not guest_spec.is_hypercube
-
-    # Same shape (Lemma 36).
-    if guest_shape == host_shape:
-        if torus_guest and host_spec.is_mesh:
-            return FunctionalEmbedding(
-                guest_spec,
-                host_spec,
-                lambda node: t_vector_value(guest_shape, node),
-                "same-shape:T_L",
-                2,
-            )
-        return FunctionalEmbedding(guest_spec, host_spec, lambda node: node, "identity", 1)
-
-    # Permuted shapes.
-    if is_permutation_of(guest_shape, host_shape):
-        permutation = find_permutation(guest_shape, host_shape)
-        if torus_guest and host_spec.is_mesh:
-            return FunctionalEmbedding(
-                guest_spec,
-                host_spec,
-                lambda node: apply_permutation(permutation, t_vector_value(guest_shape, node)),
-                "permute-dimensions∘T_L",
-                2,
-            )
-        return FunctionalEmbedding(
-            guest_spec,
-            host_spec,
-            lambda node: apply_permutation(permutation, node),
-            "permute-dimensions",
-            1,
-        )
-
-    # 1-dimensional guests (Section 3).
-    if guest_spec.dimension == 1:
-        host_base = RadixBase(host_shape)
-        host_graph_like = graph_from_spec(host_spec)
-        if guest_spec.is_mesh:
-            return FunctionalEmbedding(
-                guest_spec, host_spec, lambda node: f_value(host_base, node[0]), "line:f_L", 1
-            )
-        if host_spec.is_torus:
-            return FunctionalEmbedding(
-                guest_spec, host_spec, lambda node: h_value(host_base, node[0]), "ring:h_L", 1
-            )
-        if host_spec.dimension >= 2 and host_spec.size % 2 == 0:
-            reordered_shape, perm = even_first_permutation(host_shape)
-            base = RadixBase(reordered_shape)
-            return FunctionalEmbedding(
-                guest_spec,
-                host_spec,
-                lambda node: apply_permutation(perm, h_value(base, node[0])),
-                "ring:π∘h_L*",
-                1,
-            )
-        return FunctionalEmbedding(
-            guest_spec,
-            host_spec,
-            lambda node: g_value(host_base, node[0]),
-            "ring:g_L",
-            predicted_ring_dilation(host_graph_like),
-        )
-
-    # Increasing dimension under the expansion condition (Theorem 32).
-    if guest_spec.dimension < host_spec.dimension:
-        factor = None
-        unit_factor = False
-        if torus_guest and host_spec.is_mesh and guest_spec.size % 2 == 0:
-            factor = find_unit_dilation_torus_factor(guest_shape, host_shape)
-            unit_factor = factor is not None
-        if factor is None:
-            factor = find_expansion_factor(guest_shape, host_shape)
-        if factor is None:
+    chosen = plan(graph_from_spec(guest_spec), graph_from_spec(host_spec))
+    if chosen.family not in POINTWISE_FAMILIES:
+        # The plan has decided; the dimensions only choose the message.
+        guest_shape, host_shape = guest_spec.shape, host_spec.shape
+        if guest_spec.dimension < host_spec.dimension:
             raise UnsupportedEmbeddingError(
                 f"{host_shape} is not an expansion of {guest_shape}; use repro.core.embed "
                 "for the square-graph chain strategies"
             )
-        permutation = find_permutation(factor.flattened, host_shape)
-        if not torus_guest:
-            value_fn, strategy = F_value, "increasing:F_V"
-        elif host_spec.is_torus:
-            value_fn, strategy = H_value, "increasing:H_V"
-        elif unit_factor:
-            value_fn, strategy = H_value, "increasing:H_V(even-first)"
-        else:
-            value_fn, strategy = G_value, "increasing:G_V"
-        guest_graph_like = graph_from_spec(guest_spec)
-        host_graph_like = graph_from_spec(host_spec)
-        predicted = predicted_increasing_dilation(
-            guest_graph_like, host_graph_like, unit_torus_factor=unit_factor
-        )
-        return FunctionalEmbedding(
-            guest_spec,
-            host_spec,
-            lambda node: apply_permutation(permutation, value_fn(factor, node)),
-            strategy,
-            predicted,
-        )
-
-    # Lowering dimension under the simple-reduction condition (Theorem 39).
-    factor = find_simple_reduction(guest_shape, host_shape)
-    if factor is None:
         raise UnsupportedEmbeddingError(
             f"{host_shape} is not a simple reduction of {guest_shape}; the general-reduction "
             "and square-chain strategies are only available through repro.core.embed"
         )
-    flattened = factor.flattened
-    tau = find_permutation(guest_shape, flattened)
-    if torus_guest and host_spec.is_mesh:
-        return FunctionalEmbedding(
-            guest_spec,
-            host_spec,
-            lambda node: U_value(factor, t_vector_value(flattened, apply_permutation(tau, node))),
-            "lowering:U_V∘T∘τ",
-            2 * factor.dilation(),
-        )
+    construction = chosen.construct()
     return FunctionalEmbedding(
         guest_spec,
         host_spec,
-        lambda node: U_value(factor, apply_permutation(tau, node)),
-        "lowering:U_V∘τ",
-        factor.dilation(),
+        construction.image,
+        construction.strategy,
+        construction.predicted_dilation,
     )

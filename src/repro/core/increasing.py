@@ -36,7 +36,7 @@ from ..numbering.radix import RadixBase
 from ..types import Node
 from ..utils.listops import apply_permutation, concat, find_permutation
 from .basic import f_value, g_value, h_value
-from .embedding import Embedding, use_array_path
+from .embedding import Construction, Embedding
 from .expansion import (
     ExpansionFactor,
     find_expansion_factor,
@@ -48,6 +48,7 @@ __all__ = [
     "G_value",
     "H_value",
     "predicted_increasing_dilation",
+    "increasing_construction",
     "embed_increasing",
 ]
 
@@ -93,14 +94,15 @@ def predicted_increasing_dilation(
     return 2
 
 
-def embed_increasing(
+def increasing_construction(
     guest: CartesianGraph,
     host: CartesianGraph,
     factor: Optional[ExpansionFactor] = None,
     *,
     prefer_unit_dilation: bool = True,
-) -> Embedding:
-    """Embed ``guest`` in the higher-dimensional ``host`` under the expansion condition.
+) -> Construction:
+    """``π ∘ {F,G,H}_V``: ``guest`` in the higher-dimensional ``host`` under
+    the expansion condition.
 
     Parameters
     ----------
@@ -114,10 +116,9 @@ def embed_increasing(
         reproduces the "plain" dilation-2 construction, which the ablation
         benchmark compares against.
 
-    The ambient context selects the backend: the array backend builds the
-    host-index array with the batch kernels of :mod:`repro.numbering.batch`
-    (one φ call per guest dimension), the loop backend is the retained
-    per-node reference.
+    The array path builds the host-index array with the batch kernels of
+    :mod:`repro.numbering.batch` (one φ call per guest dimension); the
+    per-node map is the loop backend's reference.
 
     Raises
     ------
@@ -139,7 +140,6 @@ def embed_increasing(
     source_shape = guest.shape
     target_shape = host.shape
 
-    strategy = "increasing:F_V"
     unit_torus_factor = False
     guest_is_effectively_mesh = guest.is_mesh or guest.is_hypercube
 
@@ -208,7 +208,7 @@ def embed_increasing(
         # even-size toruses with an unfavourable factor it is an upper bound.
         notes["dilation_is_upper_bound"] = guest.size % 2 == 0
 
-    if use_array_path():
+    def ranks():
         guest_digits = indices_to_digits(
             np.arange(guest.size, dtype=np.int64), source_shape
         )
@@ -218,20 +218,27 @@ def embed_increasing(
             for k, component in enumerate(factor.lists)
         ]
         combined = np.concatenate(blocks, axis=1)
-        return Embedding.from_index_array(
-            guest,
-            host,
-            digits_to_indices(combined[:, list(permutation)], target_shape),
-            strategy=strategy,
-            predicted_dilation=predicted,
-            notes=notes,
-        )
+        return digits_to_indices(combined[:, list(permutation)], target_shape)
 
-    return Embedding.from_callable(
-        guest,
-        host,
+    return Construction(
+        strategy,
+        predicted,
+        notes,
         lambda node: apply_permutation(permutation, value_fn(factor, node)),
-        strategy=strategy,
-        predicted_dilation=predicted,
-        notes=notes,
+        ranks,
     )
+
+
+def embed_increasing(
+    guest: CartesianGraph,
+    host: CartesianGraph,
+    factor: Optional[ExpansionFactor] = None,
+    *,
+    prefer_unit_dilation: bool = True,
+) -> Embedding:
+    """Embed ``guest`` in the higher-dimensional ``host`` under the expansion
+    condition: :func:`increasing_construction` (same arguments and errors),
+    built under the ambient backend."""
+    return increasing_construction(
+        guest, host, factor, prefer_unit_dilation=prefer_unit_dilation
+    ).build(guest, host)

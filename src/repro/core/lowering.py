@@ -33,7 +33,7 @@ from ..numbering.radix import RadixBase
 from ..types import Node
 from ..utils.listops import apply_permutation, find_permutation
 from .basic import t_value
-from .embedding import Embedding, use_array_path
+from .embedding import Construction, Embedding
 from .expansion import ExpansionFactor
 from .increasing import F_value, G_value
 from .reduction import (
@@ -49,6 +49,8 @@ __all__ = [
     "F_prime_value",
     "G_prime_value",
     "G_double_prime_value",
+    "simple_lowering_construction",
+    "general_lowering_construction",
     "embed_lowering_simple",
     "embed_lowering_general",
     "embed_lowering",
@@ -80,12 +82,12 @@ def U_value(factor: SimpleReductionFactor, node: Sequence[int]) -> Node:
     return tuple(result)
 
 
-def embed_lowering_simple(
+def simple_lowering_construction(
     guest: CartesianGraph,
     host: CartesianGraph,
     factor: Optional[SimpleReductionFactor] = None,
-) -> Embedding:
-    """Theorem 39: embed under the simple-reduction condition.
+) -> Construction:
+    """Theorem 39: ``U_V ∘ [T] ∘ τ`` under the simple-reduction condition.
 
     Parameters
     ----------
@@ -95,9 +97,8 @@ def embed_lowering_simple(
         searched for and sorted non-increasingly, which is the ordering the
         theorem assumes and the one minimizing the dilation.
 
-    The ambient context selects the backend: the array backend
-    permutes/relabels/collapses all node rows at once with the batch
-    kernels, the loop backend is the retained per-node reference.
+    The array path permutes/relabels/collapses all node rows at once with
+    the batch kernels; the per-node map is the loop backend's reference.
     """
     if guest.size != host.size:
         raise ShapeMismatchError(
@@ -129,7 +130,7 @@ def embed_lowering_simple(
     torus_into_mesh = guest.is_torus and host.is_mesh and not guest.is_hypercube
 
     if torus_into_mesh:
-        def mapping(node: Node) -> Node:
+        def image(node: Node) -> Node:
             rearranged = apply_permutation(tau, node)
             relabelled = t_vector_value(flattened, rearranged)
             return U_value(factor, relabelled)
@@ -142,35 +143,31 @@ def embed_lowering_simple(
             "dilation_is_upper_bound": True,
         }
     else:
-        def mapping(node: Node) -> Node:
+        def image(node: Node) -> Node:
             return U_value(factor, apply_permutation(tau, node))
 
         predicted = base_dilation
         strategy = "lowering:U_V∘τ"
         notes = {"reduction_factor": factor.groups, "permutation": tau}
 
-    if use_array_path():
+    def ranks():
         digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
         rearranged = digits[:, list(tau)]
         if torus_into_mesh:
             rearranged = t_columns(flattened, rearranged)
-        return Embedding.from_index_array(
-            guest,
-            host,
-            digits_to_indices(group_collapse(rearranged, factor.groups), host.shape),
-            strategy=strategy,
-            predicted_dilation=predicted,
-            notes=notes,
-        )
+        return digits_to_indices(group_collapse(rearranged, factor.groups), host.shape)
 
-    return Embedding.from_callable(
-        guest,
-        host,
-        mapping,
-        strategy=strategy,
-        predicted_dilation=predicted,
-        notes=notes,
-    )
+    return Construction(strategy, predicted, notes, image, ranks)
+
+
+def embed_lowering_simple(
+    guest: CartesianGraph,
+    host: CartesianGraph,
+    factor: Optional[SimpleReductionFactor] = None,
+) -> Embedding:
+    """Theorem 39: :func:`simple_lowering_construction` (same arguments and
+    errors), built under the ambient backend."""
+    return simple_lowering_construction(guest, host, factor).build(guest, host)
 
 
 # --------------------------------------------------------------------------- #
@@ -220,16 +217,13 @@ def G_double_prime_value(factor: GeneralReductionFactor, node: Sequence[int]) ->
     return multiplied + tail
 
 
-def embed_lowering_general(
+def general_lowering_construction(
     guest: CartesianGraph,
     host: CartesianGraph,
     factor: Optional[GeneralReductionFactor] = None,
-) -> Embedding:
-    """Theorem 43: embed under the general-reduction condition (c < d < 2c).
-
-    The ambient context selects the batch-kernel array backend or the
-    per-node loop reference, as for :func:`embed_lowering_simple`.
-    """
+) -> Construction:
+    """Theorem 43: ``β ∘ {F',G',G''}_S ∘ α`` under the general-reduction
+    condition (c < d < 2c)."""
     if guest.size != host.size:
         raise ShapeMismatchError(
             f"guest has {guest.size} nodes but host has {host.size}"
@@ -288,7 +282,7 @@ def embed_lowering_general(
     if upper_bound:
         notes["dilation_is_upper_bound"] = True
 
-    if use_array_path():
+    def ranks():
         digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
         rearranged = digits[:, list(alpha)]
         prefix = rearranged[:, : factor.c]  # supernode coordinates L'
@@ -305,23 +299,25 @@ def embed_lowering_general(
         b = factor.b
         s = np.asarray(factor.s_flat, dtype=np.int64)
         arranged = np.concatenate([s * prefix[:, :b] + offset, prefix[:, b:]], axis=1)
-        return Embedding.from_index_array(
-            guest,
-            host,
-            digits_to_indices(arranged[:, list(beta)], host.shape),
-            strategy=strategy,
-            predicted_dilation=predicted,
-            notes=notes,
-        )
+        return digits_to_indices(arranged[:, list(beta)], host.shape)
 
-    return Embedding.from_callable(
-        guest,
-        host,
+    return Construction(
+        strategy,
+        predicted,
+        notes,
         lambda node: apply_permutation(beta, value_fn(factor, apply_permutation(alpha, node))),
-        strategy=strategy,
-        predicted_dilation=predicted,
-        notes=notes,
+        ranks,
     )
+
+
+def embed_lowering_general(
+    guest: CartesianGraph,
+    host: CartesianGraph,
+    factor: Optional[GeneralReductionFactor] = None,
+) -> Embedding:
+    """Theorem 43: :func:`general_lowering_construction` (same arguments and
+    errors), built under the ambient backend."""
+    return general_lowering_construction(guest, host, factor).build(guest, host)
 
 
 def embed_lowering(guest: CartesianGraph, host: CartesianGraph) -> Embedding:

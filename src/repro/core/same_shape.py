@@ -13,15 +13,16 @@ Given two graphs of the same shape ``L = (l_1, ..., l_d)``:
 ``0..l-1`` with spread 2: torus neighbours in any dimension differ by 1
 modulo ``l``, so their ``t``-relabelled coordinates differ by at most 2.
 
-Both builders resolve the construction backend from the ambient execution
-context (:mod:`repro.runtime.context`): the array backend relabels all ``N``
-node rows in one :func:`repro.numbering.batch.t_columns` call, the loop
-backend is the retained per-node reference.
+Both constructions are written once (:class:`~repro.core.embedding.Construction`):
+the array backend relabels all ``N`` node rows in one
+:func:`repro.numbering.batch.t_columns` call, the loop backend is the
+retained per-node reference.  :func:`t_construction` also serves shapes that
+are permutations of each other (``π ∘ T_L``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,10 +31,17 @@ from ..graphs.base import CartesianGraph
 from ..numbering.arrays import digits_to_indices, indices_to_digits
 from ..numbering.batch import t_columns
 from ..types import Node
+from ..utils.listops import apply_permutation
 from .basic import t_value
-from .embedding import Embedding, use_array_path
+from .embedding import Construction, Embedding, identity_construction
 
-__all__ = ["t_vector_value", "same_shape_embedding", "torus_in_mesh_same_shape"]
+__all__ = [
+    "t_vector_value",
+    "t_construction",
+    "same_shape_construction",
+    "same_shape_embedding",
+    "torus_in_mesh_same_shape",
+]
 
 
 def t_vector_value(shape: Sequence[int], node: Sequence[int]) -> Node:
@@ -43,32 +51,58 @@ def t_vector_value(shape: Sequence[int], node: Sequence[int]) -> Node:
     return tuple(t_value(length, coordinate) for length, coordinate in zip(shape, node))
 
 
-def torus_in_mesh_same_shape(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
-    """The ``T_L`` embedding of an ``L``-torus in an ``L``-mesh (dilation 2)."""
+def t_construction(
+    guest: CartesianGraph,
+    host: CartesianGraph,
+    permutation: Optional[Tuple[int, ...]] = None,
+) -> Construction:
+    """``T_L`` (dilation 2), followed by ``permutation`` of the coordinates
+    when the host shape is a permutation of the guest shape."""
+    shape = guest.shape
+    strategy = "same-shape:T_L"
+    notes = {"dilation_is_upper_bound": min(shape) <= 2}
+    if permutation is not None:
+        strategy = "permute-dimensions∘T_L"
+        notes = {"permutation": permutation, **notes}
+
+    def image(node):
+        relabelled = t_vector_value(shape, node)
+        if permutation is None:
+            return relabelled
+        return apply_permutation(permutation, relabelled)
+
+    def ranks():
+        relabelled = t_columns(
+            shape, indices_to_digits(np.arange(guest.size, dtype=np.int64), shape)
+        )
+        if permutation is not None:
+            relabelled = relabelled[:, list(permutation)]
+        return digits_to_indices(relabelled, host.shape)
+
+    return Construction(strategy, 2, notes, image, ranks)
+
+
+def same_shape_construction(
+    guest: CartesianGraph, host: CartesianGraph
+) -> Construction:
+    """Lemma 36: ``T_L`` for a non-hypercube torus guest in a mesh host,
+    otherwise the identity."""
+    if guest.is_torus and host.is_mesh and not guest.is_hypercube:
+        return t_construction(guest, host)
+    return identity_construction(guest)
+
+
+def _require_equal_shapes(guest: CartesianGraph, host: CartesianGraph) -> None:
     if guest.shape != host.shape:
         raise ShapeMismatchError(
             f"same-shape embedding requires equal shapes, got {guest.shape} and {host.shape}"
         )
-    shape = guest.shape
-    notes = {"dilation_is_upper_bound": guest.is_hypercube or min(shape) <= 2}
-    if use_array_path():
-        digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), shape)
-        return Embedding.from_index_array(
-            guest,
-            host,
-            digits_to_indices(t_columns(shape, digits), shape),
-            strategy="same-shape:T_L",
-            predicted_dilation=2,
-            notes=notes,
-        )
-    return Embedding.from_callable(
-        guest,
-        host,
-        lambda node: t_vector_value(shape, node),
-        strategy="same-shape:T_L",
-        predicted_dilation=2,
-        notes=notes,
-    )
+
+
+def torus_in_mesh_same_shape(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
+    """The ``T_L`` embedding of an ``L``-torus in an ``L``-mesh (dilation 2)."""
+    _require_equal_shapes(guest, host)
+    return t_construction(guest, host).build(guest, host)
 
 
 def same_shape_embedding(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
@@ -77,10 +111,5 @@ def same_shape_embedding(guest: CartesianGraph, host: CartesianGraph) -> Embeddi
     Identity (dilation 1) except for a non-hypercube torus guest in a mesh
     host, which uses ``T_L`` (dilation 2).
     """
-    if guest.shape != host.shape:
-        raise ShapeMismatchError(
-            f"same-shape embedding requires equal shapes, got {guest.shape} and {host.shape}"
-        )
-    if guest.is_torus and host.is_mesh and not guest.is_hypercube:
-        return torus_in_mesh_same_shape(guest, host)
-    return Embedding.identity(guest, host)
+    _require_equal_shapes(guest, host)
+    return same_shape_construction(guest, host).build(guest, host)

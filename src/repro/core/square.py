@@ -33,16 +33,19 @@ from ..exceptions import ShapeMismatchError, UnsupportedEmbeddingError
 from ..graphs.base import CartesianGraph, make_graph
 from ..types import GraphKind, ShapedGraphSpec
 from ..utils.intmath import exact_nth_root
-from .embedding import Embedding
+from .embedding import Construction, Embedding, composition
 from .expansion import ExpansionFactor
-from .increasing import embed_increasing
-from .lowering import embed_lowering_general, embed_lowering_simple
+from .increasing import embed_increasing, increasing_construction
+from .lowering import general_lowering_construction, simple_lowering_construction
 from .reduction import GeneralReductionFactor, SimpleReductionFactor
-from .same_shape import same_shape_embedding
+from .same_shape import same_shape_construction
 
 __all__ = [
     "predicted_square_dilation",
     "square_lowering_intermediate_shapes",
+    "square_lowering_construction",
+    "square_increasing_construction",
+    "square_construction",
     "embed_square_lowering",
     "embed_square_increasing",
     "embed_square",
@@ -142,25 +145,26 @@ def _square_chain_step_factor(
     )
 
 
-def embed_square_lowering(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
-    """Theorems 48 and 51: embed a square guest in a square host of lower dimension."""
+def square_lowering_construction(
+    guest: CartesianGraph, host: CartesianGraph
+) -> Construction:
+    """Theorems 48 and 51: a square guest in a square host of lower dimension."""
     _require_square_pair(guest, host)
     d, c = guest.dimension, host.dimension
     if d <= c:
         raise UnsupportedEmbeddingError("square lowering requires dim(guest) > dim(host)")
     l = guest.shape[0]
-    m = host.shape[0]
     predicted = predicted_square_dilation(guest.spec, host.spec)
 
     if d % c == 0:
         # Theorem 48: simple reduction with groups of d/c copies of l.
         groups = tuple(((l,) * (d // c)) for _ in range(c))
-        factor = SimpleReductionFactor(groups)
-        embedding = embed_lowering_simple(guest, host, factor)
-        embedding.strategy = "square-lowering:simple-reduction"
-        embedding.notes["theorem"] = "48"
-        embedding.predicted_dilation = predicted
-        return embedding
+        made = simple_lowering_construction(guest, host, SimpleReductionFactor(groups))
+        return made._replace(
+            strategy="square-lowering:simple-reduction",
+            predicted_dilation=predicted,
+            notes={**made.notes, "theorem": "48"},
+        )
 
     # Theorem 51: chain of general reductions.
     a = math.gcd(d, c)
@@ -172,31 +176,39 @@ def embed_square_lowering(guest: CartesianGraph, host: CartesianGraph) -> Embedd
     # Intermediate kinds: keep the guest's kind until the final graph, which is
     # the host itself (so a torus guest headed for a mesh host only pays the
     # factor-2 penalty on the last step, matching the paper's analysis).
-    chain: Optional[Embedding] = None
-    current_graph = guest
-    for step in range(len(shapes) - 1):
-        next_shape = shapes[step + 1]
-        is_last = step == len(shapes) - 2
-        next_kind = host.kind if is_last else guest.kind
-        next_graph = host if is_last else make_graph(next_kind, next_shape)
-        factor = _square_chain_step_factor(tuple(current_graph.shape), a, v, root)
-        step_embedding = embed_lowering_general(current_graph, next_graph, factor)
-        chain = step_embedding if chain is None else chain.compose(step_embedding)
-        current_graph = next_graph
+    graphs = [guest, *(make_graph(guest.kind, shape) for shape in shapes[1:-1]), host]
+    chain: Optional[Construction] = None
+    for step_guest, step_host in zip(graphs, graphs[1:]):
+        factor = _square_chain_step_factor(tuple(step_guest.shape), a, v, root)
+        step = general_lowering_construction(step_guest, step_host, factor)
+        chain = step if chain is None else composition(
+            chain.build(guest, step_guest), step.build(step_guest, step_host)
+        )
     assert chain is not None
-    chain.strategy = "square-lowering:general-reduction-chain"
-    chain.predicted_dilation = predicted
-    chain.notes["theorem"] = "51"
-    chain.notes["intermediate_shapes"] = shapes
-    chain.notes["dilation_is_upper_bound"] = True
-    return chain
+    return chain._replace(
+        strategy="square-lowering:general-reduction-chain",
+        predicted_dilation=predicted,
+        notes={
+            **chain.notes,
+            "theorem": "51",
+            "intermediate_shapes": shapes,
+            "dilation_is_upper_bound": True,
+        },
+    )
+
+
+def embed_square_lowering(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
+    """Theorems 48 and 51: :func:`square_lowering_construction`, built."""
+    return square_lowering_construction(guest, host).build(guest, host)
 
 
 # --------------------------------------------------------------------------- #
 # Increasing dimension
 # --------------------------------------------------------------------------- #
-def embed_square_increasing(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
-    """Theorems 52 and 53: embed a square guest in a square host of higher dimension."""
+def square_increasing_construction(
+    guest: CartesianGraph, host: CartesianGraph
+) -> Construction:
+    """Theorems 52 and 53: a square guest in a square host of higher dimension."""
     _require_square_pair(guest, host)
     d, c = guest.dimension, host.dimension
     if d >= c:
@@ -208,11 +220,12 @@ def embed_square_increasing(guest: CartesianGraph, host: CartesianGraph) -> Embe
     if c % d == 0:
         # Theorem 52: expansion with V_i = (m, ..., m), c/d copies.
         factor = ExpansionFactor(tuple(((m,) * (c // d)) for _ in range(d)))
-        embedding = embed_increasing(guest, host, factor)
-        embedding.strategy = "square-increasing:expansion"
-        embedding.notes["theorem"] = "52"
-        embedding.predicted_dilation = predicted
-        return embedding
+        made = increasing_construction(guest, host, factor)
+        return made._replace(
+            strategy="square-increasing:expansion",
+            predicted_dilation=predicted,
+            notes={**made.notes, "theorem": "52"},
+        )
 
     # Theorem 53: expand into G' (dimension c·u, side l^(1/v)), then lower into H.
     a = math.gcd(d, c)
@@ -227,21 +240,35 @@ def embed_square_increasing(guest: CartesianGraph, host: CartesianGraph) -> Embe
     expansion = ExpansionFactor(tuple(((root,) * v) for _ in range(d)))
     first = embed_increasing(guest, intermediate, expansion)
     second = embed_square_lowering(intermediate, host)
-    chain = first.compose(second)
-    chain.strategy = "square-increasing:expand-then-reduce"
-    chain.predicted_dilation = predicted
-    chain.notes["theorem"] = "53"
-    chain.notes["intermediate_shape"] = intermediate.shape
-    chain.notes["dilation_is_upper_bound"] = True
-    return chain
+    chain = composition(first, second)
+    return chain._replace(
+        strategy="square-increasing:expand-then-reduce",
+        predicted_dilation=predicted,
+        notes={
+            **chain.notes,
+            "theorem": "53",
+            "intermediate_shape": intermediate.shape,
+            "dilation_is_upper_bound": True,
+        },
+    )
+
+
+def embed_square_increasing(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
+    """Theorems 52 and 53: :func:`square_increasing_construction`, built."""
+    return square_increasing_construction(guest, host).build(guest, host)
+
+
+def square_construction(guest: CartesianGraph, host: CartesianGraph) -> Construction:
+    """The Section 5 construction for a pair of same-size square graphs."""
+    _require_square_pair(guest, host)
+    d, c = guest.dimension, host.dimension
+    if d == c:
+        return same_shape_construction(guest, host)
+    if d > c:
+        return square_lowering_construction(guest, host)
+    return square_increasing_construction(guest, host)
 
 
 def embed_square(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     """Embed between same-size square graphs using the appropriate Section 5 strategy."""
-    _require_square_pair(guest, host)
-    d, c = guest.dimension, host.dimension
-    if d == c:
-        return same_shape_embedding(guest, host)
-    if d > c:
-        return embed_square_lowering(guest, host)
-    return embed_square_increasing(guest, host)
+    return square_construction(guest, host).build(guest, host)

@@ -29,9 +29,9 @@ import numpy as np
 from ..exceptions import UnsupportedEmbeddingError
 from ..graphs.base import CartesianGraph, Mesh
 from ..numbering.arrays import digits_to_indices, indices_to_digits
-from .embedding import Embedding, use_array_path
+from .embedding import Construction, Embedding
 
-__all__ = ["find_subshape", "embed_subshape"]
+__all__ = ["find_subshape", "subshape_construction", "embed_subshape"]
 
 
 def find_subshape(size: int, host_shape: Sequence[int]) -> Optional[Tuple[int, ...]]:
@@ -69,12 +69,15 @@ def subshape_inner_shape(sub: Sequence[int]) -> Tuple[int, ...]:
     return inner if inner else (1,)
 
 
-def embed_subshape(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
-    """Embed a strictly smaller ``guest`` injectively into ``host``.
+def subshape_construction(guest: CartesianGraph, host: CartesianGraph) -> Construction:
+    """A strictly smaller ``guest`` injectively in ``host``: the inner
+    same-size embedding into the sub-box, padded with zero coordinates.
 
-    Raises :class:`~repro.exceptions.UnsupportedEmbeddingError` when no
-    sub-box of the host matches the guest size, or when the inner same-size
-    embedding into the sub-box is itself unsupported.
+    The inner pair is built through :func:`~repro.core.dispatch.embed`, so it
+    is memoized under its own key.  Raises
+    :class:`~repro.exceptions.UnsupportedEmbeddingError` when no sub-box of
+    the host matches the guest size, or when the inner same-size embedding
+    into the sub-box is itself unsupported.
     """
     from .dispatch import embed  # local import: dispatch imports this module
 
@@ -92,7 +95,6 @@ def embed_subshape(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
     inner = embed(guest, Mesh(inner_shape))
 
     extents = "x".join(str(extent) for extent in sub)
-    strategy = f"subshape:{extents}∘{inner.strategy}"
     notes = {
         "subshape": sub,
         "inner_strategy": inner.strategy,
@@ -101,31 +103,29 @@ def embed_subshape(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
         ),
     }
 
-    if use_array_path():
-        inner_digits = indices_to_digits(inner.host_index_array(), inner_shape)
-        full = np.zeros((guest.size, host.dimension), dtype=np.int64)
-        for column, position in enumerate(inner_positions):
-            full[:, position] = inner_digits[:, column]
-        return Embedding.from_index_array(
-            guest,
-            host,
-            digits_to_indices(full, host.shape),
-            strategy=strategy,
-            predicted_dilation=inner.predicted_dilation,
-            notes=notes,
-        )
-
     def image(node):
         coordinates = [0] * host.dimension
         for column, position in enumerate(inner_positions):
             coordinates[position] = inner[node][column]
         return tuple(coordinates)
 
-    return Embedding.from_callable(
-        guest,
-        host,
+    def ranks():
+        inner_digits = indices_to_digits(inner.host_index_array(), inner_shape)
+        full = np.zeros((guest.size, host.dimension), dtype=np.int64)
+        for column, position in enumerate(inner_positions):
+            full[:, position] = inner_digits[:, column]
+        return digits_to_indices(full, host.shape)
+
+    return Construction(
+        f"subshape:{extents}∘{inner.strategy}",
+        inner.predicted_dilation,
+        notes,
         image,
-        strategy=strategy,
-        predicted_dilation=inner.predicted_dilation,
-        notes=notes,
+        ranks,
     )
+
+
+def embed_subshape(guest: CartesianGraph, host: CartesianGraph) -> Embedding:
+    """Embed a strictly smaller ``guest`` injectively into ``host``: the
+    :func:`subshape_construction` built under the ambient backend."""
+    return subshape_construction(guest, host).build(guest, host)

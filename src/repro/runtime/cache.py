@@ -76,6 +76,19 @@ def embedding_cache_key(name: str, guest, host) -> CacheKey:
     )
 
 
+def _is_current_key(key: object) -> bool:
+    """True for the two key forms of the module docstring.  Files written
+    before them also hold family-keyed paper constructions and
+    ``family``/``edges`` entries that nothing reads any more."""
+    if not isinstance(key, tuple) or not key:
+        return False
+    if key[0] == "embedding":
+        return (
+            len(key) > 1 and isinstance(key[1], str) and key[1].startswith("strategy:")
+        )
+    return key[0] == "optimum"
+
+
 def optimum_cache_key(objective: str, guest, host) -> CacheKey:
     """The address of a search-found optimum for a pair, per objective.
 
@@ -283,6 +296,9 @@ class ConstructionCache:
         """A cache warm-started from :meth:`save` output; empty when the file
         is missing or unreadable (a torn write must not kill a run).
 
+        Only the current key forms are kept: the dead entries of an older
+        file are dropped, so they are neither counted nor saved again.
+
         A present-but-corrupt file warns before cold-starting: silently
         losing a warm cache costs every construction of the next sweep, so
         the degradation should be visible.
@@ -309,7 +325,9 @@ class ConstructionCache:
                 stacklevel=2,
             )
             return cls()
-        return cls(data)
+        return cls(
+            {key: payload for key, payload in data.items() if _is_current_key(key)}
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -15,7 +15,8 @@ Builders are pure functions of their inputs — no backend parameter; they
 consult the ambient :mod:`execution context <repro.runtime.context>` for the
 backend, and :func:`build_strategy` — the only construction memo — memoizes
 every builder's result through the context's construction cache, keyed
-``"strategy:<name>"``.  The ``"paper"`` entry is the uncached dispatcher;
+``"strategy:<name>"``.  The ``"paper"`` entry builds the construction
+:func:`repro.core.dispatch.plan` chooses, uncached;
 :func:`repro.core.dispatch.embed` is ``build_strategy("paper", ...)``.
 
 Default entries load lazily on first lookup, so importing this module never
@@ -129,9 +130,9 @@ def _load_default_strategies() -> None:
         lexicographic_embedding,
         random_embedding,
     )
-    from ..core.dispatch import _dispatch
+    from ..core.dispatch import _execute
 
-    STRATEGIES.register("paper", _dispatch)
+    STRATEGIES.register("paper", _execute)
     STRATEGIES.register("lexicographic", lexicographic_embedding)
     STRATEGIES.register("bfs", bfs_order_embedding)
     STRATEGIES.register(

@@ -23,7 +23,7 @@ the mode used by tests and ``repro survey --smoke``.
 **Failure model.**  A shard attempt that raises (a crashed worker, a torn
 shard write, an injected chaos fault) is retried with capped exponential
 backoff and deterministic jitter (:class:`~repro.utils.backoff.BackoffPolicy`)
-up to ``SurveyOptions.max_shard_attempts``; a shard that keeps failing is
+up to ``SurveyOptions.retry.max_attempts``; a shard that keeps failing is
 *quarantined* — its scenarios are recorded with status ``"failed"`` and the
 sweep keeps going.  A worker process dying outright (``os._exit``, OOM,
 SIGKILL) breaks the whole :class:`~concurrent.futures.ProcessPoolExecutor`;
@@ -590,6 +590,7 @@ def _run_pooled(pending, options, context, workers, results, recovery, rng) -> N
     queue: Dict[int, Sequence[Scenario]] = dict(pending)
     attempts: Dict[int, int] = {index: 0 for index, _ in pending}
     errors: Dict[int, BaseException] = {}
+    casualties: List[int] = []  # shards charged when the round's pool broke
 
     def _charge(index: int, error: BaseException) -> bool:
         """One failed attempt; True when the shard is out of attempts."""
@@ -658,8 +659,8 @@ def _run_pooled(pending, options, context, workers, results, recovery, rng) -> N
                             # crash; charge them all (the crasher is among
                             # them, and charging is what guarantees a poison
                             # shard eventually quarantines) and respawn.
-                            _charge(index, error)
-                            for casualty in futures.values():
+                            casualties.extend([index, *futures.values()])
+                            for casualty in casualties:
                                 _charge(casualty, error)
                             round_broke = True
                             break
@@ -692,7 +693,8 @@ def _run_pooled(pending, options, context, workers, results, recovery, rng) -> N
                                 f"shard exceeded its "
                                 f"{options.shard_timeout:g}s deadline"
                             )
-                            for index in futures.values():
+                            casualties.extend(futures.values())
+                            for index in casualties:
                                 _charge(index, error)
                             recovery.crash_recoveries += 1
                             _terminate_pool(pool)
@@ -705,12 +707,15 @@ def _run_pooled(pending, options, context, workers, results, recovery, rng) -> N
                 # files (if any) make the next run a resume, not a restart.
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
-        if round_broke and queue:
+        if round_broke:
+            # Only the charged casualties are retried: shards that never
+            # started in the broken round owe no attempt.
             retried = [
                 index
-                for index in queue
+                for index in casualties
                 if attempts[index] < options.retry.max_attempts
             ]
+            casualties.clear()
             if retried:
                 recovery.retries += len(retried)
                 worst = max(attempts[index] for index in retried)

@@ -211,6 +211,21 @@ class TestSurveyRecovery:
                 expected[record.scenario_id].as_dict()
             )
 
+    def test_pooled_crash_retries_only_the_shards_it_charged(self):
+        # Seed 68 at p=0.1 fires only on shard 0's first attempt.  At most
+        # two shards are in flight when the pool breaks; they are the only
+        # retries, not the six shards still waiting to start.
+        scenarios = scenarios_for_suite("smoke")
+        with use_context(
+            ExecutionContext(workers=2, shard_size=1, chaos="worker_crash:0.1,seed=68")
+        ):
+            report = run_survey(scenarios, SurveyOptions(retry=FAST_RETRY))
+        assert report.crash_recoveries == 1
+        assert 1 <= report.retries <= 2
+        assert report.quarantined == 0
+        assert len(report.records) == len(scenarios) == 8
+        assert all(record.status == "ok" for record in report.records)
+
     def test_pooled_poison_shards_quarantine_and_sweep_completes(self):
         scenarios = scenarios_for_suite("smoke")[:2]
         options = SurveyOptions(

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.dispatch import embed
-from repro.core.functional import functional_embed
+from repro.core.dispatch import embed, strategy_for
+from repro.core.functional import POINTWISE_FAMILIES, functional_embed
 from repro.exceptions import ShapeMismatchError, UnsupportedEmbeddingError
 from repro.graphs.base import Hypercube, Line, Mesh, Ring, Torus
+from repro.survey.scenarios import all_pairs
 from repro.types import GraphKind, ShapedGraphSpec
 
 
@@ -45,6 +46,31 @@ class TestAgreementWithMaterializedEmbeddings:
         functional = functional_embed(Ring(24), Mesh((4, 2, 3)))
         for x in range(24):
             assert functional.map_index(x) == functional((x,))
+
+
+#: Every same-size pair up to 24 nodes (all four kind pairs), by node count.
+PAIRS_BY_SIZE = {}
+for _scenario in all_pairs(24):
+    PAIRS_BY_SIZE.setdefault(_scenario.nodes, []).append(_scenario)
+
+
+@pytest.mark.parametrize("nodes", sorted(PAIRS_BY_SIZE))
+def test_functional_embed_agrees_with_embed_on_every_pair(nodes):
+    """The pointwise ``image`` against the array backend's ``ranks()``: same
+    strategy, prediction and image of every node; every other pair raises."""
+    for scenario in PAIRS_BY_SIZE[nodes]:
+        guest, host = scenario.guest_graph(), scenario.host_graph()
+        if strategy_for(guest, host) not in POINTWISE_FAMILIES:
+            with pytest.raises(UnsupportedEmbeddingError):
+                functional_embed(guest, host)
+            continue
+        functional = functional_embed(guest, host)
+        embedding = embed(guest, host)
+        assert functional.strategy == embedding.strategy
+        assert functional.predicted_dilation == embedding.predicted_dilation
+        assert [functional(node) for node in guest.nodes()] == [
+            host.index_node(int(rank)) for rank in embedding.host_index_array()
+        ]
 
 
 class TestSampling:

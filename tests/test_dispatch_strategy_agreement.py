@@ -1,55 +1,35 @@
-"""``strategy_for`` must agree with the strategy ``embed`` actually uses.
+"""``strategy_for`` and ``embed`` read one decision: :func:`repro.core.dispatch.plan`.
 
-The two are computed by separate code paths in ``repro.core.dispatch``:
-``strategy_for`` re-derives the decision procedure without building anything,
-while ``embed`` runs the builders (with their own fallback chains).  These
-tests pin them together through :func:`repro.core.dispatch.strategy_family`,
-on fixed pairs for every family and on random same-size pairs.
+``strategy_for`` reports the plan's family and ``embed`` builds the plan's
+construction, so ``embed`` must succeed exactly when ``strategy_for`` is not
+``"unsupported"`` and raise :class:`UnsupportedEmbeddingError` otherwise, on
+fixed pairs for every family and on random same-size pairs.
 """
 
 import pytest
 from hypothesis import given, settings
 
-from repro.core.dispatch import embed, strategy_family, strategy_for
+from repro.core.dispatch import embed, plan, strategy_for
 from repro.exceptions import ShapeMismatchError, UnsupportedEmbeddingError
 from repro.graphs.base import Line, Mesh, Ring, Torus, make_graph
 
 from .strategies import graph_kinds, same_size_shape_pairs
 
 
-class TestStrategyFamily:
-    @pytest.mark.parametrize(
-        "strategy,family",
-        [
-            ("identity", "same-shape"),
-            ("same-shape:T_L", "same-shape"),
-            ("permute-dimensions", "permute-dimensions"),
-            ("permute-dimensions∘T_L", "permute-dimensions"),
-            ("line:f_L", "basic"),
-            ("ring:h_L", "basic"),
-            ("ring:π∘h_L*", "basic"),
-            ("ring:g_L", "basic"),
-            ("increasing:F_V", "increasing"),
-            ("increasing:G_V", "increasing"),
-            ("increasing:H_V", "increasing"),
-            ("increasing:H_V(even-first)", "increasing"),
-            ("lowering:U_V∘τ", "lowering-simple"),
-            ("lowering:U_V∘T∘τ", "lowering-simple"),
-            ("lowering:β∘F'_S∘α", "lowering-general"),
-            ("lowering:β∘G'_S∘α", "lowering-general"),
-            ("lowering:β∘G''_S∘α", "lowering-general"),
-            ("square-lowering:simple-reduction", "square-lowering"),
-            ("square-lowering:general-reduction-chain", "square-lowering"),
-            ("square-increasing:expansion", "square-increasing"),
-            ("square-increasing:expand-then-reduce", "square-increasing"),
-        ],
-    )
-    def test_known_strategy_names_map_to_their_family(self, strategy, family):
-        assert strategy_family(strategy) == family
-
-    def test_unknown_strategies_map_to_custom(self):
-        assert strategy_family("hand-rolled") == "custom"
-        assert strategy_family("lexicographic") == "custom"
+def assert_embed_follows_the_plan(guest, host):
+    chosen = plan(guest, host)
+    assert strategy_for(guest, host) == chosen.family
+    if chosen.family == "unsupported":
+        with pytest.raises(UnsupportedEmbeddingError) as raised:
+            embed(guest, host)
+        with pytest.raises(UnsupportedEmbeddingError) as planned:
+            chosen.construct()
+        assert str(raised.value) == str(planned.value)
+        return
+    embedding = embed(guest, host)
+    construction = chosen.construct()
+    assert embedding.strategy == construction.strategy
+    assert embedding.predicted_dilation == construction.predicted_dilation
 
 
 class TestAgreementOnFixedPairs:
@@ -67,15 +47,18 @@ class TestAgreementOnFixedPairs:
         (Mesh((3, 3, 4)), Mesh((6, 6))),
         (Mesh((4,) * 5), Mesh((32, 32))),
         (Mesh((8, 8)), Mesh((4, 4, 4))),
+        (Mesh((2, 2)), Mesh((2, 3))),
+        (Mesh((4, 9)), Mesh((6, 3, 2))),
+        (Mesh((4, 9, 5)), Mesh((6, 30))),
+        (Mesh((2, 6)), Mesh((4, 4))),
+        (Mesh((24,)), Mesh((5, 5))),
     ]
 
     @pytest.mark.parametrize(
         "guest,host", PAIRS, ids=[f"{g!r}->{h!r}" for g, h in PAIRS]
     )
-    def test_embed_strategy_is_in_the_predicted_family(self, guest, host):
-        predicted = strategy_for(guest, host)
-        embedding = embed(guest, host)
-        assert strategy_family(embedding.strategy) == predicted
+    def test_embed_builds_exactly_what_the_plan_chose(self, guest, host):
+        assert_embed_follows_the_plan(guest, host)
 
     def test_size_mismatch_raises_in_both(self):
         with pytest.raises(ShapeMismatchError):
@@ -87,15 +70,9 @@ class TestAgreementOnFixedPairs:
 @settings(max_examples=120, deadline=None)
 @given(pair=same_size_shape_pairs(), guest_kind=graph_kinds, host_kind=graph_kinds)
 def test_strategy_for_agrees_with_embed_on_random_pairs(pair, guest_kind, host_kind):
-    """Supported pairs embed within the predicted family; unsupported pairs
-    are flagged identically by both code paths."""
+    """Supported pairs embed with the plan's construction; unsupported pairs
+    raise the plan's exact message."""
     guest_shape, host_shape = pair
-    guest = make_graph(guest_kind, guest_shape)
-    host = make_graph(host_kind, host_shape)
-    predicted = strategy_for(guest, host)
-    if predicted == "unsupported":
-        with pytest.raises(UnsupportedEmbeddingError):
-            embed(guest, host)
-        return
-    embedding = embed(guest, host)
-    assert strategy_family(embedding.strategy) == predicted
+    assert_embed_follows_the_plan(
+        make_graph(guest_kind, guest_shape), make_graph(host_kind, host_shape)
+    )

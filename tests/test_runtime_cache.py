@@ -10,7 +10,11 @@ from repro.core.dispatch import embed, strategy_for
 from repro.exceptions import UnsupportedEmbeddingError
 from repro.graphs.base import Mesh, Torus
 from repro.runtime import ConstructionCache, use_context
-from repro.runtime.cache import embedding_cache_key
+from repro.runtime.cache import (
+    OptimizerState,
+    embedding_cache_key,
+    optimum_cache_key,
+)
 
 PAIR = (Torus((4, 6)), Mesh((2, 2, 2, 3)))
 
@@ -132,6 +136,38 @@ class TestSharingAndPersistence:
         with use_context(cache=loaded):
             embed(guest, host)
         assert loaded.hits == 1
+
+    def test_load_drops_the_entries_of_older_key_forms(self, tmp_path):
+        guest, host = PAIR
+        cache = ConstructionCache()
+        with use_context(cache=cache):
+            embed(guest, host)
+            with pytest.raises(UnsupportedEmbeddingError):
+                embed(Mesh((4, 9)), Mesh((6, 3, 2)))
+        live = dict(cache.data)
+        paper = live[embedding_cache_key("paper", guest, host)]
+        optimum = optimum_cache_key("dilation", guest, host)
+        live[optimum] = OptimizerState(
+            paper.host_indices, 1, "dilation", 1, None, 0, "seed"
+        )
+        pair = ("torus", (4, 6), "mesh", (2, 2, 2, 3))
+        # A file written before every construction was keyed by strategy
+        # name: the paper's construction under its family, the family itself
+        # and the derived edge arrays.
+        old = {
+            **live,
+            ("embedding", "increasing", *pair): paper,
+            ("family", *pair): "increasing",
+            ("edges", "torus", (4, 6)): ((0, 1), (1, 2)),
+        }
+        path = tmp_path / "old.pkl"
+        path.write_bytes(pickle.dumps(old))
+        loaded = ConstructionCache.load(path)
+        assert loaded.construction_count == 1
+        assert len(loaded) == 3
+        assert loaded.optimum_count == 1
+        saved = pickle.loads(loaded.save(tmp_path / "new.pkl").read_bytes())
+        assert set(saved) == set(live)
 
     def test_load_missing_file_yields_empty_cache_silently(self, tmp_path):
         with warnings.catch_warnings():
