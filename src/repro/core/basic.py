@@ -16,7 +16,8 @@ The section's results, all reproduced here:
 
 Each ``*_value`` function is the pointwise map of the paper; the
 ``*_sequence`` helpers materialize the whole sequence; the
-``*_construction`` functions pair each map with its batch kernel as a
+``*_construction`` functions pair each map with its memoized digit table
+(:func:`~repro.numbering.batch.sequence_table`) as a
 :class:`~repro.core.embedding.Construction`, and the high-level builders
 return the built :class:`~repro.core.embedding.Embedding` with the theorem's
 predicted dilation attached.
@@ -26,12 +27,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..exceptions import InvalidRadixError, UnsupportedEmbeddingError
 from ..graphs.base import CartesianGraph, Line, Ring
-from ..numbering.arrays import digits_to_indices
-from ..numbering.batch import f_flat, g_flat, h_digits, h_flat
+from ..numbering.arrays import digit_weights
+from ..numbering.batch import placed_weights, separable_ranks
 from ..numbering.graycode import reflected_digit
 from ..numbering.radix import RadixBase
 from ..types import Node
@@ -232,16 +231,17 @@ def line_construction(host: CartesianGraph) -> Construction:
         1,
         {},
         lambda node: f_value(host.radix_base, node[0]),
-        lambda: f_flat(host.shape, np.arange(host.size, dtype=np.int64)),
+        lambda: separable_ranks([("f", host.shape, digit_weights(host.shape))]),
     )
 
 
 def line_in_graph_embedding(host: CartesianGraph) -> Embedding:
     """Embed a line of the host's size in the host with dilation 1 (Theorem 13).
 
-    The array backend computes the whole reflected sequence ``f_L`` as one
-    batch kernel call; the per-node loop is the retained reference
-    implementation (force it with ``use_context(backend="loop")``).
+    The array backend weighs the memoized digit table of the reflected
+    sequence ``f_L`` by the host digit weights; the per-node loop is the
+    retained reference implementation (force it with
+    ``use_context(backend="loop")``).
     """
     return line_construction(host).build(Line(host.size), host)
 
@@ -273,7 +273,7 @@ def ring_construction(host: CartesianGraph) -> Construction:
             1,
             {},
             lambda node: h_value(host.radix_base, node[0]),
-            lambda: h_flat(shape, np.arange(host.size, dtype=np.int64)),
+            lambda: separable_ranks([("h", shape, digit_weights(shape))]),
         )
     # Host is a mesh.
     if host.dimension >= 2 and host.size % 2 == 0:
@@ -284,24 +284,21 @@ def ring_construction(host: CartesianGraph) -> Construction:
             )
         reordered_shape, perm = reordering
         base = RadixBase(reordered_shape)
-
-        def ranks():
-            digits = h_digits(reordered_shape, np.arange(host.size, dtype=np.int64))
-            return digits_to_indices(digits[:, list(perm)], shape)
-
         return Construction(
             "ring:π∘h_L*",
             1,
             {"reordered_shape": reordered_shape, "permutation": perm},
             lambda node: apply_permutation(perm, h_value(base, node[0])),
-            ranks,
+            lambda: separable_ranks(
+                [("h", reordered_shape, placed_weights(digit_weights(shape), perm))]
+            ),
         )
     return Construction(
         "ring:g_L",
         predicted_ring_dilation(host),
         {"dilation_is_upper_bound": host.size <= 2},
         lambda node: g_value(host.radix_base, node[0]),
-        lambda: g_flat(shape, np.arange(host.size, dtype=np.int64)),
+        lambda: separable_ranks([("g", shape, digit_weights(shape))]),
     )
 
 

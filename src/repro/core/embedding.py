@@ -60,11 +60,8 @@ import numpy as np
 from ..exceptions import InvalidEmbeddingError, InvalidRadixError, ShapeMismatchError
 from ..graphs.base import CartesianGraph
 from ..graphs.paths import dimension_order_path
-from ..numbering.arrays import (
-    digits_to_indices,
-    indices_to_digits,
-    stacked_edge_congestion,
-)
+from ..numbering.arrays import digit_weights, stacked_edge_congestion
+from ..numbering.batch import coordinate_ranks
 from ..runtime.context import use_array_path
 from ..types import Node
 from ..utils.listops import apply_permutation
@@ -86,8 +83,12 @@ class Construction(NamedTuple):
     reference, and the pointwise map that
     :func:`~repro.core.functional.functional_embed` evaluates without
     enumerating the guest.  ``ranks()`` returns the host rank of every guest
-    rank as one flat ``int64`` array, the batch-kernel form of the same map;
-    it runs only when called.
+    rank as one flat ``int64`` array, the array form of the same map; it
+    runs only when called.  Every leaf construction's ``ranks()`` is one
+    outer sum of per-dimension terms over memoized sequence tables
+    (:func:`~repro.numbering.batch.separable_ranks`); the identity is an
+    ``arange``, and :func:`composition`, the subshape padding and the square
+    chains gather the ranks of their built steps.
     """
 
     strategy: str
@@ -137,17 +138,14 @@ def permutation_construction(
 ) -> Construction:
     """Node ``A`` maps to ``apply_permutation(permutation, A)`` (dilation 1)."""
     permutation = tuple(permutation)
-
-    def ranks():
-        digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
-        return digits_to_indices(digits[:, list(permutation)], host.shape)
-
     return Construction(
         strategy,
         1,
         {"permutation": permutation},
         lambda node: apply_permutation(permutation, node),
-        ranks,
+        lambda: coordinate_ranks(
+            "natural", guest.shape, digit_weights(host.shape), permutation
+        ),
     )
 
 

@@ -26,12 +26,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..exceptions import NoExpansionError, ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import digits_to_indices, indices_to_digits
-from ..numbering.batch import f_digits, g_digits, h_digits
+from ..numbering.arrays import digit_weights
+from ..numbering.batch import placed_weights, separable_ranks
 from ..numbering.radix import RadixBase
 from ..types import Node
 from ..utils.listops import apply_permutation, concat, find_permutation
@@ -116,9 +114,10 @@ def increasing_construction(
         reproduces the "plain" dilation-2 construction, which the ablation
         benchmark compares against.
 
-    The array path builds the host-index array with the batch kernels of
-    :mod:`repro.numbering.batch` (one φ call per guest dimension); the
-    per-node map is the loop backend's reference.
+    The array path sums one term per guest dimension
+    (:func:`~repro.numbering.batch.separable_ranks`): the memoized digit
+    table of φ over ``V_k`` times the host digit weights that ``π`` gives
+    that block; the per-node map is the loop backend's reference.
 
     Raises
     ------
@@ -171,19 +170,19 @@ def increasing_construction(
             and all(v[0] % 2 == 0 for v in factor.lists)
         )
 
-    # Choose the per-coordinate map (scalar and batch forms of the same φ).
+    # Choose the per-coordinate map φ (its scalar form and its sequence name).
     value_fn: Callable[[ExpansionFactor, Sequence[int]], Node]
     if guest_is_effectively_mesh:
-        value_fn, batch_fn = F_value, f_digits
+        value_fn, sequence = F_value, "f"
         strategy = "increasing:F_V"
     elif host.is_torus:
-        value_fn, batch_fn = H_value, h_digits
+        value_fn, sequence = H_value, "h"
         strategy = "increasing:H_V"
     elif unit_torus_factor:
-        value_fn, batch_fn = H_value, h_digits
+        value_fn, sequence = H_value, "h"
         strategy = "increasing:H_V(even-first)"
     else:
-        value_fn, batch_fn = G_value, g_digits
+        value_fn, sequence = G_value, "g"
         strategy = "increasing:G_V"
 
     flattened = factor.flattened
@@ -209,16 +208,16 @@ def increasing_construction(
         notes["dilation_is_upper_bound"] = guest.size % 2 == 0
 
     def ranks():
-        guest_digits = indices_to_digits(
-            np.arange(guest.size, dtype=np.int64), source_shape
-        )
-        # φ_{V_k} expands guest column k into len(V_k) host digit columns.
-        blocks = [
-            batch_fn(component, guest_digits[:, k])
-            for k, component in enumerate(factor.lists)
-        ]
-        combined = np.concatenate(blocks, axis=1)
-        return digits_to_indices(combined[:, list(permutation)], target_shape)
+        # φ_{V_k} expands guest coordinate k into the len(V_k) consecutive
+        # positions of V̄ that π then sends to host digits.
+        weights = placed_weights(digit_weights(target_shape), permutation)
+        terms = []
+        start = 0
+        for component in factor.lists:
+            stop = start + len(component)
+            terms.append((sequence, component, weights[start:stop]))
+            start = stop
+        return separable_ranks(terms)
 
     return Construction(
         strategy,

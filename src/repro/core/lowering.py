@@ -23,12 +23,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..exceptions import NoReductionError, ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import digits_to_indices, indices_to_digits
-from ..numbering.batch import f_digits, g_digits, group_collapse, t_columns
+from ..numbering.arrays import digit_weights
+from ..numbering.batch import coordinate_ranks, placed_weights, separable_ranks
 from ..numbering.radix import RadixBase
 from ..types import Node
 from ..utils.listops import apply_permutation, find_permutation
@@ -97,8 +95,11 @@ def simple_lowering_construction(
         searched for and sorted non-increasingly, which is the ordering the
         theorem assumes and the one minimizing the dilation.
 
-    The array path permutes/relabels/collapses all node rows at once with
-    the batch kernels; the per-node map is the loop backend's reference.
+    The array path sums one term per guest coordinate
+    (:func:`~repro.numbering.batch.coordinate_ranks`): its natural or ``t``
+    column times its ``U_V`` group weight and its host digit weight, so
+    ``τ`` only decides which weight a coordinate gets; the per-node map is
+    the loop backend's reference.
     """
     if guest.size != host.size:
         raise ShapeMismatchError(
@@ -151,11 +152,11 @@ def simple_lowering_construction(
         notes = {"reduction_factor": factor.groups, "permutation": tau}
 
     def ranks():
-        digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
-        rearranged = digits[:, list(tau)]
-        if torus_into_mesh:
-            rearranged = t_columns(flattened, rearranged)
-        return digits_to_indices(group_collapse(rearranged, factor.groups), host.shape)
+        # U_V keeps mixed-radix ranks: the host rank of U_V(x) is the rank of
+        # x in V̄, so position p of V̄ (guest coordinate τ[p]) weighs its own
+        # digit weight in V̄ — its U_V group weight times its host weight.
+        sequence = "t" if torus_into_mesh else "natural"
+        return coordinate_ranks(sequence, guest.shape, digit_weights(flattened), tau)
 
     return Construction(strategy, predicted, notes, image, ranks)
 
@@ -251,23 +252,25 @@ def general_lowering_construction(
         raise NoReductionError("internal error: invalid general-reduction decomposition")
 
     guest_is_effectively_mesh = guest.is_mesh or guest.is_hypercube
-    relabel_supernodes = False  # G''_S: t applied to the supernode coordinates
+    # The sequences of the supernode coordinates (t for G''_S) and of the
+    # supernode contents.
+    supernode_sequence = "natural"
     if guest_is_effectively_mesh:
         value_fn: Callable[[GeneralReductionFactor, Sequence[int]], Node] = F_prime_value
-        offset_batch_fn = f_digits
+        offset_sequence = "f"
         strategy = "lowering:β∘F'_S∘α"
         predicted = factor.dilation()
         upper_bound = False
     elif host.is_torus:
         value_fn = G_prime_value
-        offset_batch_fn = g_digits
+        offset_sequence = "g"
         strategy = "lowering:β∘G'_S∘α"
         predicted = factor.dilation()
         upper_bound = False
     else:
         value_fn = G_double_prime_value
-        offset_batch_fn = g_digits
-        relabel_supernodes = True
+        offset_sequence = "g"
+        supernode_sequence = "t"
         strategy = "lowering:β∘G''_S∘α"
         predicted = 2 * factor.dilation()
         upper_bound = True
@@ -283,23 +286,22 @@ def general_lowering_construction(
         notes["dilation_is_upper_bound"] = True
 
     def ranks():
-        digits = indices_to_digits(np.arange(guest.size, dtype=np.int64), guest.shape)
-        rearranged = digits[:, list(alpha)]
-        prefix = rearranged[:, : factor.c]  # supernode coordinates L'
-        suffix = rearranged[:, factor.c :]  # supernode contents L''
-        offset = np.concatenate(
-            [
-                offset_batch_fn(group, suffix[:, i])
-                for i, group in enumerate(factor.s_groups)
-            ],
-            axis=1,
-        )
-        if relabel_supernodes:
-            prefix = t_columns(factor.multiplicant, prefix)
-        b = factor.b
-        s = np.asarray(factor.s_flat, dtype=np.int64)
-        arranged = np.concatenate([s * prefix[:, :b] + offset, prefix[:, b:]], axis=1)
-        return digits_to_indices(arranged[:, list(beta)], host.shape)
+        # Host position j before β holds s_j·x'_j + offset_j for j < b and
+        # x'_j after, where x' = α(node)[:c] are the supernode coordinates
+        # and S_i's digits of the contents make up the offsets.
+        weights = placed_weights(digit_weights(host.shape), beta)
+        s = factor.s_flat
+        terms = [None] * factor.d
+        for j, length in enumerate(factor.multiplicant):
+            scale = s[j] if j < factor.b else 1
+            weight = scale * weights[j : j + 1]
+            terms[alpha[j]] = (supernode_sequence, (length,), weight)
+        start = 0
+        for i, group in enumerate(factor.s_groups):
+            stop = start + len(group)
+            terms[alpha[factor.c + i]] = (offset_sequence, group, weights[start:stop])
+            start = stop
+        return separable_ranks(terms)
 
     return Construction(
         strategy,

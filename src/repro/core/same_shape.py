@@ -14,22 +14,22 @@ Given two graphs of the same shape ``L = (l_1, ..., l_d)``:
 modulo ``l``, so their ``t``-relabelled coordinates differ by at most 2.
 
 Both constructions are written once (:class:`~repro.core.embedding.Construction`):
-the array backend relabels all ``N`` node rows in one
-:func:`repro.numbering.batch.t_columns` call, the loop backend is the
+the array backend sums one term per coordinate — ``t_{l_j}`` times the
+host digit weight of dimension ``j`` — with
+:func:`repro.numbering.batch.coordinate_ranks`, the loop backend is the
 retained per-node reference.  :func:`t_construction` also serves shapes that
-are permutations of each other (``π ∘ T_L``).
+are permutations of each other (``π ∘ T_L``), where the permutation only
+reorders the weights.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..exceptions import ShapeMismatchError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import digits_to_indices, indices_to_digits
-from ..numbering.batch import t_columns
+from ..numbering.arrays import digit_weights
+from ..numbering.batch import coordinate_ranks
 from ..types import Node
 from ..utils.listops import apply_permutation
 from .basic import t_value
@@ -71,15 +71,13 @@ def t_construction(
             return relabelled
         return apply_permutation(permutation, relabelled)
 
-    def ranks():
-        relabelled = t_columns(
-            shape, indices_to_digits(np.arange(guest.size, dtype=np.int64), shape)
-        )
-        if permutation is not None:
-            relabelled = relabelled[:, list(permutation)]
-        return digits_to_indices(relabelled, host.shape)
-
-    return Construction(strategy, 2, notes, image, ranks)
+    return Construction(
+        strategy,
+        2,
+        notes,
+        image,
+        lambda: coordinate_ranks("t", shape, digit_weights(host.shape), permutation),
+    )
 
 
 def same_shape_construction(

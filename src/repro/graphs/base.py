@@ -384,16 +384,19 @@ def make_graph(kind: GraphKind | str, shape: Iterable[int]) -> CartesianGraph:
     """The torus or mesh of a kind and a shape, interned.
 
     Graphs are immutable, so every call with the same ``(kind, shape)``
-    returns one shared object, and its lazily derived arrays (edge ranks,
-    neighbour matrix) are computed once per process.  An invalid shape
-    raises :class:`~repro.exceptions.InvalidShapeError` on every call.
+    returns one shared object, whether the kind is spelled as a
+    :class:`~repro.types.GraphKind` or as its string value, and its lazily
+    derived arrays (edge ranks, neighbour matrix) are computed once per
+    process.  An invalid kind raises ``ValueError`` and an invalid shape
+    :class:`~repro.exceptions.InvalidShapeError`, on every call.
     """
-    return _graph(GraphKind(kind), tuple(shape))
+    # Keyed on the kind's string value: a hit on a str kind converts nothing.
+    return _graph(getattr(kind, "value", kind), tuple(shape))
 
 
 @functools.lru_cache(maxsize=_SHAPE_MEMO_SIZE)
-def _graph(kind: GraphKind, shape: Tuple[int, ...]) -> CartesianGraph:
-    if kind.is_torus:
+def _graph(kind: str, shape: Tuple[int, ...]) -> CartesianGraph:
+    if GraphKind(kind).is_torus:
         return Torus(shape)
     return Mesh(shape)
 

@@ -23,23 +23,23 @@ here provide:
     embedding hot path.
 ``batch``
     Batch construction kernels: the embedding sequences ``t``/``f``/``g``/
-    ``r``/``h`` and the ``U_V`` collapse evaluated over whole node sets at
-    once — the array-first builders in :mod:`repro.core` are written on top
-    of these.
+    ``r``/``h`` evaluated over whole node sets at once, their memoized
+    per-component digit tables, and the outer sum of per-dimension terms
+    that every leaf construction in :mod:`repro.core` builds its host ranks
+    with.
 """
 
 from .radix import RadixBase
 from .arrays import digit_weights, digits_to_indices, indices_to_digits
 from .batch import (
+    coordinate_ranks,
     f_digits,
-    f_flat,
     g_digits,
-    g_flat,
-    group_collapse,
     h_digits,
-    h_flat,
+    placed_weights,
     r_digits,
-    t_columns,
+    separable_ranks,
+    sequence_table,
     t_indices,
 )
 from .distance import (
@@ -67,15 +67,14 @@ __all__ = [
     "digits_to_indices",
     "indices_to_digits",
     "t_indices",
-    "t_columns",
     "f_digits",
-    "f_flat",
     "g_digits",
-    "g_flat",
     "r_digits",
     "h_digits",
-    "h_flat",
-    "group_collapse",
+    "sequence_table",
+    "placed_weights",
+    "coordinate_ranks",
+    "separable_ranks",
     "mesh_distance",
     "torus_distance",
     "graph_distance_indices",

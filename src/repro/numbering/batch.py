@@ -1,25 +1,34 @@
 """Batch construction kernels — the paper's sequences over whole node sets.
 
 The scalar functions of :mod:`repro.core.basic` (``t_n``, ``f_L``, ``g_L``,
-``r_L``, ``h_L``) and the mixed-radix collapse ``U_V`` evaluate one node at a
-time; building a survey-scale embedding that way costs one Python call per
-guest node.  Every one of those definitions is plain arithmetic on digit
-vectors (Definitions 7–9, 14–15, 20, 22, 38 of the paper), so this module
-provides them over flat NumPy ``int64`` index arrays — the construction-side
-counterpart of the cost-side kernels in :mod:`repro.numbering.arrays`:
+``r_L``, ``h_L``) evaluate one node at a time; building a survey-scale
+embedding that way costs one Python call per guest node.  Every one of those
+definitions is plain arithmetic on digit vectors (Definitions 7–9, 14–15, 20,
+22 of the paper), so this module provides them over flat NumPy ``int64``
+index arrays — the construction-side counterpart of the cost-side kernels in
+:mod:`repro.numbering.arrays`:
 
 * :func:`t_indices` — ``t_n`` over an index array (Definition 14);
-* :func:`t_columns` — ``T_L``: ``t_{l_j}`` applied to every column of an
-  ``(n, d)`` digit matrix (Definition 35);
 * :func:`f_digits` / :func:`g_digits` / :func:`r_digits` / :func:`h_digits` —
   the embedding sequences as ``(n, d)`` digit matrices;
-* :func:`f_flat` / :func:`g_flat` / :func:`h_flat` — the same sequences as
-  flat natural-order ranks (``u_L^{-1}`` of the digit rows);
-* :func:`group_collapse` — ``U_V``: collapse consecutive column groups of a
-  digit matrix by mixed-radix evaluation (Definition 38).
+* :func:`sequence_table` — one sequence's digit table over ``0..n-1``,
+  memoized per ``(sequence, component)``;
+* :func:`separable_ranks` — host ranks as one outer sum of per-dimension
+  terms;
+* :func:`placed_weights` / :func:`coordinate_ranks` — the weights a
+  coordinate permutation assigns, and the ranks of a map that relabels each
+  coordinate alone (permutations, ``T_L``, ``U_V``).
+
+Every leaf construction of the paper — ``T_L`` (Definition 35),
+``F_V``/``G_V``/``H_V`` (Definition 31), ``U_V`` (Definition 38),
+``F'_S``/``G'_S``/``G''_S`` (Definition 42) — sends each guest coordinate
+alone through a sequence into a block of host digits, so a node's host rank
+is a sum of one term per guest dimension, and a coordinate permutation only
+reorders a few weights instead of gathering columns over the node rows.
 
 Each kernel is cross-checked element-for-element against its scalar
-counterpart by the differential test harness
+counterpart (``tests/test_numbering_batch.py``), and every construction's
+:func:`separable_ranks` against its per-node ``image``
 (``tests/test_construction_differential.py``); the scalar loops remain the
 reference implementation.  All kernels assume their index arguments are in
 range (the callers iterate ``0..n-1``); only shapes are validated.
@@ -27,24 +36,24 @@ range (the callers iterate ``0..n-1``); only shapes are validated.
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..utils.listops import product
-from .arrays import digit_weights, digits_to_indices
+from .arrays import _SHAPE_MEMO_SIZE, digit_weights, indices_to_digits
 
 __all__ = [
     "t_indices",
-    "t_columns",
     "f_digits",
-    "f_flat",
     "g_digits",
-    "g_flat",
     "r_digits",
     "h_digits",
-    "h_flat",
-    "group_collapse",
+    "sequence_table",
+    "placed_weights",
+    "coordinate_ranks",
+    "separable_ranks",
 ]
 
 
@@ -59,20 +68,6 @@ def t_indices(n: int, indices):
         raise ValueError("n must be positive")
     x = np.asarray(indices, dtype=np.int64)
     return np.where(x <= (n - 1) // 2, 2 * x, 2 * (n - x) - 1)
-
-
-def t_columns(shape: Sequence[int], digits):
-    """``T_L`` (Definition 35): apply ``t_{l_j}`` to column ``j`` of a digit matrix."""
-    shape = tuple(shape)
-    digits = np.asarray(digits, dtype=np.int64)
-    if digits.ndim != 2 or digits.shape[1] != len(shape):
-        raise ValueError(
-            f"digit matrix of shape {digits.shape} does not match radix-base {shape}"
-        )
-    out = np.empty_like(digits)
-    for j, length in enumerate(shape):
-        out[:, j] = t_indices(length, digits[:, j])
-    return out
 
 
 def f_digits(shape: Sequence[int], indices):
@@ -93,19 +88,9 @@ def f_digits(shape: Sequence[int], indices):
     return np.where(segment % 2 == 0, natural, radices - 1 - natural)
 
 
-def f_flat(shape: Sequence[int], indices):
-    """``f_L`` as flat natural-order ranks: ``u_L^{-1}(f_L(x))`` per element."""
-    return digits_to_indices(f_digits(shape, indices), shape)
-
-
 def g_digits(shape: Sequence[int], indices):
     """Vectorized ``g_L = f_L ∘ t_n`` (Definition 15) as a digit matrix."""
     return f_digits(shape, t_indices(product(tuple(shape)), indices))
-
-
-def g_flat(shape: Sequence[int], indices):
-    """``g_L`` as flat natural-order ranks."""
-    return digits_to_indices(g_digits(shape, indices), shape)
 
 
 def r_digits(shape: Sequence[int], indices):
@@ -164,31 +149,65 @@ def h_digits(shape: Sequence[int], indices):
     )
 
 
-def h_flat(shape: Sequence[int], indices):
-    """``h_L`` as flat natural-order ranks."""
-    return digits_to_indices(h_digits(shape, indices), shape)
+#: The sequences a construction sends one guest coordinate through, as
+#: ``(component, indices) -> (n, len(component))`` digit kernels.
+#: ``"natural"`` is ``u_L`` (the coordinate's own digits) and ``"t"`` takes
+#: a one-length component ``(l,)`` to the column ``t_l``.
+_SEQUENCES = {
+    "natural": lambda component, x: indices_to_digits(x, component),
+    "t": lambda component, x: t_indices(product(component), x)[:, None],
+    "f": f_digits,
+    "g": g_digits,
+    "h": h_digits,
+}
 
 
-def group_collapse(digits, groups: Sequence[Sequence[int]]):
-    """Vectorized ``U_V`` (Definition 38): collapse column groups of a digit matrix.
+@functools.lru_cache(maxsize=_SHAPE_MEMO_SIZE)
+def sequence_table(sequence: str, component: Tuple[int, ...]):
+    """The ``(n, len(component))`` digit table of ``sequence`` (a key of
+    ``_SEQUENCES``) over ``x = 0..n-1``, ``n = Π component``.  Memoized per
+    ``(sequence, component)`` and read-only: constructions share it."""
+    indices = np.arange(product(component), dtype=np.int64)
+    table = _SEQUENCES[sequence](component, indices)
+    table.setflags(write=False)
+    return table
 
-    ``groups`` partitions the columns left to right; output column ``k`` is
-    ``u_{V_k}^{-1}`` of group ``k``'s columns, i.e. the mixed-radix value of
-    that group's digit block.  The result is an ``(n, len(groups))`` matrix of
-    digits for the reduced base ``(Π V_1, ..., Π V_c)``.
+
+def placed_weights(weights, permutation: Optional[Sequence[int]] = None):
+    """Per-position ``weights`` after ``permutation``, indexed before it:
+    position ``π[m]`` gets ``weights[m]`` (the
+    :func:`~repro.utils.listops.apply_permutation` convention)."""
+    if permutation is None:
+        return weights
+    placed = np.empty_like(weights)
+    placed[list(permutation)] = weights
+    return placed
+
+
+def coordinate_ranks(sequence: str, shape: Sequence[int], weights, permutation=None):
+    """Host ranks of a map that relabels every coordinate of ``shape`` by the
+    one-digit ``sequence`` (``"natural"`` or ``"t"``) and weighs coordinate
+    ``permutation[m]`` by ``weights[m]``: one term per coordinate."""
+    placed = placed_weights(weights, permutation)
+    terms = [
+        (sequence, (length,), placed[k : k + 1]) for k, length in enumerate(shape)
+    ]
+    return separable_ranks(terms)
+
+
+def separable_ranks(terms: Sequence[Tuple[str, Tuple[int, ...], np.ndarray]]):
+    """Host ranks of a separable construction, one term per guest dimension.
+
+    ``terms[k] = (sequence, component, weights)``: guest coordinate ``k``
+    goes through ``sequence`` over ``component`` and its digits land on
+    host positions of the given ``weights``, so it contributes ``C_k =
+    sequence_table(sequence, component) @ weights``.  Guest node ``(i_1,
+    ..., i_d)`` has host rank ``C_1[i_1] + ... + C_d[i_d]``: the C-order
+    outer sum of the ``C_k``, raveled, so the first guest digit is the most
+    significant (as in :func:`~repro.numbering.arrays.indices_to_digits`).
     """
-    digits = np.asarray(digits, dtype=np.int64)
-    groups = tuple(tuple(group) for group in groups)
-    expected = sum(len(group) for group in groups)
-    if digits.ndim != 2 or digits.shape[1] != expected:
-        raise ValueError(
-            f"digit matrix has {digits.shape[-1] if digits.ndim else 0} columns "
-            f"but the groups cover {expected}"
-        )
-    columns = []
-    position = 0
-    for group in groups:
-        block = digits[:, position : position + len(group)]
-        columns.append(block @ digit_weights(group))
-        position += len(group)
-    return np.stack(columns, axis=1)
+    ranks = None
+    for sequence, component, weights in terms:
+        term = sequence_table(sequence, component) @ weights
+        ranks = term if ranks is None else np.add.outer(ranks, term).ravel()
+    return ranks

@@ -36,6 +36,7 @@ Key formats (see ``docs/ARCHITECTURE.md``)::
 
 from __future__ import annotations
 
+import functools
 import pickle
 import warnings
 from dataclasses import dataclass
@@ -143,6 +144,15 @@ class CachedConstruction:
     notes: Dict[str, object]
 
 
+@functools.lru_cache(maxsize=None)
+def _embedding_class():
+    """:class:`~repro.core.embedding.Embedding`, imported once on first use
+    (``repro.core`` imports the runtime package, so not at module level)."""
+    from ..core.embedding import Embedding
+
+    return Embedding
+
+
 def _portable_indices(embedding):
     """The embedding's host-index array in a picklable, immutable form."""
     array = embedding.host_index_array().copy()
@@ -191,9 +201,7 @@ class ConstructionCache:
         self.hits += 1
         if isinstance(payload, str):
             raise UnsupportedEmbeddingError(payload)
-        from ..core.embedding import Embedding
-
-        return Embedding.from_index_array(
+        return _embedding_class().from_index_array(
             guest,
             host,
             payload.host_indices,

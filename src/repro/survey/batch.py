@@ -35,6 +35,7 @@ pair must not kill a sweep) are preserved record for record.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Dict, List, Sequence, Tuple
 
@@ -62,9 +63,11 @@ GraphSpec = Tuple[str, Tuple[int, ...]]
 
 
 class _ShardState:
-    """Per-shard memo of networks, traffic patterns and builds."""
+    """Per-shard memo of graph columns, networks, traffic patterns and builds."""
 
-    def __init__(self):
+    def __init__(self, graph_columns):
+        # Each graph's record columns, derived once per shard.
+        self.graph_columns = functools.lru_cache(maxsize=None)(graph_columns)
         self.networks: Dict[GraphSpec, HostNetwork] = {}
         self.patterns: Dict[Tuple[str, GraphSpec], Tuple[str, object]] = {}
         self.builds: Dict[Tuple[str, GraphSpec, GraphSpec], Tuple[str, object]] = {}
@@ -187,10 +190,11 @@ def evaluate_shard_batched(
     ``elapsed_seconds`` timing column (batched records carry the per-record
     share of the shard's wall time).
     """
-    from .runner import _record_base, evaluate_scenario  # lazy: runner imports us
+    # lazy: runner imports us
+    from .runner import _graph_columns, _record_base, evaluate_scenario
 
     started = time.perf_counter()
-    state = _ShardState()
+    state = _ShardState(_graph_columns)
     # Per position: a finished reference-path record (with its own timing)
     # or a batched record's columns, built into a record once at the end.
     records: List[object] = [None] * len(scenarios)
@@ -212,7 +216,7 @@ def evaluate_shard_batched(
             continue
         guest = scenario.guest_graph()
         host = scenario.host_graph()
-        base = _record_base(scenario, guest, host)
+        base = _record_base(scenario, guest, host, state.graph_columns)
         # Embedding scenarios always measure the paper dispatcher's
         # construction (the reference path calls `embed`, which is
         # `build_strategy("paper", ...)`); simulation scenarios build the

@@ -198,19 +198,31 @@ class SurveyReport:
         return rows
 
 
-def _record_base(scenario: Scenario, guest, host) -> Dict[str, object]:
+def _graph_columns(graph) -> Tuple[str, int]:
+    """A graph's identification columns: its repr and its edge count."""
+    return repr(graph), graph.num_edges()
+
+
+def _record_base(
+    scenario: Scenario, guest, host, graph_columns=_graph_columns
+) -> Dict[str, object]:
     """The identification columns shared by every record of a scenario.
 
     One definition for both evaluation paths: the per-scenario reference
     below and the batched shard evaluator (:mod:`repro.survey.batch`), whose
-    byte-identity contract would silently break if the two drifted.
+    byte-identity contract would silently break if the two drifted.  The
+    batched evaluator passes its shard's memo of :func:`_graph_columns`, so
+    each graph's columns are derived once per shard; ``scenario_id`` and
+    ``faults`` stay per scenario.
     """
+    guest_name, guest_edges = graph_columns(guest)
+    host_name, _ = graph_columns(host)
     return dict(
         scenario_id=scenario.scenario_id,
-        guest=repr(guest),
-        host=repr(host),
+        guest=guest_name,
+        host=host_name,
         nodes=host.size,
-        guest_edges=guest.num_edges(),
+        guest_edges=guest_edges,
         guest_size=guest.size,
         faults=scenario.faults or None,
     )

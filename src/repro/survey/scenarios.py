@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..graphs.base import CartesianGraph, make_graph
 from ..graphs.faults import FaultSpec
-from ..types import GraphKind, Shape
+from ..types import Shape
 
 __all__ = [
     "Scenario",
@@ -98,10 +98,10 @@ class Scenario:
         return math.prod(self.guest_shape)
 
     def guest_graph(self) -> CartesianGraph:
-        return make_graph(GraphKind(self.guest_kind), self.guest_shape)
+        return make_graph(self.guest_kind, self.guest_shape)
 
     def host_graph(self) -> CartesianGraph:
-        return make_graph(GraphKind(self.host_kind), self.host_shape)
+        return make_graph(self.host_kind, self.host_shape)
 
     def fault_spec(self) -> Optional[FaultSpec]:
         """The parsed :class:`FaultSpec`, or ``None`` for pristine scenarios."""
@@ -314,9 +314,10 @@ def _suite_expansion() -> List[Scenario]:
     """Unequal-size pairs: a smaller guest sub-embedded into a larger host.
 
     Every supported pair routes through the dispatcher's ``subshape``
-    strategy (componentwise sub-box plus an inner same-size embed); the two
-    no-sub-box pairs stay in the suite to pin the graceful ``unsupported``
-    record.
+    strategy (componentwise sub-box plus an inner same-size embed).  The two
+    unsupported pairs stay in the suite to pin the graceful ``unsupported``
+    record: one host has no sub-box of the guest's size, the other has one
+    that the guest does not reduce to.
     """
     pairs = [
         ("torus", (2, 3), "mesh", (3, 4)),     # 6 tasks on 12 processors
@@ -326,7 +327,7 @@ def _suite_expansion() -> List[Scenario]:
         ("torus", (4, 4), "mesh", (4, 5)),     # one spare column
         ("torus", (6,), "mesh", (3, 3)),       # ring via h_L in a sub-box
         ("mesh", (8,), "mesh", (3, 4)),        # line in a 4x2 sub-box
-        ("mesh", (2, 6), "mesh", (4, 4)),      # no sub-box: unsupported
+        ("mesh", (2, 6), "mesh", (4, 4)),      # sub-box (4, 3) is no reduction
         ("mesh", (24,), "mesh", (5, 5)),       # no sub-box: unsupported
     ]
     return [Scenario(gk, gs, hk, hs) for gk, gs, hk, hs in pairs]

@@ -127,12 +127,28 @@ class TestExpansionSuite:
         assert record.strategy.startswith("subshape:")
         assert record.dilation >= 1
 
-    def test_pairs_without_a_sub_box_record_unsupported(self):
-        scenario = Scenario("mesh", (2, 6), "mesh", (4, 4))
+    @pytest.mark.parametrize(
+        "scenario,reason",
+        [
+            # (4, 3) is the 12-node sub-box of (4, 4); (2, 6) does not reduce to it.
+            (
+                Scenario("mesh", (2, 6), "mesh", (4, 4)),
+                "(4, 3) is not a reduction of (2, 6)",
+            ),
+            (
+                Scenario("mesh", (24,), "mesh", (5, 5)),
+                "no sub-box of host shape (5, 5) has exactly 24 nodes",
+            ),
+        ],
+        ids=["sub-box-not-a-reduction", "no-sub-box"],
+    )
+    def test_unsupported_suite_pairs_record_their_reason(self, scenario, reason):
+        assert scenario in scenarios_for_suite("expansion")
         record = evaluate_scenario(scenario, SurveyOptions(workers=1))
         assert record.status == "unsupported"
-        assert record.guest_size == 12
-        assert record.nodes == 16
+        assert reason in record.error
+        assert record.guest_size == math.prod(scenario.guest_shape)
+        assert record.nodes == math.prod(scenario.host_shape)
 
     def test_measured_records_match_direct_embedding(self):
         for scenario in scenarios_for_suite("expansion")[:3]:

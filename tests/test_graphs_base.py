@@ -62,10 +62,18 @@ class TestConstruction:
         shared_u, shared_v = second.edge_index_arrays()
         assert u is shared_u and v is shared_v
 
+    def test_make_graph_interns_across_kind_spellings(self):
+        # The enum spelling first, then its string value, then a list shape.
+        graph = make_graph(GraphKind.MESH, (5, 7))
+        assert make_graph("mesh", (5, 7)) is graph
+        assert make_graph("mesh", [5, 7]) is graph
+
     def test_make_graph_raises_on_every_invalid_call(self):
         for _ in range(2):
             with pytest.raises(InvalidShapeError):
                 make_graph("mesh", (0, 3))
+            with pytest.raises(ValueError):
+                make_graph("cube", (2, 2))
 
     def test_invalid_shape(self):
         with pytest.raises(InvalidShapeError):

@@ -48,7 +48,8 @@ from repro.survey import (
     run_survey,
     scenarios_for_suite,
 )
-from repro.survey.runner import evaluate_scenario
+from repro.survey.batch import _ShardState
+from repro.survey.runner import _graph_columns, _record_base, evaluate_scenario
 
 from .strategies import same_size_shape_pairs
 
@@ -598,6 +599,24 @@ class TestDerivedArrayMemoization:
         assert digits is graph.node_digit_array()
         assert not digits.flags.writeable
         assert [tuple(row) for row in digits.tolist()] == list(graph.nodes())
+
+    def test_record_columns_derived_once_per_graph(self):
+        # The batched evaluator's per-shard memo must not change a column.
+        described = []
+
+        def graph_columns(graph):
+            described.append(graph)
+            return _graph_columns(graph)
+
+        state = _ShardState(graph_columns)
+        scenarios = all_pairs(12)
+        for scenario in scenarios:
+            guest, host = scenario.guest_graph(), scenario.host_graph()
+            memoized = _record_base(scenario, guest, host, state.graph_columns)
+            assert memoized == _record_base(scenario, guest, host)
+        guests = {s.guest_graph() for s in scenarios}
+        hosts = {s.host_graph() for s in scenarios}
+        assert len(described) == len(guests | hosts)
 
 
 class TestContextAndCli:
