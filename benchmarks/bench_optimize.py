@@ -1,11 +1,12 @@
 """BENCH-OPTIMIZE: the stacked-kernel population search vs the loop reference.
 
-PR 8's tentpole: ``repro.optimize`` prices an entire candidate population per
-generation with one fused :func:`stacked_objective_components` pass, where
-the pure-Python reference engine walks every guest edge (and, for
-congestion-bearing objectives, every dimension-ordered route) per candidate.
-Both engines share one RNG stream and one acceptance driver, so the
-differential contract is exact:
+``repro.optimize``'s array engine prices the seed population with one fused
+:func:`stacked_objective_components` pass, keeps its per-edge distances and
+per-link loads, and prices each generation from only the guest edges whose
+endpoint images the moves changed.  The pure-Python reference engine walks
+every guest edge (and, for congestion-bearing objectives, every
+dimension-ordered route) of every candidate.  Both engines share one RNG
+stream and one acceptance driver, so the differential contract is exact:
 
 * the searches must return **bit-for-bit identical** results — best row,
   encoded objective, provenance and the persisted ``OptimizerState``;

@@ -10,7 +10,7 @@ against baselines on more than one axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from ..numbering.arrays import (
     compact_index_dtype,
     shape_tables,
     stacked_edge_congestion,
+    stacked_route_costs,
 )
 
 __all__ = [
@@ -27,9 +28,9 @@ __all__ = [
     "edge_congestion_cost",
     "expansion_cost",
     "EmbeddingReport",
+    "ObjectiveComponents",
     "evaluate_embedding",
     "stack_host_index_arrays",
-    "stacked_edge_dilations",
     "stacked_dilation_summary",
     "stacked_congestion",
     "stacked_objective_components",
@@ -127,22 +128,6 @@ def stack_host_index_arrays(embeddings, host):
             np.asarray(embedding.host_index_array(), dtype=dtype)
             for embedding in embeddings
         ]
-    )
-
-
-def stacked_edge_dilations(host, edge_u, edge_v, images):
-    """Per-edge host distances for a whole stack of embeddings at once.
-
-    ``images`` is the ``(batch, size)`` stack of host-index rows and
-    ``edge_u`` / ``edge_v`` the shared guest edge-endpoint ranks; the result
-    is the ``(batch, E)`` ``int64`` distance matrix — row ``b`` equals
-    ``Embedding.edge_dilation_array`` of the ``b``-th embedding exactly.
-    """
-    images = np.asarray(images)
-    # np.take keeps the stacks C-ordered (``images[:, edge_u]`` is
-    # Fortran-ordered), so the row reductions run over contiguous rows.
-    return host.distance_indices(
-        np.take(images, edge_u, axis=1), np.take(images, edge_v, axis=1)
     )
 
 
@@ -272,28 +257,57 @@ def _ragged_edge_distances(hosts, edge_us, edge_vs, images, counts):
     return total
 
 
+class ObjectiveComponents(NamedTuple):
+    """The objective columns of a stack of embeddings and what they reduce.
+
+    ``dilation_max``, ``dilation_total`` and ``congestion`` are ``(batch,)``
+    ``int64`` columns; ``distances`` is the ``(batch, E)`` per-edge host
+    distance matrix and ``loads`` the ``(batch, slots)`` per-link load
+    matrix of :func:`repro.numbering.arrays.stacked_route_costs`.
+    ``congestion`` and ``loads`` are ``None`` unless congestion was asked
+    for.
+    """
+
+    dilation_max: np.ndarray
+    dilation_total: np.ndarray
+    congestion: Optional[np.ndarray]
+    distances: np.ndarray
+    loads: Optional[np.ndarray]
+
+
 def stacked_objective_components(host, edge_u, edge_v, images, *, with_congestion):
     """Objective columns for a stack of embeddings, in one fused pass.
 
-    Returns ``(dilation_max, dilation_total, congestion)`` — three ``(batch,)``
-    ``int64`` columns (``congestion`` is ``None`` unless requested).  This is
-    the scoring kernel of the embedding optimizer
-    (:mod:`repro.optimize.search`): the whole candidate population is priced
-    by one pass over the shared edge-index arrays, with no per-candidate
-    Python.  Each row's values are bit-for-bit the per-embedding
-    ``dilation()`` / ``sum(edge dilations)`` / ``edge_congestion()``.
+    Returns :class:`ObjectiveComponents`.  This is the full scorer of the
+    embedding optimizer (:mod:`repro.optimize.search`): the seed population
+    and the final row are priced by one pass over the shared edge-index
+    arrays, with no per-candidate Python, and the per-edge distances and
+    per-link loads it returns are the state the search then updates
+    generation by generation.  Dilation and congestion come from one set of
+    coordinate gathers (:func:`repro.numbering.arrays.route_runs`).  Each
+    row's values are bit-for-bit the per-embedding ``dilation()`` /
+    ``sum(edge dilations)`` / ``edge_congestion()``; a guest without edges
+    scores 0.
     """
-    images = np.asarray(images)
-    batch = images.shape[0]
-    edge_u = np.asarray(edge_u)
-    if edge_u.size == 0:
-        zeros = np.zeros(batch, dtype=np.int64)
-        return zeros, zeros.copy(), (zeros.copy() if with_congestion else None)
-    dilations = stacked_edge_dilations(host, edge_u, edge_v, images)
-    congestion = (
-        stacked_congestion(host, edge_u, edge_v, images) if with_congestion else None
+    distances, loads = stacked_route_costs(
+        images,
+        edge_u,
+        edge_v,
+        host.shape,
+        torus=host.is_torus,
+        with_loads=with_congestion,
     )
-    return dilations.max(axis=1), dilations.sum(axis=1), congestion
+    if distances.shape[1]:
+        dilation_max = distances.max(axis=1)
+    else:
+        dilation_max = np.zeros(distances.shape[0], dtype=np.int64)
+    return ObjectiveComponents(
+        dilation_max,
+        distances.sum(axis=1),
+        None if loads is None else loads.max(axis=1),
+        distances,
+        loads,
+    )
 
 
 def stacked_congestion(host, edge_u, edge_v, images):

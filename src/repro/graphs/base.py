@@ -47,12 +47,15 @@ __all__ = [
 class CartesianGraph:
     """Common behaviour of toruses and meshes.
 
-    Subclasses fix :attr:`kind`.  Node tuples are always full ``d``-tuples;
+    Subclasses fix :attr:`kind` and :attr:`kind_value`, its string value
+    as a plain ``str`` (reading ``kind.value`` goes through the enum's
+    property on every call).  Node tuples are always full ``d``-tuples;
     for 1-dimensional graphs the helpers :meth:`node_of_int` /
     :meth:`int_of_node` convert to the paper's integer shorthand.
     """
 
     kind: GraphKind
+    kind_value: str
 
     def __init__(self, shape: Iterable[int]):
         self._shape: Shape = as_shape(shape)
@@ -344,12 +347,14 @@ class Torus(CartesianGraph):
     """An ``(l_1, ..., l_d)``-torus (Definition 2)."""
 
     kind = GraphKind.TORUS
+    kind_value = GraphKind.TORUS.value
 
 
 class Mesh(CartesianGraph):
     """An ``(l_1, ..., l_d)``-mesh (Definition 3)."""
 
     kind = GraphKind.MESH
+    kind_value = GraphKind.MESH.value
 
 
 class Line(Mesh):

@@ -1,14 +1,18 @@
 """Population-based local search over embeddings, scored by the batch kernels.
 
-The survey engine (PR 5) can measure a *stack* of embeddings in one fused
-pass; this module points the same kernels at *search*.  A population of
-candidate bijections — seeded from the paper's constructions and the
-registry baselines — is mutated by random 2-swaps and segment reversals and
-re-scored generation by generation, with either greedy hill-climbing or a
-simulated-annealing acceptance schedule.  The array engine stacks the whole
-population into one ``(population, size)`` host-index matrix and prices every
-candidate generation with a single :func:`stacked_objective_components`
-call — zero per-candidate Python in the scoring path.
+A population of candidate bijections — seeded from the paper's
+constructions and the registry baselines — is mutated by random 2-swaps and
+segment reversals and re-scored generation by generation, with either greedy
+hill-climbing or a simulated-annealing acceptance schedule.  The array
+engine stacks the whole population into one ``(population, size)``
+host-index matrix.  It prices the seed population (and the final row) with
+one fused :func:`stacked_objective_components` pass, keeps that pass's
+per-edge distances and per-link loads for the live population, and then
+prices each generation from only the guest edges whose endpoint images the
+moves changed: their old routes leave the loads and their new routes enter
+them as one difference buffer, with zero per-candidate Python.  A
+generation therefore costs in proportion to what its moves changed, not to
+the guest's edge count.
 
 The differential contract that made PRs 2-7 safe extends here: a pure-Python
 loop engine re-runs the identical search (same shared
@@ -36,6 +40,7 @@ from ..analysis.metrics import stacked_objective_components
 from ..core.embedding import Embedding, use_array_path
 from ..exceptions import ShapeMismatchError, UnsupportedEmbeddingError
 from ..graphs.paths import dimension_order_path
+from ..numbering.arrays import route_runs, run_loads
 from ..runtime.cache import OptimizerState
 from ..runtime.context import current
 from ..runtime.registry import STRATEGIES, build_strategy, register_strategy
@@ -138,21 +143,36 @@ class OptimizeResult:
 
 
 # --------------------------------------------------------------------------- #
-# Engines: candidate construction + scoring (everything else is shared)
+# Engines: candidate construction + scoring (everything else is shared).
+# ``start`` prices the seed population, ``price`` a generation's candidates
+# against the live population, ``commit`` keeps the accepted ones, and
+# ``score`` prices any matrix from scratch (the final row).
 # --------------------------------------------------------------------------- #
 class _ArrayEngine:
     """Vectorized engine: the population is one ``(population, size)`` matrix.
 
-    Scoring is a single fused pass of the stacked metric kernels per
-    generation; move application touches two cells (swap) or one slice
-    (reversal) per member, which is negligible next to the ``O(population x
-    edges)`` scoring work.
+    The engine keeps the live population's per-edge host distances ``D``
+    (members x E) and, for congestion-bearing objectives, its per-link
+    loads ``L`` (members x slots), both from one full
+    :func:`stacked_objective_components` pass over the seed population.  A
+    generation re-prices only the (member, edge) pairs whose endpoint
+    images its moves changed: one :func:`route_runs` call over their old
+    and new endpoints gives the new distances, which replace the old ones
+    in a copy ``D'``, and the run slots of both routes, which enter
+    ``L' = L + cumsum(Δ)`` as one difference buffer (the old route with its
+    opens and closes swapped).  The three columns are the row max and sum
+    of ``D'`` and the row max of ``L'``; :meth:`commit` copies the accepted
+    rows.  Every sum is an integer, so each column is exactly what full
+    re-scoring of the candidate gives.
     """
 
     def __init__(self, guest, host, *, with_congestion: bool):
         self.host = host
         self.with_congestion = with_congestion
         self.edge_u, self.edge_v = guest.edge_index_arrays()
+        # start sets the live population's D and L; price leaves the
+        # candidates' D' and L' pending for commit.
+        self.distances = self.loads = self.pending = None
 
     def population(self, rows: Sequence[Sequence[int]]):
         return np.asarray([list(row) for row in rows], dtype=np.int64)
@@ -169,27 +189,84 @@ class _ArrayEngine:
                 ][::-1].copy()
         return candidate
 
-    def score(self, matrix):
-        dil_max, dil_sum, congestion = stacked_objective_components(
+    def _full(self, matrix):
+        return stacked_objective_components(
             self.host,
             self.edge_u,
             self.edge_v,
             matrix,
             with_congestion=self.with_congestion,
         )
-        return (
-            dil_max.tolist(),
-            dil_sum.tolist(),
-            congestion.tolist() if congestion is not None else None,
+
+    def score(self, matrix):
+        return _columns(*self._full(matrix)[:3])
+
+    def start(self, population):
+        components = self._full(population)
+        self.distances = components.distances
+        self.loads = components.loads
+        members, size = population.shape
+        # Flat (member, edge) pair -> flat population cell of its endpoints.
+        first = np.arange(members, dtype=np.int64)[:, None] * size
+        self.cell_u = (first + self.edge_u).ravel()
+        self.cell_v = (first + self.edge_v).ravel()
+        self.member_of = np.repeat(
+            np.arange(members, dtype=np.int64), self.edge_u.size
+        )
+        return _columns(*components[:3])
+
+    def price(self, population, candidate):
+        changed = population != candidate
+        touched = np.take(changed, self.edge_u, axis=1)
+        touched |= np.take(changed, self.edge_v, axis=1)
+        pairs = np.flatnonzero(touched)
+        # Row 0 holds the live endpoint images, row 1 the candidate's.
+        cell_u = self.cell_u[pairs]
+        cell_v = self.cell_v[pairs]
+        source = np.stack((population.ravel()[cell_u], candidate.ravel()[cell_u]))
+        target = np.stack((population.ravel()[cell_v], candidate.ravel()[cell_v]))
+        rows = self.member_of[pairs] if self.with_congestion else None
+        runs = route_runs(
+            source, target, self.host.shape, torus=self.host.is_torus, rows=rows
+        )
+        distances = self.distances.copy()
+        distances.ravel()[pairs] = runs.distance[1]
+        loads = None
+        if self.with_congestion:
+            # New runs open and close; old runs are taken out by the same
+            # slots with the signs swapped.
+            delta = run_loads(
+                [run[1] for run in runs.opens] + [run[0] for run in runs.closes],
+                [run[0] for run in runs.opens] + [run[1] for run in runs.closes],
+                self.loads.size,
+            )
+            loads = self.loads + delta.reshape(self.loads.shape)
+        self.pending = (distances, loads)
+        return _columns(
+            distances.max(axis=1),
+            distances.sum(axis=1),
+            None if loads is None else loads.max(axis=1),
         )
 
     def commit(self, matrix, candidate, accepted: Sequence[bool]) -> None:
-        for member, take in enumerate(accepted):
-            if take:
-                matrix[member] = candidate[member]
+        take = np.asarray(accepted, dtype=bool)[:, None]
+        np.copyto(matrix, candidate, where=take)
+        distances, loads = self.pending
+        np.copyto(self.distances, distances, where=take)
+        if loads is not None:
+            np.copyto(self.loads, loads, where=take)
 
     def row(self, matrix, member: int) -> Tuple[int, ...]:
         return tuple(int(image) for image in matrix[member])
+
+
+def _columns(dil_max, dil_sum, congestion):
+    """The engines' score columns as lists of ints."""
+    return (
+        dil_max.tolist(),
+        dil_sum.tolist(),
+        congestion.tolist() if congestion is not None else None,
+    )
 
 
 class _LoopEngine:
@@ -255,6 +332,12 @@ class _LoopEngine:
         if not self.with_congestion:
             return dil_max, dil_sum, None
         return dil_max, dil_sum, [entry[2] for entry in scored]
+
+    def start(self, population):
+        return self.score(population)
+
+    def price(self, population, candidate):
+        return self.score(candidate)
 
     def commit(self, matrix, candidate, accepted: Sequence[bool]) -> None:
         for member, take in enumerate(accepted):
@@ -355,7 +438,7 @@ def optimize_embedding(
             congestion[member] if congestion is not None else None,
         )
 
-    scores = engine.score(population)
+    scores = engine.start(population)
     objectives = [encode(scores, member) for member in range(len(seeds))]
 
     best_member = min(range(len(objectives)), key=lambda member: objectives[member])
@@ -385,7 +468,7 @@ def optimize_embedding(
                     j += 1
                 moves.append((kind, min(i, j), max(i, j)))
             candidate = engine.candidates(population, moves)
-            candidate_scores = engine.score(candidate)
+            candidate_scores = engine.price(population, candidate)
             accepted = []
             for member in range(members):
                 challenger = encode(candidate_scores, member)

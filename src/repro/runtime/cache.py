@@ -70,9 +70,9 @@ def embedding_cache_key(name: str, guest, host) -> CacheKey:
     return (
         "embedding",
         f"strategy:{name}",
-        guest.kind.value,
+        guest.kind_value,
         tuple(guest.shape),
-        host.kind.value,
+        host.kind_value,
         tuple(host.shape),
     )
 
@@ -101,9 +101,9 @@ def optimum_cache_key(objective: str, guest, host) -> CacheKey:
     return (
         "optimum",
         objective,
-        guest.kind.value,
+        guest.kind_value,
         tuple(guest.shape),
-        host.kind.value,
+        host.kind_value,
         tuple(host.shape),
     )
 

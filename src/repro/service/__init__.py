@@ -27,32 +27,35 @@ one write on a ``TCP_NODELAY`` socket.
     ``repro invoke``.
 """
 
-from .client import DEFAULT_RETRY, ServiceClient, ServiceError
-from .coalescer import CoalescerClosed, RequestCoalescer
-from .protocol import OPS, ProtocolError, ServiceRequest, parse_graph_spec
-from .server import (
-    DEFAULT_PORT,
-    ReproService,
-    ServiceHTTPServer,
-    ServiceOverloadedError,
-    ServiceTimeoutError,
-    serve,
-)
+import importlib
 
-__all__ = [
-    "OPS",
-    "DEFAULT_PORT",
-    "DEFAULT_RETRY",
-    "CoalescerClosed",
-    "ProtocolError",
-    "RequestCoalescer",
-    "ReproService",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceHTTPServer",
-    "ServiceOverloadedError",
-    "ServiceRequest",
-    "ServiceTimeoutError",
-    "parse_graph_spec",
-    "serve",
-]
+#: Each export and the submodule it lives in.  The package resolves them on
+#: first use, so importing :mod:`repro.service.protocol` -- the graph-spec
+#: grammar that the CLI and :mod:`repro.api` parse with -- loads neither
+#: the HTTP server nor the client.
+_EXPORTS = {
+    "OPS": "protocol",
+    "DEFAULT_PORT": "server",
+    "DEFAULT_RETRY": "client",
+    "CoalescerClosed": "coalescer",
+    "ProtocolError": "protocol",
+    "RequestCoalescer": "coalescer",
+    "ReproService": "server",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "ServiceHTTPServer": "server",
+    "ServiceOverloadedError": "server",
+    "ServiceRequest": "protocol",
+    "ServiceTimeoutError": "server",
+    "parse_graph_spec": "protocol",
+    "serve": "server",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -8,14 +8,17 @@ backends.  Everything else — objective encoding, seeding, cache keep-best,
 suite integration, the registry opt-in — hangs off that equality.
 """
 
+import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.metrics import stacked_objective_components
 from repro.exceptions import UnsupportedEmbeddingError
-from repro.graphs.base import Mesh, Torus
+from repro.graphs.base import Mesh, Torus, make_graph
 from repro.optimize import (
     OBJECTIVES,
     SCHEDULES,
@@ -31,6 +34,7 @@ from repro.optimize import (
     optimize_embedding,
     register_optimized_strategy,
 )
+from repro.optimize.search import _ArrayEngine
 from repro.runtime import ConstructionCache, OptimizerState, use_context
 from repro.runtime.cache import optimum_cache_key
 from repro.runtime.registry import STRATEGIES, build_strategy, strategy_names
@@ -44,6 +48,13 @@ SMALL = (Torus((4, 4)), Mesh((4, 4)))
 #: A pair without a paper construction, so baselines seed the search.
 NO_PAPER = (Torus((3, 4)), Mesh((6, 2)))
 FAST = OptimizeOptions(budget=80, population=6, seed=3)
+#: Pairs with torus hosts: rings that runs wrap around, an extent-2 torus
+#: dimension (one edge per line pair, like a mesh) and a 1-D host.
+TORUS_HOSTS = [
+    (Mesh((4, 4)), Torus((4, 4))),
+    (Torus((3, 4)), Torus((2, 6))),
+    (Mesh((4, 4)), Torus((16,))),
+]
 
 
 class TestSplitMix64:
@@ -207,6 +218,22 @@ class TestDifferential:
         assert array.provenance == loop.provenance
         assert array.embedding.mapping == loop.embedding.mapping
 
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize(
+        "pair", TORUS_HOSTS, ids=["mesh-torus", "torus-extent2", "mesh-ring"]
+    )
+    def test_engines_agree_on_torus_hosts(self, pair, objective, schedule):
+        guest, host = pair
+        options = OptimizeOptions(
+            objective=objective, budget=90, population=6, seed=29, schedule=schedule
+        )
+        array = self.run("array", guest, host, options)
+        loop = self.run("loop", guest, host, options)
+        assert array.state == loop.state
+        assert array.dilation_total == loop.dilation_total
+        assert array.embedding.mapping == loop.embedding.mapping
+
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32), budget=st.integers(0, 64))
     def test_engines_agree_across_random_seeds(self, seed, budget):
@@ -228,6 +255,80 @@ class TestDifferential:
             )
             caches[backend] = (second.state, cache.fetch_optimum("combined", guest, host))
         assert caches["array"] == caches["loop"]
+
+
+#: Host and guest shapes of the incremental-scorer property test, grouped
+#: by size: 1-D graphs, extent-2 dimensions and odd extents.
+INCREMENTAL_SHAPES = [
+    (9,), (3, 3),
+    (12,), (2, 6), (3, 4), (4, 3), (2, 2, 3),
+    (15,), (5, 3),
+    (16,), (4, 4), (2, 8), (2, 2, 4),
+]
+
+
+@st.composite
+def search_traces(draw):
+    """A pair, a population and a few generations of moves and verdicts."""
+    host_shape = draw(st.sampled_from(INCREMENTAL_SHAPES))
+    size = math.prod(host_shape)
+    guest_shape = draw(
+        st.sampled_from([s for s in INCREMENTAL_SHAPES if math.prod(s) == size])
+    )
+    kinds = st.sampled_from(["torus", "mesh"])
+    guest = make_graph(draw(kinds), guest_shape)
+    host = make_graph(draw(kinds), host_shape)
+    members = draw(st.integers(min_value=1, max_value=5))
+    rows = [draw(st.permutations(range(size))) for _ in range(members)]
+    node = st.integers(min_value=0, max_value=size - 1)
+    ends = st.lists(node, min_size=2, max_size=2, unique=True)
+    move = st.tuples(st.integers(0, 1), ends).map(
+        lambda drawn: (drawn[0], min(drawn[1]), max(drawn[1]))
+    )
+    generation = st.tuples(
+        st.lists(move, min_size=members, max_size=members),
+        st.lists(st.booleans(), min_size=members, max_size=members),
+    )
+    generations = draw(st.lists(generation, min_size=1, max_size=6))
+    return guest, host, rows, generations
+
+
+class TestIncrementalScoring:
+    """The array engine's kept state against fresh full scoring."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(trace=search_traces(), with_congestion=st.booleans())
+    def test_every_generation_matches_full_scoring(self, trace, with_congestion):
+        guest, host, rows, generations = trace
+        edge_u, edge_v = guest.edge_index_arrays()
+
+        def full(matrix):
+            return stacked_objective_components(
+                host, edge_u, edge_v, matrix, with_congestion=with_congestion
+            )
+
+        engine = _ArrayEngine(guest, host, with_congestion=with_congestion)
+        population = engine.population(rows)
+        engine.start(population)
+        for moves, accepted in generations:
+            candidate = engine.candidates(population, moves)
+            columns = engine.price(population, candidate)
+            expected = full(candidate)
+            assert columns[0] == expected.dilation_max.tolist()
+            assert columns[1] == expected.dilation_total.tolist()
+            if with_congestion:
+                assert columns[2] == expected.congestion.tolist()
+            else:
+                assert columns[2] is None
+            kept = population.copy()
+            engine.commit(population, candidate, accepted)
+            for member, take in enumerate(accepted):
+                source = candidate if take else kept
+                assert (population[member] == source[member]).all()
+            fresh = full(population)
+            assert np.array_equal(engine.distances, fresh.distances)
+            if with_congestion:
+                assert np.array_equal(engine.loads, fresh.loads)
 
 
 class TestGreedyMonotonicity:

@@ -31,6 +31,44 @@ class TestContentAddressing:
             (2, 2, 2, 3),
         )
 
+    @pytest.mark.parametrize(
+        "guest,host",
+        [(Torus((4, 6)), Mesh((2, 2, 2, 3))), (Mesh((3, 4)), Torus((12,)))],
+    )
+    def test_keys_are_tuples_of_plain_strings_for_both_kinds(self, guest, host):
+        guest_kind = "torus" if guest.is_torus else "mesh"
+        host_kind = "torus" if host.is_torus else "mesh"
+        keys = {
+            embedding_cache_key("paper", guest, host): (
+                "embedding", "strategy:paper",
+                guest_kind, guest.shape, host_kind, host.shape,
+            ),
+            optimum_cache_key("combined", guest, host): (
+                "optimum", "combined",
+                guest_kind, guest.shape, host_kind, host.shape,
+            ),
+        }
+        for key, literal in keys.items():
+            assert key == literal
+            # Plain str, not the GraphKind enum: the pickled keys of older
+            # cache files hold str, and an enum member hashes differently.
+            assert [type(part) for part in key] == [str, str, str, tuple, str, tuple]
+            assert hash(key) == hash(literal)
+
+    def test_a_file_written_with_literal_string_keys_still_hits(self, tmp_path):
+        guest, host = PAIR
+        built = ConstructionCache()
+        with use_context(cache=built):
+            embed(guest, host)
+        (payload,) = built.data.values()
+        literal = ("embedding", "strategy:paper", "torus", (4, 6), "mesh", (2, 2, 2, 3))
+        path = tmp_path / "literal-keys.pkl"
+        path.write_bytes(pickle.dumps({literal: payload}))
+        cache = ConstructionCache.load(path)
+        with use_context(cache=cache):
+            embed(guest, host)
+        assert (cache.hits, cache.misses) == (1, 0)
+
     def test_dispatcher_memoizes_under_the_paper_strategy_key(self):
         guest, host = PAIR
         cache = ConstructionCache()

@@ -120,6 +120,38 @@ class TestProtocol:
         assert ServiceRequest.from_dict(request.as_dict()) == request
 
 
+def test_parsing_a_graph_spec_leaves_the_service_stack_unloaded():
+    # The spec grammar lives in repro.service.protocol.  Importing it must
+    # not load the HTTP server or client: every API call and CLI command
+    # that takes a spec string would pay for them.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    script = (
+        "import sys\n"
+        "import repro.api, repro.cli\n"
+        "repro.api.embed('torus:4,4', 'mesh:4,4')\n"
+        "repro.cli.parse_graph('torus:4,4')\n"
+        "heavy = ('http.server', 'http.client', 'ssl', 'repro.service.server')\n"
+        "print(sorted(name for name in heavy if name in sys.modules))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]"]
+
+
 class TestCoalescer:
     def test_concurrent_submissions_coalesce_into_one_batch(self):
         seen = []
