@@ -14,7 +14,9 @@ path on flat ``int64`` arrays:
   wraparound included) expanded into a CSR-style array of per-hop link ids,
   with no per-hop Python;
 * :func:`accumulate_link_loads` — message counts, byte volume and busy time
-  per directed link via ``np.bincount`` scatter-adds over the expanded hops.
+  per directed link via ``np.bincount`` scatter-adds over the expanded hops
+  (one unweighted count, and a table lookup for every quantity all hops
+  share).
 
 Everything here reproduces the loop reference *exactly* — same hop order,
 same tie-breaks, bit-for-bit equal link statistics — which the differential
@@ -234,16 +236,57 @@ def accumulate_link_loads(
     where each hop's busy time carries its own link weight.  Returns
     ``(counts, volume, busy)`` arrays of length
     :attr:`LinkIndexSpace.num_slots`.
+
+    When every hop carries the same value ``v`` (one message size, or one
+    occupancy: every built-in pattern on a network without link weights),
+    a link's scatter-added sum is ``count`` copies of ``v`` added one at a
+    time, so it is read from :func:`_repeated_sums` at the link's count
+    instead: one unweighted ``bincount`` serves all three arrays.  Sizes
+    and occupancies are checked separately — with infinite bandwidth,
+    unequal sizes still give equal occupancies.
     """
-    slots = space.num_slots
-    counts = np.bincount(routes.link_ids, minlength=slots)
-    volume = np.bincount(
-        routes.link_ids, weights=np.repeat(sizes, routes.hops), minlength=slots
-    )
-    if hop_occupancy is None:
-        hop_occupancy = np.repeat(occupancy, routes.hops)
-    busy = np.bincount(routes.link_ids, weights=hop_occupancy, minlength=slots)
+    counts = np.bincount(routes.link_ids, minlength=space.num_slots)
+    volume = _link_sums(counts, routes, sizes)
+    busy = _link_sums(counts, routes, occupancy, hop_occupancy)
     return counts, volume, busy
+
+
+def _link_sums(counts, routes: RouteArrays, per_message, per_hop=None):
+    """Per-link sums of one hop quantity, added in ``(message, hop)`` order."""
+    value = _shared_hop_value(routes, per_message, per_hop)
+    if value is not None:
+        return _repeated_sums(value, int(counts.max()))[counts]
+    if per_hop is None:
+        per_hop = np.repeat(per_message, routes.hops)
+    return np.bincount(routes.link_ids, weights=per_hop, minlength=counts.size)
+
+
+def _shared_hop_value(routes: RouteArrays, per_message, per_hop=None):
+    """The one value every hop of ``routes`` carries, or ``None``.
+
+    ``per_message`` repeats over each message's hops unless ``per_hop``
+    (aligned with ``routes.link_ids``) prices every hop itself.  ``None``
+    also when there are no hops, or a value is NaN.
+    """
+    if per_hop is None:
+        per_hop = np.asarray(per_message, dtype=np.float64)[routes.hops > 0]
+    if per_hop.size and per_hop.min() == per_hop.max():
+        return float(per_hop[0])
+    return None
+
+
+def _repeated_sums(value: float, top: int):
+    """``S[t]`` for ``t = 0 .. top``: ``t`` copies of ``value`` added one at a time.
+
+    ``S[0] = 0.0`` and ``S[t + 1] = S[t] + value`` in float arithmetic — the
+    sum a scatter-add of ``t`` equal weights computes, and the time at which
+    a chain of ``t`` hops of occupancy ``value`` ends.  ``np.cumsum`` adds
+    left to right (no pairwise summation), so the table is that recurrence
+    term for term.
+    """
+    table = np.full(top + 1, value, dtype=np.float64)
+    table[0] = 0.0
+    return np.cumsum(table, out=table)
 
 
 def dead_slot_mask(space: LinkIndexSpace, faults: Faults):

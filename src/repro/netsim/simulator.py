@@ -21,19 +21,23 @@ builders and cost measures.  The array backend has one simulation path,
 :func:`simulate_endpoint_phases`: it places, routes (one
 :func:`~repro.netsim.kernels.expand_routes` call per link-index space),
 detours around faults and prices any number of phases over flat
-directed-link ids (:mod:`repro.netsim.kernels`), drains them through one
-round-based event loop and reduces each phase's link loads with
-:func:`~repro.netsim.kernels.accumulate_link_loads`.  :func:`simulate_phase`
-runs it with a single phase; :func:`analytic_phase_estimate` shares its
-placement, routing and pricing without the drain.  The loop backend is the
-retained per-message reference, cross-checked hop-for-hop and
-float-for-float by the differential tests.  Force it with
-``use_context(backend="loop")``.
+directed-link ids (:mod:`repro.netsim.kernels`), drains them through
+:func:`simulate_phases_rounds` and reduces each phase's link loads with
+:func:`~repro.netsim.kernels.accumulate_link_loads`.  The drain is
+round-based: a phase whose hops all share one occupancy (every built-in
+pattern on a network without link weights) runs in integer ticks and reads
+its times from a table of repeated float sums; any other phase runs the
+float round loop.  :func:`simulate_phase` runs it with a single phase;
+:func:`analytic_phase_estimate` shares its placement, routing and pricing
+without the drain.  The loop backend's heap is the retained per-message
+reference, cross-checked hop-for-hop and float-for-float by the
+differential tests.  Force it with ``use_context(backend="loop")``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -44,6 +48,8 @@ from ..exceptions import SimulationError
 from ..numbering.arrays import shape_tables
 from .kernels import (
     RouteArrays,
+    _repeated_sums,
+    _shared_hop_value,
     accumulate_link_loads,
     apply_fault_detours,
     expand_routes,
@@ -384,10 +390,210 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
     the per-message occupancy, and the per-*hop* occupancy (aligned with
     ``routes.link_ids``) of heterogeneous links or ``None`` for homogeneous
     links, where each message's occupancy repeats over its hops.  The
-    result is one ``(makespan, per_message_completion)`` pair per phase.
-    All phases run in a single loop: link ids are offset into disjoint
+    result is one ``(makespan, per_message_completion)`` pair per phase,
+    in the order of ``phases``.
+
+    Each phase's own occupancies choose its drain, and each drain runs all
+    of its phases in a single loop: link ids are offset into disjoint
     blocks, so the phases cannot interact, and merging them only makes each
     round's batch larger.
+
+    * A phase whose hops all share one occupancy ``o``, with ``o > 0`` and
+      ``2·H·o`` finite for its ``H`` hops (every built-in pattern on a
+      network without link weights), drains in integer ticks
+      (:func:`_drain_ticks`): every time the heap loop computes for it is
+      ``S[t]``, ``t`` copies of ``o`` added one at a time
+      (:func:`~repro.netsim.kernels._repeated_sums`), and ``S`` is strictly
+      increasing on ``[0, H]`` (``S[t] < 2^53·o`` there, so adding ``o``
+      always rounds up), so ticks order, tie and maximize exactly as the
+      times do.  Its completion times are read from ``S``.
+    * Every other phase — occupancies that differ (weighted links, unequal
+      message sizes), zero or non-finite — drains in floats
+      (:func:`_drain_floats`), the heap's arithmetic on every hop.
+
+    Makespans and completion times are therefore bit-for-bit identical to
+    the heap loop on both drains.
+
+    The ``max_events`` budget is enforced per phase (an event is one served
+    hop, as in the heap loop).  Every hop is served exactly once, so it is
+    checked once, against each phase's hop count, before either drain
+    starts.  Exceeding it raises :class:`~repro.exceptions.SimulationError`
+    for the whole call.
+    """
+    # A phase fails when its hop count exceeds the budget; one without hops
+    # serves no event at all.
+    if any(entry[1].total_hops > max(max_events, 0) for entry in phases):
+        raise SimulationError(
+            f"simulation exceeded {max_events} events; the configuration is too large"
+        )
+    results = [(0.0, []) for _ in phases]
+    steps = {}  # tick-drained phase index -> its one occupancy
+    floats = []
+    for index, (_space, routes, occupancy, hop_occupancy) in enumerate(phases):
+        if not routes.num_messages:
+            continue
+        step = _shared_hop_value(routes, occupancy, hop_occupancy)
+        if (
+            step is not None
+            and step > 0
+            and math.isfinite(2.0 * routes.total_hops * step)
+        ):
+            steps[index] = step
+        else:
+            floats.append(index)
+    if steps:
+        ticks = _drain_ticks([phases[index] for index in steps])
+        for (index, step), finish in zip(steps.items(), ticks):
+            sums = _repeated_sums(step, int(finish.max()))
+            results[index] = (float(sums[-1]), sums[finish].tolist())
+    if floats:
+        drained = _drain_floats([phases[index] for index in floats])
+        for index, outcome in zip(floats, drained):
+            results[index] = outcome
+    return results
+
+
+def _merged_routes(phases):
+    """One hop space for the routes of many :func:`simulate_phases_rounds` entries.
+
+    Returns the concatenated link ids (each phase's offset into its own
+    block of slots), every message's first and one-past-last hop, and the
+    total slot count.
+    """
+    link_offset = hop_offset = 0
+    link_parts, first_parts, last_parts = [], [], []
+    for space, routes, *_ in phases:
+        link_parts.append(routes.link_ids + link_offset)
+        first_parts.append(routes.starts[:-1] + hop_offset)
+        last_parts.append(routes.starts[1:] + hop_offset)
+        link_offset += space.num_slots
+        hop_offset += routes.total_hops
+    return (
+        np.concatenate(link_parts),
+        np.concatenate(first_parts),
+        np.concatenate(last_parts),
+        link_offset,
+    )
+
+
+def _per_phase(merged, phases):
+    """Slice a merged per-message array back into per-phase views."""
+    bounds = np.cumsum([0] + [entry[1].num_messages for entry in phases])
+    return [merged[lower:upper] for lower, upper in zip(bounds[:-1], bounds[1:])]
+
+
+#: Set on the link id of every message's last hop in :func:`_drain_ticks`;
+#: above every link id and every tick.
+_PARKED = 1 << 62
+
+
+def _drain_ticks(phases):
+    """Completion ticks of every message of :func:`simulate_phases_rounds` entries.
+
+    The float drain at unit occupancy, in integers: a hop ready at tick
+    ``r`` on a link free at tick ``f`` finishes at ``max(r, f) + 1``.  Round
+    ``k`` serves every request ready at tick ``k`` — the requests it spawns
+    are ready at ``k + 1`` or later — in the heap's ``(link, message
+    index)`` order.  A round in which no two requests share a link
+    (detected with a per-link stamp, no sort) is one vectorized step;
+    otherwise :func:`_serve_tick_queues` serves every queue at once.  No
+    occupancy array, no float and no lockstep queue drain.  Every tick is
+    at most the phase's hop count: each counts one earlier served hop of a
+    dependency chain.
+    """
+    link_ids, first_hop, last_hop, num_slots = _merged_routes(phases)
+    # The working set, as aligned arrays (see _drain_floats): every message
+    # with hops, its ready tick and its next hop.  The link id of each
+    # message's last hop carries the parking bit, and serving that hop
+    # passes the bit on to the finish tick: the message is never the
+    # earliest again, and its completion tick is its ready tick without the
+    # bit.  Parked entries are compacted away once they are a quarter of
+    # the set.
+    ids = np.flatnonzero(first_hop < last_hop)
+    link_ids[last_hop[ids] - 1] |= _PARKED
+    ready_a = np.zeros(ids.size, dtype=np.int64)
+    hop_a = first_hop[ids]
+    positions = np.arange(ids.size, dtype=np.int64)
+    completion = np.zeros(first_hop.size, dtype=np.int64)
+    link_free = np.zeros(num_slots, dtype=np.int64)
+    # stamp[link]: a batch position that requested the link this round.
+    # Written before it is read in every round, so it needs no reset.
+    stamp = np.empty(num_slots, dtype=np.int64)
+    alive = ids.size
+    dead = 0
+    while alive:
+        tick = ready_a.min()
+        sel = np.flatnonzero(ready_a == tick)
+        hop_b = hop_a[sel]
+        parking = link_ids[hop_b]
+        links = parking & (_PARKED - 1)
+        batch = positions[: sel.size]
+        stamp[links] = batch
+        if (stamp[links] == batch).all():
+            finish_b = np.maximum(link_free[links], tick)
+            finish_b += 1
+            link_free[links] = finish_b
+        else:
+            finish_b = _serve_tick_queues(links, tick, link_free)
+        parking &= _PARKED
+        finish_b |= parking
+        done = int(np.count_nonzero(parking))
+        hop_b += 1
+        hop_a[sel] = hop_b
+        ready_a[sel] = finish_b
+        alive -= done
+        dead += done
+        if dead * 4 >= ids.size and alive:
+            keep = ready_a < _PARKED
+            parked = ~keep
+            completion[ids[parked]] = ready_a[parked] ^ _PARKED
+            ids = ids[keep]
+            ready_a = ready_a[keep]
+            hop_a = hop_a[keep]
+            dead = 0
+    completion[ids] = ready_a ^ _PARKED
+    return _per_phase(completion, phases)
+
+
+def _serve_tick_queues(links, tick, link_free):
+    """Finish ticks of one round's requests when some of them share a link.
+
+    Every request is ready at ``tick`` and the batch is ascending by
+    message index, so sorting the unique key ``link · 2^b + position``
+    (``2^b`` above the batch size) orders each link's queue as the heap
+    does, and a shift and a mask recover both parts.  Each run of equal
+    links is one queue: its ``p``-th request (from 0) finishes at
+    ``max(tick, link_free) + p + 1``, and the link is next free when the
+    whole queue is — every queue in one step.
+    """
+    size = links.size
+    shift = size.bit_length()
+    positions = np.arange(size, dtype=np.int64)
+    key = links << shift
+    key |= positions
+    key.sort()
+    order = key & ((1 << shift) - 1)
+    key >>= shift
+    head = np.empty(size, dtype=bool)
+    head[0] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    run_start = np.flatnonzero(head)
+    run_link = key[run_start]
+    base = np.maximum(link_free[run_link], tick)
+    run_length = np.diff(run_start, append=size)
+    link_free[run_link] = base + run_length
+    # Sorted position i of the queue that starts at s finishes at
+    # base + (i - s) + 1.
+    base -= run_start - 1
+    finish = np.empty(size, dtype=np.int64)
+    finish[order] = np.repeat(base, run_length) + positions
+    return finish
+
+
+def _drain_floats(phases):
+    """The float drain: ``(makespan, completion)`` of every phase.
+
+    ``phases`` holds :func:`simulate_phases_rounds` entries with messages.
 
     Each round advances *every* ready message at once instead of popping one
     heap event per hop.  Correctness relies on the batch window: with
@@ -403,63 +609,26 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
     link's queue into a run (a lexsort when the round mixes ready times),
     and every queue is drained one *queue position* per inner step, the
     runs leaving the lockstep as they empty (``start = max(ready,
-    link_free)``, the same float ops in the same order).  Makespans and
-    completion times are therefore bit-for-bit identical to the heap loop.
-    Degenerate cases where the window collapses (zero occupancy, or times
-    too large for the sum to round up) fall back to serving exactly one
-    request — the global ``(ready, index)`` minimum — per round, which is
-    verbatim heap order.
-
-    The ``max_events`` budget is enforced per phase (an event is one served
-    hop, as in the heap loop).  Every hop is served exactly once, so it is
-    checked once, against each phase's hop count, before the loop starts.
-    Exceeding it raises :class:`~repro.exceptions.SimulationError` for the
-    whole call.
+    link_free)``, the same float ops in the same order).  Degenerate cases
+    where the window collapses (zero occupancy, or times too large for the
+    sum to round up) fall back to serving exactly one request — the global
+    ``(ready, index)`` minimum — per round, which is verbatim heap order.
     """
-    makespans = [0.0] * len(phases)
-    completions: List[List[float]] = [[] for _ in phases]
-    live = [index for index, entry in enumerate(phases) if entry[1].num_messages]
-    if not live:
-        return list(zip(makespans, completions))
-
-    link_offset = 0
-    counts: List[int] = []
-    link_parts, first_parts, last_parts, occ_parts = [], [], [], []
-    for index in live:
-        space, routes, occupancy, hop_part = phases[index]
-        counts.append(routes.num_messages)
-        link_parts.append(routes.link_ids + link_offset)
-        first_parts.append(routes.starts[:-1])
-        last_parts.append(routes.starts[1:])
+    link_ids, first_hop, last_hop, num_slots = _merged_routes(phases)
+    occ_parts = []
+    for _space, routes, occupancy, hop_part in phases:
         # The loop works in per-hop occupancy throughout; for homogeneous
         # links the per-message value repeats over its hops, producing the
         # exact same floats the per-message form would gather.
         if hop_part is None:
             hop_part = np.repeat(np.asarray(occupancy, dtype=np.float64), routes.hops)
         occ_parts.append(np.asarray(hop_part, dtype=np.float64))
-        link_offset += space.num_slots
-    hop_offsets = np.cumsum([0] + [part.size for part in link_parts[:-1]])
-    link_ids = np.concatenate(link_parts)
-    first_hop = np.concatenate(
-        [part + offset for part, offset in zip(first_parts, hop_offsets)]
-    )
-    last_hop = np.concatenate(
-        [part + offset for part, offset in zip(last_parts, hop_offsets)]
-    )
     hop_occupancy = np.concatenate(occ_parts)
-
-    # Every hop is served exactly once, so a phase exceeds the event budget
-    # exactly when its hop count does: one check before the loop raises on
-    # the same inputs as the heap loop's per-event count.
-    if max(part.size for part in link_parts) > max_events:
-        raise SimulationError(
-            f"simulation exceeded {max_events} events; the configuration is too large"
-        )
     completion = np.zeros(first_hop.size, dtype=np.float64)
-    link_free = np.zeros(link_offset, dtype=np.float64)
+    link_free = np.zeros(num_slots, dtype=np.float64)
     # stamp[link]: a batch position that requested the link this round.
     # Written before it is read in every round, so it needs no reset.
-    stamp = np.empty(link_offset, dtype=np.int64)
+    stamp = np.empty(num_slots, dtype=np.int64)
 
     # The working set, as *aligned* arrays: the global index, ready time,
     # occupancy and hop pointers of every message with hops left.  All
@@ -520,14 +689,10 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
             last_a = last_a[keep]
             dead = 0
 
-    # Slice the merged completion array back into per-phase results.
-    offset = 0
-    for position, index in enumerate(live):
-        phase_completion = completion[offset : offset + counts[position]]
-        makespans[index] = float(phase_completion.max()) if counts[position] else 0.0
-        completions[index] = phase_completion.tolist()
-        offset += counts[position]
-    return list(zip(makespans, completions))
+    return [
+        (float(phase_completion.max()), phase_completion.tolist())
+        for phase_completion in _per_phase(completion, phases)
+    ]
 
 
 def _serve_link_queues(links, ready, occupancy, t_min, link_free):

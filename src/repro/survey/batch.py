@@ -18,8 +18,8 @@ whole *shard* at once instead:
 * simulation scenarios share one memoized traffic pattern per
   ``(pattern, guest signature)`` and one
   :class:`~repro.netsim.network.HostNetwork` per host signature, and all of
-  a shard's phases advance together through one round-based vectorized event
-  loop (:func:`repro.netsim.simulator.simulate_endpoint_phases`);
+  a shard's phases advance together through one round-based vectorized drain
+  (:func:`repro.netsim.simulator.simulate_endpoint_phases`);
 * records are assembled column-wise from the stacked results, in scenario
   order, each built once at the end with its share of the shard's time.
 

@@ -228,6 +228,45 @@ class TestAnalyticEstimateDifferential:
             assert volume[link_id] == float(reference[tuples])
             assert busy[link_id] == 2.0 * reference[tuples]  # alpha=1, size=1
 
+    @pytest.mark.parametrize(
+        "sizes,alpha,bandwidth",
+        [
+            ("equal", 0.1, 1.0),  # one size, one occupancy: both from tables
+            ("unequal", 0.5, float("inf")),  # one occupancy, sizes differ
+            ("unequal", 0.1, 1.0),  # neither is shared
+        ],
+    )
+    def test_link_loads_equal_weighted_scatter_adds(self, sizes, alpha, bandwidth):
+        # Every per-link sum, table-read or not, equals the weighted
+        # bincount over the hops in (message, hop) order.
+        guest, host = Torus((8, 8)), Mesh((4, 4, 4))
+        network = HostNetwork(host)
+        space = network.link_index_space()
+        sources, targets, _ = transpose_traffic(guest).endpoint_rank_arrays(guest.shape)
+        if sizes == "equal":
+            message_sizes = np.full(sources.size, 0.7)
+        else:
+            message_sizes = 0.3 + 0.1 * np.arange(sources.size)
+        images = embed(guest, host).host_index_array()
+        routes = expand_routes(
+            space,
+            indices_to_digits(images[sources], host.shape),
+            indices_to_digits(images[targets], host.shape),
+        )
+        occupancy = alpha + message_sizes / bandwidth
+        counts, volume, busy = accumulate_link_loads(
+            space, routes, message_sizes, occupancy
+        )
+        slots = space.num_slots
+        assert np.array_equal(counts, np.bincount(routes.link_ids, minlength=slots))
+        for loads, per_message in ((volume, message_sizes), (busy, occupancy)):
+            expected = np.bincount(
+                routes.link_ids,
+                weights=np.repeat(per_message, routes.hops),
+                minlength=slots,
+            )
+            assert loads.tolist() == expected.tolist()
+
     def test_empty_traffic(self):
         guest, host = Torus((3, 4)), Mesh((3, 4))
         network = HostNetwork(host)

@@ -34,7 +34,7 @@ from repro.optimize import (
     optimize_embedding,
     register_optimized_strategy,
 )
-from repro.optimize.search import _ArrayEngine
+from repro.optimize.search import _ArrayEngine, _LoopEngine
 from repro.runtime import ConstructionCache, OptimizerState, use_context
 from repro.runtime.cache import optimum_cache_key
 from repro.runtime.registry import STRATEGIES, build_strategy, strategy_names
@@ -255,6 +255,72 @@ class TestDifferential:
             )
             caches[backend] = (second.state, cache.fetch_optimum("combined", guest, host))
         assert caches["array"] == caches["loop"]
+
+
+class TestEngineGenerations:
+    """Array engine against loop engine, generation by generation.
+
+    ``TestDifferential`` compares whole searches, whose results are mostly
+    a seed row, and ``TestIncrementalScoring`` checks the array engine
+    against full scoring that shares its run arithmetic.  Here the two
+    engines price the same candidates from the same live population every
+    generation, so a wrong incremental term fails in the generation that
+    first uses it.
+    """
+
+    GENERATIONS = 30
+    MEMBERS = 6
+
+    @pytest.mark.parametrize(
+        "with_congestion", [False, True], ids=["dilation", "congestion"]
+    )
+    @pytest.mark.parametrize(
+        "pair",
+        [SMALL, NO_PAPER, *TORUS_HOSTS],
+        ids=["small", "no-paper", "mesh-torus", "torus-extent2", "mesh-ring"],
+    )
+    def test_engines_price_every_generation_alike(self, pair, with_congestion):
+        guest, host = pair
+        size = guest.size
+        # One stream draws the seed rows, every move and every verdict.
+        rng = SplitMix64(23)
+        rows = []
+        for _ in range(self.MEMBERS):
+            row = list(range(size))
+            rng.shuffle(row)
+            rows.append(row)
+        engines = [
+            engine_cls(guest, host, with_congestion=with_congestion)
+            for engine_cls in (_ArrayEngine, _LoopEngine)
+        ]
+        populations = [engine.population(rows) for engine in engines]
+        starts = [
+            engine.start(population) for engine, population in zip(engines, populations)
+        ]
+        assert starts[0] == starts[1]
+        for generation in range(self.GENERATIONS):
+            moves = []
+            for _ in range(self.MEMBERS):
+                kind = rng.randrange(2)
+                i = rng.randrange(size)
+                j = rng.randrange(size - 1)
+                if j >= i:
+                    j += 1
+                moves.append((kind, min(i, j), max(i, j)))
+            accepted = [rng.randrange(2) == 1 for _ in range(self.MEMBERS)]
+            candidates = [
+                engine.candidates(population, moves)
+                for engine, population in zip(engines, populations)
+            ]
+            columns = [
+                engine.price(population, candidate)
+                for engine, population, candidate in zip(
+                    engines, populations, candidates
+                )
+            ]
+            assert columns[0] == columns[1], f"generation {generation}"
+            for engine, population, candidate in zip(engines, populations, candidates):
+                engine.commit(population, candidate, accepted)
 
 
 #: Host and guest shapes of the incremental-scorer property test, grouped

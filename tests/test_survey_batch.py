@@ -10,8 +10,10 @@ Two contracts are pinned here:
   backend's heap loop bit for bit: makespans, per-message completion times
   and statistics, including with dyadic message sizes (where float ties are
   exact and tie-breaking order is actually observable), on weighted links
-  whose rounds mix ready times, on routes detoured around dead links, and
-  whether phases run one at a time or merged into one loop.
+  whose rounds mix ready times, on routes detoured around dead links, on
+  phases whose hops share one non-dyadic occupancy (the integer-tick
+  drain) beside phases that do not (the float drain), and whether phases
+  run one at a time or merged into one loop.
 """
 
 import json
@@ -36,6 +38,8 @@ from repro.netsim import (
     simulate_endpoint_phases,
     simulate_phase,
 )
+from repro.netsim import simulator
+from repro.netsim.kernels import _repeated_sums
 from repro.numbering.arrays import compact_index_dtype
 from repro.runtime import ExecutionContext, use_context
 from repro.runtime.registry import build_strategy
@@ -369,6 +373,97 @@ def faulted_phase_lists(draw):
     return phases
 
 
+#: ``(alpha, bandwidth, size)`` whose occupancy ``alpha + size / bandwidth``
+#: is no dyadic rational: 0.7999999999999999, 0.43333333333333335 and
+#: 1.3333333333333333 — every float sum of them rounds.
+LATTICE_COSTS = [(0.1, 1.0, 0.7), (0.3, 3.0, 0.4), (1.0, 3.0, 1.0)]
+
+
+@st.composite
+def lattice_phase_lists(draw):
+    """1-4 ``(network, embedding, traffic, faults)`` phases for one merged call.
+
+    A phase's messages either share one size — so on a network without
+    link weights or with ``uniform`` ones every hop has the same
+    non-dyadic occupancy and the phase drains in integer ticks — or draw
+    unequal sizes, or its network has ``random`` link weights; those
+    phases take the float drain, beside the tick-drained ones in the same
+    call.  Phases draw their network from a pool of up to three, with
+    different occupancies, and have up to three dead links.
+    """
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        guest, host = draw(st.sampled_from(HETEROGENEOUS_PAIRS))
+        alpha, bandwidth, size = draw(st.sampled_from(LATTICE_COSTS))
+        weights = _link_weights(draw, [None, "uniform", "random"])
+        network = HostNetwork(
+            host, CostModel(alpha=alpha, bandwidth=bandwidth), link_weights=weights
+        )
+        pool.append((guest, network, size))
+    phases = []
+    for _ in range(draw(st.integers(1, 4))):
+        guest, network, size = draw(st.sampled_from(pool))
+        host = network.topology
+        embedding = build_strategy(
+            draw(st.sampled_from(["paper", "lexicographic", "random"])), guest, host
+        )
+        if draw(st.booleans()):
+            nodes = list(guest.nodes())
+            pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+            messages = tuple(
+                Message(source, destination, size)
+                for source, destination in draw(st.lists(pair, min_size=8, max_size=40))
+            )
+            traffic = TrafficPattern(name="lattice", messages=messages)
+        else:
+            traffic = _non_dyadic_traffic(draw, guest)
+        dead_links = draw(st.integers(0, 3))
+        faults = (
+            FaultSpec(num_links=dead_links, seed=draw(st.integers(0, 999))).apply(host)
+            if dead_links
+            else None
+        )
+        phases.append((network, embedding, traffic, faults))
+    return phases
+
+
+def assert_merged_equal_the_loop_oracle(phases):
+    """One merged array call over faulted phases against the heap loop."""
+    entries = [
+        (
+            network,
+            embedding,
+            traffic.endpoint_rank_arrays(embedding.guest.shape),
+            faults,
+        )
+        for network, embedding, traffic, faults in phases
+    ]
+    with use_context(backend="loop"):
+        try:
+            oracle = [
+                simulate_phase(network, embedding, traffic, faults=faults)
+                for network, embedding, traffic, faults in phases
+            ]
+        except SimulationError:
+            oracle = None
+    if oracle is None:
+        # The faults cut some message's endpoints apart: the merged call
+        # fails as a whole.
+        with pytest.raises(SimulationError):
+            simulate_endpoint_phases(entries)
+        return
+    merged = simulate_endpoint_phases(entries)
+    assert [result.makespan for result in merged] == [
+        result.makespan for result in oracle
+    ]
+    assert [result.per_message_completion for result in merged] == [
+        result.per_message_completion for result in oracle
+    ]
+    assert [result.statistics for result in merged] == [
+        result.statistics for result in oracle
+    ]
+
+
 def endpoint_phases(phases):
     """Fault-free ``simulate_endpoint_phases`` entries for placed phases."""
     return [
@@ -426,39 +521,101 @@ class TestRoundSimulatorEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(faulted_phase_lists())
     def test_merged_faulted_weighted_phases_equal_the_loop_oracle(self, phases):
-        entries = [
-            (
-                network,
-                embedding,
-                traffic.endpoint_rank_arrays(embedding.guest.shape),
-                faults,
-            )
-            for network, embedding, traffic, faults in phases
+        assert_merged_equal_the_loop_oracle(phases)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_phase_lists())
+    def test_merged_tick_and_float_phases_equal_the_loop_oracle(self, phases):
+        assert_merged_equal_the_loop_oracle(phases)
+
+    @pytest.mark.parametrize(
+        "step", [0.1, 1 / 3, 0.7999999999999999, 5e-324, 2.0, 1e300]
+    )
+    def test_repeated_sums_add_one_copy_at_a_time(self, step):
+        top = 2_000 if step < 1e300 else 100
+        expected = [0.0]
+        for _ in range(top):
+            expected.append(expected[-1] + step)
+        table = _repeated_sums(step, top)
+        assert table.tolist() == expected
+        # The tick drain's premise: with 2·top·step finite, the sums strictly
+        # increase, so ticks order and tie as the times do.
+        assert (np.diff(table) > 0).all()
+
+    def test_each_phase_drains_by_its_own_occupancies(self, monkeypatch):
+        guest, host = Torus((3, 4)), Mesh((2, 2, 3))
+        embedding = build_strategy("paper", guest, host)
+        nodes = list(guest.nodes())
+        equal = TrafficPattern(
+            "equal", tuple(Message(a, b, 0.7) for a, b in zip(nodes, nodes[::-1]))
+        )
+        unequal = TrafficPattern(
+            "unequal",
+            tuple(
+                Message(a, b, 0.7 + i) for i, (a, b) in enumerate(zip(nodes, nodes[1:]))
+            ),
+        )
+        model = CostModel(alpha=0.1)
+        plain = HostNetwork(host, model)
+        uniform = HostNetwork(host, model, link_weights=LinkWeightSpec("uniform"))
+        weighted = HostNetwork(
+            host, model, link_weights=LinkWeightSpec("random", 0.3, 1)
+        )
+        stalled = HostNetwork(host, CostModel(alpha=0.0, bandwidth=float("inf")))
+        phases = [
+            (plain, embedding, equal),  # tick
+            (plain, embedding, unequal),  # float: sizes differ
+            (uniform, embedding, equal),  # tick
+            (weighted, embedding, equal),  # float: weights differ
+            (stalled, embedding, equal),  # float: zero occupancy
         ]
+        drained = {}
+        for name in ("_drain_ticks", "_drain_floats"):
+            original = getattr(simulator, name)
+
+            def spy(entries, name=name, original=original):
+                drained[name] = [entry[1].num_messages for entry in entries]
+                return original(entries)
+
+            monkeypatch.setattr(simulator, name, spy)
+        with use_context(backend="array"):
+            simulate_endpoint_phases(endpoint_phases(phases))
+        sizes = [len(traffic.messages) for _, _, traffic in phases]
+        assert drained == {
+            "_drain_ticks": [sizes[0], sizes[2]],
+            "_drain_floats": [sizes[1], sizes[3], sizes[4]],
+        }
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            CostModel(alpha=0.0, bandwidth=float("inf")),
+            CostModel(alpha=0.5, bandwidth=float("inf")),
+        ],
+        ids=["zero-occupancy", "equal-occupancy-unequal-sizes"],
+    )
+    def test_infinite_bandwidth_phases_equal_the_loop_oracle(self, model):
+        # Infinite bandwidth makes every occupancy alpha whatever the size:
+        # zero drains in floats; 0.5 drains in ticks while the volume still
+        # sums the unequal sizes.
+        guest, host = Torus((3, 4)), Mesh((2, 2, 3))
+        embedding = build_strategy("lexicographic", guest, host)
+        nodes = list(guest.nodes())
+        traffic = TrafficPattern(
+            "sizes",
+            tuple(
+                Message(a, b, 0.3 + 0.1 * i)
+                for i, (a, b) in enumerate(zip(nodes, nodes[::-1]))
+            ),
+        )
+        network = HostNetwork(host, model)
+        with use_context(backend="array"):
+            array = simulate_phase(network, embedding, traffic)
         with use_context(backend="loop"):
-            try:
-                oracle = [
-                    simulate_phase(network, embedding, traffic, faults=faults)
-                    for network, embedding, traffic, faults in phases
-                ]
-            except SimulationError:
-                oracle = None
-        if oracle is None:
-            # The faults cut some message's endpoints apart: the merged
-            # call fails as a whole.
-            with pytest.raises(SimulationError):
-                simulate_endpoint_phases(entries)
-            return
-        merged = simulate_endpoint_phases(entries)
-        assert [result.makespan for result in merged] == [
-            result.makespan for result in oracle
-        ]
-        assert [result.per_message_completion for result in merged] == [
-            result.per_message_completion for result in oracle
-        ]
-        assert [result.statistics for result in merged] == [
-            result.statistics for result in oracle
-        ]
+            loop = simulate_phase(network, embedding, traffic)
+        assert array.makespan == loop.makespan
+        assert array.per_message_completion == loop.per_message_completion
+        assert array.statistics == loop.statistics
 
     def test_empty_and_zero_hop_phases(self):
         guest = host = Torus((2, 2))
@@ -507,34 +664,45 @@ class TestRoundSimulatorEquivalence:
         # exactly its hop count and fails one below it, whatever the other
         # phases of a merged call hold — on both simulators.  The merged
         # call is the array path; the loop backend runs the phases one by
-        # one.
-        from repro.netsim import neighbor_exchange_traffic
+        # one.  Every hop costs 2.0 here, so the array path drains in ticks.
+        assert_budget_boundary_is_the_phase_hop_count(HostNetwork(Mesh((2, 2, 2, 2))))
 
-        guest, host = Torus((4, 4)), Mesh((2, 2, 2, 2))
-        network = HostNetwork(host)
-        embedding = build_strategy("paper", guest, host)
-        full = neighbor_exchange_traffic(guest)
-        half = TrafficPattern("half", full.messages[: len(full.messages) // 2])
-        phases = [(network, embedding, half), (network, embedding, full)]
-        with use_context(backend="loop"):
-            h1, h2 = (simulate_phase(*phase).statistics.total_hops for phase in phases)
-        assert 0 < h1 < h2
-        merged = {
-            "array": lambda budget: simulate_endpoint_phases(
-                endpoint_phases(phases), max_events=budget
-            ),
-            "loop": lambda budget: [
-                simulate_phase(*phase, max_events=budget) for phase in phases
-            ],
-        }
-        for backend, run in merged.items():
-            with use_context(backend=backend):
-                run(h2)
-                simulate_phase(network, embedding, full, max_events=h2)
-                with pytest.raises(SimulationError):
-                    run(h2 - 1)
-                with pytest.raises(SimulationError):
-                    simulate_phase(network, embedding, full, max_events=h2 - 1)
+    def test_max_events_boundary_holds_on_the_float_drain(self):
+        # Random link weights give every hop its own occupancy.
+        weights = LinkWeightSpec("random", 0.3, 5)
+        assert_budget_boundary_is_the_phase_hop_count(
+            HostNetwork(Mesh((2, 2, 2, 2)), link_weights=weights)
+        )
+
+
+def assert_budget_boundary_is_the_phase_hop_count(network):
+    """Budgets of exactly the larger phase's hop count pass; one less fails."""
+    from repro.netsim import neighbor_exchange_traffic
+
+    guest, host = Torus((4, 4)), network.topology
+    embedding = build_strategy("paper", guest, host)
+    full = neighbor_exchange_traffic(guest)
+    half = TrafficPattern("half", full.messages[: len(full.messages) // 2])
+    phases = [(network, embedding, half), (network, embedding, full)]
+    with use_context(backend="loop"):
+        h1, h2 = (simulate_phase(*phase).statistics.total_hops for phase in phases)
+    assert 0 < h1 < h2
+    merged = {
+        "array": lambda budget: simulate_endpoint_phases(
+            endpoint_phases(phases), max_events=budget
+        ),
+        "loop": lambda budget: [
+            simulate_phase(*phase, max_events=budget) for phase in phases
+        ],
+    }
+    for backend, run in merged.items():
+        with use_context(backend=backend):
+            run(h2)
+            simulate_phase(network, embedding, full, max_events=h2)
+            with pytest.raises(SimulationError):
+                run(h2 - 1)
+            with pytest.raises(SimulationError):
+                simulate_phase(network, embedding, full, max_events=h2 - 1)
 
 
 class TestDtypeDownsizing:
