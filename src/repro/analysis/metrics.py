@@ -16,7 +16,6 @@ import numpy as np
 
 from ..core.embedding import Embedding
 from ..numbering.arrays import (
-    compact_index_dtype,
     shape_tables,
     stacked_edge_congestion,
     stacked_route_costs,
@@ -30,7 +29,6 @@ __all__ = [
     "EmbeddingReport",
     "ObjectiveComponents",
     "evaluate_embedding",
-    "stack_host_index_arrays",
     "stacked_dilation_summary",
     "stacked_congestion",
     "stacked_objective_components",
@@ -113,24 +111,6 @@ def evaluate_embedding(
 # --------------------------------------------------------------------- #
 # Stacked metric kernels (batched survey evaluation)
 # --------------------------------------------------------------------- #
-def stack_host_index_arrays(embeddings, host):
-    """Stack the host-index arrays of same-signature embeddings.
-
-    All embeddings must target ``host`` (and share one guest signature); the
-    result is a ``(batch, size)`` matrix in the smallest sufficient integer
-    dtype (``int32`` whenever the host has fewer than ``2**31`` nodes —
-    :func:`repro.numbering.arrays.compact_index_dtype` is the overflow
-    guard).
-    """
-    dtype = compact_index_dtype(max(host.size - 1, 0))
-    return np.stack(
-        [
-            np.asarray(embedding.host_index_array(), dtype=dtype)
-            for embedding in embeddings
-        ]
-    )
-
-
 def stacked_dilation_summary(hosts, edge_us, edge_vs, images):
     """``(dilation, average_dilation)`` columns for a ragged stack of embeddings.
 
@@ -280,8 +260,8 @@ def stacked_objective_components(host, edge_u, edge_v, images, *, with_congestio
 
     Returns :class:`ObjectiveComponents`.  This is the full scorer of the
     embedding optimizer (:mod:`repro.optimize.search`): the seed population
-    and the final row are priced by one pass over the shared edge-index
-    arrays, with no per-candidate Python, and the per-edge distances and
+    is priced by one pass over the shared edge-index arrays, with no
+    per-candidate Python, and the per-edge distances and
     per-link loads it returns are the state the search then updates
     generation by generation.  Dilation and congestion come from one set of
     coordinate gathers (:func:`repro.numbering.arrays.route_runs`).  Each

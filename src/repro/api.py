@@ -88,7 +88,7 @@ def simulate(
     Builds the named ``strategy`` embedding, places the named ``traffic``
     pattern of the guest on the host network and runs the store-and-forward
     phase simulation; returns the
-    :class:`~repro.netsim.simulate.PhaseResult` (makespan, statistics).
+    :class:`~repro.netsim.simulator.SimulationResult` (makespan, statistics).
     """
     guest = _as_graph(guest)
     host = _as_graph(host)

@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import InvalidShapeError
-from ..numbering.arrays import _SHAPE_MEMO_SIZE, digit_weights, shape_tables
-from ..numbering.distance import graph_distance_indices, mesh_distance, torus_distance
+from ..numbering.arrays import _SHAPE_MEMO_SIZE, digit_weights, route_runs, shape_tables
+from ..numbering.distance import mesh_distance, torus_distance
 from ..numbering.radix import RadixBase
 from ..types import GraphKind, Node, Shape, ShapedGraphSpec, as_shape
 
@@ -316,12 +316,13 @@ class CartesianGraph:
     def distance_indices(self, a_indices, b_indices):
         """Vectorized :meth:`distance` over batches of natural-order ranks.
 
-        Both arguments are array-likes of flat node indices; the result is an
-        ``int64`` array of pairwise δt/δm distances.
+        Both arguments are same-shaped arrays of flat node indices; the
+        result is the ``int64`` array of pairwise δt/δm distances, the
+        distance of :func:`repro.numbering.arrays.route_runs`.
         """
-        return graph_distance_indices(
+        return route_runs(
             a_indices, b_indices, self._shape, torus=self.kind.is_torus
-        )
+        ).distance
 
     def diameter(self) -> int:
         """The graph diameter, computed from the closed-form per-dimension maxima."""

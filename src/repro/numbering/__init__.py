@@ -43,7 +43,6 @@ from .batch import (
     t_indices,
 )
 from .distance import (
-    graph_distance_indices,
     mesh_distance,
     torus_distance,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "separable_ranks",
     "mesh_distance",
     "torus_distance",
-    "graph_distance_indices",
     "sequence_pairs",
     "cyclic_pairs",
     "sequence_spread",

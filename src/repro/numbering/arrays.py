@@ -33,7 +33,6 @@ __all__ = [
     "LinkLayout",
     "RouteRuns",
     "ShapeTables",
-    "compact_index_dtype",
     "digit_weights",
     "indices_to_digits",
     "digits_to_indices",
@@ -50,23 +49,6 @@ __all__ = [
 #: 426 distinct shapes, so a sweep over them keeps every table resident; the
 #: bound caps memory (four ``n * d`` int64 tables per shape) on larger sweeps.
 _SHAPE_MEMO_SIZE = 1024
-
-
-def compact_index_dtype(max_value: int):
-    """The smallest integer dtype that holds node ranks up to ``max_value``.
-
-    Batched survey congestion stacks a signature's host-index arrays into
-    one ``(batch, size)`` matrix; at ``int64`` that matrix is the dominant
-    allocation of the pass, and every graph the paper studies fits ``int32``
-    comfortably.  The explicit guard (rather than a silent modular cast)
-    keeps a hypothetical ``>= 2**31``-node graph correct: it simply stays at
-    ``int64``.
-    """
-    if max_value < 0:
-        raise ValueError(f"max_value must be non-negative, got {max_value}")
-    if max_value <= int(np.iinfo(np.int32).max):
-        return np.int32
-    return np.int64
 
 
 def digit_weights(shape: Sequence[int]):

@@ -15,15 +15,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from .arrays import shape_tables
-
 __all__ = [
     "mesh_distance",
     "torus_distance",
     "chebyshev_mesh_distance",
-    "graph_distance_indices",
 ]
 
 
@@ -50,33 +45,6 @@ def torus_distance(a: Sequence[int], b: Sequence[int], shape: Sequence[int]) -> 
     for x, y, length in zip(a, b, shape):
         diff = abs(x - y)
         total += min(diff, length - diff)
-    return total
-
-
-def graph_distance_indices(a_indices, b_indices, shape: Sequence[int], *, torus: bool):
-    """Distances between flat-index batches of nodes of an ``shape``-mesh/torus.
-
-    The array-backed analogue of :meth:`repro.graphs.base.CartesianGraph.
-    distance`: both arguments are same-shape integer arrays of natural-order
-    node ranks; the result is the ``int64`` array of δt (``torus=True``) or
-    δm distances.  Each dimension ``j`` adds ``|c_j[a] - c_j[b]|`` (on a
-    torus, ``min(δ, l_j - δ)``), gathering the coordinates from the shape's
-    memoized columns (:func:`repro.numbering.arrays.shape_tables`) — no
-    division and no ``(n, d)`` digit temporaries.
-    """
-    a_indices = np.asarray(a_indices)
-    b_indices = np.asarray(b_indices)
-    if a_indices.shape != b_indices.shape:
-        raise ValueError("index arrays must have the same shape")
-    shape = tuple(shape)
-    total = np.zeros(a_indices.shape, dtype=np.int64)
-    step = np.empty_like(total)
-    for coords, length in zip(shape_tables(shape).coords, shape):
-        np.subtract(coords[a_indices], coords[b_indices], out=step)
-        np.abs(step, out=step)
-        if torus:
-            np.minimum(step, length - step, out=step)
-        total += step
     return total
 
 

@@ -5,8 +5,8 @@ constructions and the registry baselines — is mutated by random 2-swaps and
 segment reversals and re-scored generation by generation, with either greedy
 hill-climbing or a simulated-annealing acceptance schedule.  The array
 engine stacks the whole population into one ``(population, size)``
-host-index matrix.  It prices the seed population (and the final row) with
-one fused :func:`stacked_objective_components` pass, keeps that pass's
+host-index matrix.  It prices the seed population with one fused
+:func:`stacked_objective_components` pass, keeps that pass's
 per-edge distances and per-link loads for the live population, and then
 prices each generation from only the guest edges whose endpoint images the
 moves changed: their old routes leave the loads and their new routes enter
@@ -145,8 +145,9 @@ class OptimizeResult:
 # --------------------------------------------------------------------------- #
 # Engines: candidate construction + scoring (everything else is shared).
 # ``start`` prices the seed population, ``price`` a generation's candidates
-# against the live population, ``commit`` keeps the accepted ones, and
-# ``score`` prices any matrix from scratch (the final row).
+# against the live population, and ``commit`` keeps the accepted ones.  The
+# driver keeps the best row's columns from these prices, so no row is ever
+# scored twice.
 # --------------------------------------------------------------------------- #
 class _ArrayEngine:
     """Vectorized engine: the population is one ``(population, size)`` matrix.
@@ -189,20 +190,14 @@ class _ArrayEngine:
                 ][::-1].copy()
         return candidate
 
-    def _full(self, matrix):
-        return stacked_objective_components(
+    def start(self, population):
+        components = stacked_objective_components(
             self.host,
             self.edge_u,
             self.edge_v,
-            matrix,
+            population,
             with_congestion=self.with_congestion,
         )
-
-    def score(self, matrix):
-        return _columns(*self._full(matrix)[:3])
-
-    def start(self, population):
-        components = self._full(population)
         self.distances = components.distances
         self.loads = components.loads
         members, size = population.shape
@@ -325,19 +320,16 @@ class _LoopEngine:
             congestion = max(load.values()) if load else 0
         return dil_max, dil_sum, congestion
 
-    def score(self, matrix):
-        scored = [self._score_row(row) for row in matrix]
+    def start(self, population):
+        scored = [self._score_row(row) for row in population]
         dil_max = [entry[0] for entry in scored]
         dil_sum = [entry[1] for entry in scored]
         if not self.with_congestion:
             return dil_max, dil_sum, None
         return dil_max, dil_sum, [entry[2] for entry in scored]
 
-    def start(self, population):
-        return self.score(population)
-
     def price(self, population, candidate):
-        return self.score(candidate)
+        return self.start(candidate)
 
     def commit(self, matrix, candidate, accepted: Sequence[bool]) -> None:
         for member, take in enumerate(accepted):
@@ -429,13 +421,8 @@ def optimize_embedding(
     population = engine.population([row for _, row in seeds])
 
     def encode(member_scores, member: int) -> int:
-        dil_max, dil_sum, congestion = member_scores
         return encode_objective(
-            options.objective,
-            scale,
-            dil_max[member],
-            dil_sum[member],
-            congestion[member] if congestion is not None else None,
+            options.objective, scale, *_member_columns(member_scores, member)
         )
 
     scores = engine.start(population)
@@ -444,6 +431,7 @@ def optimize_embedding(
     best_member = min(range(len(objectives)), key=lambda member: objectives[member])
     best_objective = objectives[best_member]
     best_row = engine.row(population, best_member)
+    best_columns = _member_columns(scores, best_member)
     best_provenance = lineage[best_member]
     if "paper" in lineage:
         baseline_objective = objectives[lineage.index("paper")]
@@ -485,11 +473,12 @@ def optimize_embedding(
                     if challenger < best_objective:
                         best_objective = challenger
                         best_row = engine.row(candidate, member)
+                        best_columns = _member_columns(candidate_scores, member)
                         best_provenance = lineage[member]
             engine.commit(population, candidate, accepted)
             temperature *= cooling
 
-    dilation, dilation_total, congestion = _score_single(engine, best_row)
+    dilation, dilation_total, congestion = best_columns
     improved = best_objective < baseline_objective
     state = OptimizerState(
         host_indices=best_row,
@@ -531,13 +520,14 @@ def optimize_embedding(
     )
 
 
-def _score_single(engine, row: Sequence[int]) -> Tuple[int, int, Optional[int]]:
-    """``(dilation, dilation_total, congestion)`` of one row, via the engine."""
-    dil_max, dil_sum, congestion = engine.score(engine.population([list(row)]))
+def _member_columns(scores, member: int) -> Tuple[int, int, Optional[int]]:
+    """``(dilation, dilation_total, congestion)`` of one member of an
+    engine's score columns."""
+    dil_max, dil_sum, congestion = scores
     return (
-        dil_max[0],
-        dil_sum[0],
-        congestion[0] if congestion is not None else None,
+        dil_max[member],
+        dil_sum[member],
+        congestion[member] if congestion is not None else None,
     )
 
 

@@ -160,6 +160,14 @@ def _portable_indices(embedding):
     return array
 
 
+def _replaces(state: OptimizerState, existing) -> bool:
+    """The keep-best rule: ``state`` takes a key unless the key already
+    holds an optimum at least as good."""
+    return not (
+        isinstance(existing, OptimizerState) and existing.objective <= state.objective
+    )
+
+
 class ConstructionCache:
     """A content-addressed, picklable memo store for constructions.
 
@@ -169,14 +177,26 @@ class ConstructionCache:
     workers, the merge unit for worker deltas, and the pickle payload of
     :meth:`save`.  Hit/miss counters are per-instance observability only and
     are not persisted.
+
+    A survey worker's cache keeps a *journal* (:meth:`start_journal`): every
+    entry stored from then on, new or replacing an old one, is also
+    recorded there until :meth:`take_journal` hands the entries over as the
+    delta for the parent to :meth:`merge`.
     """
 
-    __slots__ = ("data", "hits", "misses")
+    __slots__ = ("data", "hits", "misses", "_journal")
 
     def __init__(self, data: Optional[Dict[CacheKey, CachedConstruction]] = None):
         self.data: Dict[CacheKey, CachedConstruction] = dict(data or {})
         self.hits = 0
         self.misses = 0
+        self._journal: Optional[Dict[CacheKey, object]] = None
+
+    def _put(self, key: CacheKey, payload) -> None:
+        """Store one entry (and journal it when a journal is kept)."""
+        self.data[key] = payload
+        if self._journal is not None:
+            self._journal[key] = payload
 
     def __len__(self) -> int:
         return len(self.data)
@@ -212,16 +232,19 @@ class ConstructionCache:
 
     def store_embedding(self, key: CacheKey, embedding) -> None:
         """Memoize an embedding under its content address."""
-        self.data[key] = CachedConstruction(
-            host_indices=_portable_indices(embedding),
-            strategy=embedding.strategy,
-            predicted_dilation=embedding.predicted_dilation,
-            notes=dict(embedding.notes),
+        self._put(
+            key,
+            CachedConstruction(
+                host_indices=_portable_indices(embedding),
+                strategy=embedding.strategy,
+                predicted_dilation=embedding.predicted_dilation,
+                notes=dict(embedding.notes),
+            ),
         )
 
     def store_unsupported(self, key: CacheKey, message: str) -> None:
         """Memoize that the strategy does not support the pair of ``key``."""
-        self.data[key] = message
+        self._put(key, message)
 
     @property
     def construction_count(self) -> int:
@@ -256,13 +279,9 @@ class ConstructionCache:
         the persisted state.
         """
         key = optimum_cache_key(objective, guest, host)
-        existing = self.data.get(key)
-        if (
-            isinstance(existing, OptimizerState)
-            and existing.objective <= state.objective
-        ):
+        if not _replaces(state, self.data.get(key)):
             return False
-        self.data[key] = state
+        self._put(key, state)
         return True
 
     @property
@@ -278,13 +297,31 @@ class ConstructionCache:
         return dict(self.data)
 
     def merge(self, entries: Dict[CacheKey, CachedConstruction]) -> int:
-        """Fold a warm-start/delta dict into this cache; returns new-entry count."""
+        """Fold a warm-start/delta dict into this cache; returns new-entry count.
+
+        An optimum replaces a stored one only when it is better, by the
+        keep-best rule of :meth:`store_optimum`; any other entry replaces
+        what the key held.
+        """
         added = 0
         for key, payload in entries.items():
-            if key not in self.data:
+            existing = self.data.get(key)
+            if isinstance(payload, OptimizerState) and not _replaces(payload, existing):
+                continue
+            if existing is None:
                 added += 1
-            self.data[key] = payload
+            self._put(key, payload)
         return added
+
+    def start_journal(self) -> None:
+        """Record every entry stored from now on, new or replaced."""
+        self._journal = {}
+
+    def take_journal(self) -> Dict[CacheKey, object]:
+        """The entries stored since :meth:`start_journal` or the last take;
+        the journal restarts empty."""
+        journal, self._journal = self._journal, {}
+        return journal
 
     def save(self, path: PathLike) -> Path:
         """Persist the backing dict (pickle) for the next invocation.

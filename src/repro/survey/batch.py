@@ -14,23 +14,31 @@ whole *shard* at once instead:
   one ragged :func:`~repro.analysis.metrics.stacked_dilation_summary` call
   per shard, and congestion (when asked for) from one
   :func:`~repro.analysis.metrics.stacked_congestion` call per signature
-  over its ``(batch, size)`` stack — bit-for-bit the per-scenario values;
+  over its ``(batch, size)`` stack of ``int64`` host-index rows —
+  bit-for-bit the per-scenario values;
 * simulation scenarios share one memoized traffic pattern per
   ``(pattern, guest signature)`` and one
   :class:`~repro.netsim.network.HostNetwork` per host signature, and all of
   a shard's phases advance together through one round-based vectorized drain
   (:func:`repro.netsim.simulator.simulate_endpoint_phases`);
-* records are assembled column-wise from the stacked results, in scenario
-  order, each built once at the end with its share of the shard's time.
+* records are assembled from the stacked results, in scenario order, by the
+  reference path's own column builders (``_record_base``,
+  ``_construction_columns``, ``_simulation_columns`` and
+  ``_failure_columns`` of :mod:`repro.survey.runner`), each built once at
+  the end with its share of the shard's time.
 
 The per-scenario path (:func:`repro.survey.runner.evaluate_scenario`) stays
 as the cross-checked reference — ``use_context(batch=False)`` forces it, and
 the differential suite ``tests/test_survey_batch.py`` pins the two paths'
-records byte-identical (``elapsed_seconds`` timings aside).  Any signature
-group or simulation phase the batched kernels cannot handle falls back to
-the reference path for exactly the affected scenarios (a failed shard-wide
-measurement re-runs group by group first), so failure semantics (one bad
-pair must not kill a sweep) are preserved record for record.
+records byte-identical (``elapsed_seconds`` timings aside).  Only the
+assembly is shared: the measured values come from the stacked kernels here
+and from the embedding's own costs there, so the two paths still check
+each other.  Any signature group the stacked kernels cannot measure falls
+back to the reference path for exactly its scenarios (a failed shard-wide
+measurement re-runs group by group first), and a simulation phase that
+raises (alone, after a failed shard-wide drain) records its error, so
+failure semantics (one bad pair must not kill a sweep) are preserved record
+for record.
 """
 
 from __future__ import annotations
@@ -39,12 +47,7 @@ import functools
 import time
 from typing import Dict, List, Sequence, Tuple
 
-from ..analysis.metrics import (
-    stack_host_index_arrays,
-    stacked_congestion,
-    stacked_dilation_summary,
-)
-from ..exceptions import UnsupportedEmbeddingError
+from ..analysis.metrics import stacked_congestion, stacked_dilation_summary
 from ..graphs.base import CartesianGraph
 from ..netsim import (
     HostNetwork,
@@ -53,6 +56,13 @@ from ..netsim import (
     traffic_rank_arrays,
 )
 from ..runtime.registry import build_strategy
+from .runner import (
+    _construction_columns,
+    _failure_columns,
+    _graph_columns,
+    _record_base,
+    _simulation_columns,
+)
 from .scenarios import Scenario
 from .store import SurveyRecord
 
@@ -63,14 +73,19 @@ GraphSpec = Tuple[str, Tuple[int, ...]]
 
 
 class _ShardState:
-    """Per-shard memo of graph columns, networks, traffic patterns and builds."""
+    """Per-shard memo of graph columns, networks, traffic patterns and builds.
+
+    The pattern and build memos hold the built object, or the failure
+    columns (a ``dict``) of the error that building it raised, exactly as
+    the reference path records it.
+    """
 
     def __init__(self, graph_columns):
         # Each graph's record columns, derived once per shard.
         self.graph_columns = functools.lru_cache(maxsize=None)(graph_columns)
         self.networks: Dict[GraphSpec, HostNetwork] = {}
-        self.patterns: Dict[Tuple[str, GraphSpec], Tuple[str, object]] = {}
-        self.builds: Dict[Tuple[str, GraphSpec, GraphSpec], Tuple[str, object]] = {}
+        self.patterns: Dict[Tuple[str, GraphSpec], object] = {}
+        self.builds: Dict[Tuple[str, GraphSpec, GraphSpec], object] = {}
 
     def network(self, host: CartesianGraph) -> HostNetwork:
         spec = (host.kind.value, host.shape)
@@ -80,35 +95,31 @@ class _ShardState:
             self.networks[spec] = network
         return network
 
-    def endpoints(self, name: str, guest: CartesianGraph) -> Tuple[str, object]:
-        """``("ok", (source_ranks, target_ranks, sizes))`` or ``("error", msg)``.
+    def endpoints(self, name: str, guest: CartesianGraph):
+        """``(source_ranks, target_ranks, sizes)``, or failure columns.
 
         Memoized per ``(pattern, guest signature)``.  The three built-in
         patterns come from the vectorized rank generators
         (:func:`repro.netsim.traffic.traffic_rank_arrays` — no ``Message``
         tuples); plugin patterns fall back to building the pattern once and
-        converting it, and unknown names memoize the same error message the
-        reference path records.
+        converting it.
         """
         key = (name, (guest.kind.value, guest.shape))
         entry = self.patterns.get(key)
         if entry is None:
             try:
-                arrays = traffic_rank_arrays(name, guest)
-                if arrays is None:
-                    arrays = traffic_pattern(name, guest).endpoint_rank_arrays(
+                entry = traffic_rank_arrays(name, guest)
+                if entry is None:
+                    entry = traffic_pattern(name, guest).endpoint_rank_arrays(
                         guest.shape
                     )
-                entry = ("ok", arrays)
-            except Exception as error:  # noqa: BLE001 - mirrored as an error record
-                entry = ("error", f"{type(error).__name__}: {error}")
+            except Exception as error:  # noqa: BLE001 - mirrored as a failure record
+                entry = _failure_columns(error)
             self.patterns[key] = entry
         return entry
 
-    def embedding(
-        self, strategy: str, guest: CartesianGraph, host: CartesianGraph
-    ) -> Tuple[str, object]:
-        """``("ok", embedding)``, ``("unsupported", msg)`` or ``("error", msg)``.
+    def embedding(self, strategy: str, guest: CartesianGraph, host: CartesianGraph):
+        """The strategy's embedding of the pair, or failure columns.
 
         Memoized per ``(strategy, guest, host)`` signature; the underlying
         builder already memoizes through the context cache when one is
@@ -119,11 +130,9 @@ class _ShardState:
         entry = self.builds.get(key)
         if entry is None:
             try:
-                entry = ("ok", build_strategy(strategy, guest, host))
-            except UnsupportedEmbeddingError as error:
-                entry = ("unsupported", str(error))
-            except Exception as error:  # noqa: BLE001 - mirrored as an error record
-                entry = ("error", f"{type(error).__name__}: {error}")
+                entry = build_strategy(strategy, guest, host)
+            except Exception as error:  # noqa: BLE001 - mirrored as a failure record
+                entry = _failure_columns(error)
             self.builds[key] = entry
         return entry
 
@@ -168,15 +177,12 @@ def _measure_groups(groups, with_congestion):
     if with_congestion:
         row = 0
         for group in groups.values():
-            host, embeddings = group["host"], list(group["rows"].values())
+            end = row + len(group["rows"])
             column = stacked_congestion(
-                host,
-                edge_us[row],
-                edge_vs[row],
-                stack_host_index_arrays(embeddings, host),
+                group["host"], edge_us[row], edge_vs[row], images[row:end]
             )
-            congestion[row : row + len(embeddings)] = column.tolist()
-            row += len(embeddings)
+            congestion[row:end] = column.tolist()
+            row = end
     return dict(zip(keys, zip(dilation.tolist(), average.tolist(), congestion)))
 
 
@@ -190,8 +196,8 @@ def evaluate_shard_batched(
     ``elapsed_seconds`` timing column (batched records carry the per-record
     share of the shard's wall time).
     """
-    # lazy: runner imports us
-    from .runner import _graph_columns, _record_base, evaluate_scenario
+    # Looked up per call, so a test can substitute the reference path.
+    from .runner import evaluate_scenario
 
     started = time.perf_counter()
     state = _ShardState(_graph_columns)
@@ -222,15 +228,15 @@ def evaluate_shard_batched(
         # `build_strategy("paper", ...)`); simulation scenarios build the
         # strategy they name.
         strategy = scenario.strategy if scenario.traffic else "paper"
-        status, payload = state.embedding(strategy, guest, host)
-        if status != "ok":
-            records[position] = dict(base, status=status, error=payload)
+        embedding = state.embedding(strategy, guest, host)
+        if isinstance(embedding, dict):
+            records[position] = {**base, **embedding}
             continue
         signature = ((guest.kind.value, guest.shape), (host.kind.value, host.shape))
         group = groups.setdefault(
             signature, {"guest": guest, "host": host, "rows": {}, "uses": []}
         )
-        group["rows"].setdefault(strategy, payload)
+        group["rows"].setdefault(strategy, embedding)
         group["uses"].append((position, strategy, scenario, base))
         if scenario.traffic:
             sim_jobs.append(
@@ -240,7 +246,7 @@ def evaluate_shard_batched(
                     "strategy": strategy,
                     "scenario": scenario,
                     "base": base,
-                    "embedding": payload,
+                    "embedding": embedding,
                     "network": state.network(host),
                 }
             )
@@ -261,13 +267,13 @@ def evaluate_shard_batched(
             # the whole scenario to the reference evaluator, which runs its
             # own simulation — don't advance the phase twice.
             continue
-        status, payload = state.endpoints(
+        endpoints = state.endpoints(
             job["scenario"].traffic, groups[job["signature"]]["guest"]
         )
-        if status != "ok":
-            records[job["position"]] = dict(job["base"], status="error", error=payload)
+        if isinstance(endpoints, dict):
+            records[job["position"]] = {**job["base"], **endpoints}
         else:
-            job["endpoints"] = payload
+            job["endpoints"] = endpoints
             ready_jobs.append(job)
     if ready_jobs:
         # Fault scenarios took the reference path in pass 1: no faults here.
@@ -299,52 +305,18 @@ def evaluate_shard_batched(
                 # Stacked kernels declined this group: reference path.
                 records[position] = evaluate_scenario(scenario, options)
                 continue
-            dilation, average, congestion = values
             embedding = group["rows"][strategy]
             if not scenario.traffic:
-                records[position] = dict(
-                    base,
-                    status="ok",
-                    strategy=embedding.strategy,
-                    predicted_dilation=embedding.predicted_dilation,
-                    dilation=dilation,
-                    average_dilation=average,
-                    congestion=congestion,
-                    matches_prediction=embedding.matches_prediction(measured=dilation),
+                columns = _construction_columns(embedding.strategy, embedding, *values)
+            elif isinstance(outcomes[position], Exception):
+                # Pass 3 left an outcome for every phase of a measured group.
+                columns = _failure_columns(outcomes[position])
+            else:
+                columns = _construction_columns(scenario.strategy, embedding, *values)
+                columns.update(
+                    _simulation_columns(scenario.traffic, outcomes[position])
                 )
-                continue
-            outcome = outcomes.get(position)
-            if outcome is None or isinstance(outcome, Exception):
-                if isinstance(outcome, UnsupportedEmbeddingError):
-                    records[position] = dict(
-                        base, status="unsupported", error=str(outcome)
-                    )
-                elif isinstance(outcome, Exception):
-                    records[position] = dict(
-                        base,
-                        status="error",
-                        error=f"{type(outcome).__name__}: {outcome}",
-                    )
-                else:  # no outcome recorded at all: reference path
-                    records[position] = evaluate_scenario(scenario, options)
-                continue
-            statistics = outcome.statistics
-            records[position] = dict(
-                base,
-                status="ok",
-                strategy=scenario.strategy,
-                predicted_dilation=embedding.predicted_dilation,
-                dilation=dilation,
-                average_dilation=average,
-                congestion=congestion,
-                matches_prediction=embedding.matches_prediction(measured=dilation),
-                traffic=scenario.traffic,
-                messages=statistics.num_messages,
-                max_hops=statistics.max_hops,
-                max_link_load=statistics.max_link_load_messages,
-                estimated_time=statistics.estimated_completion_time,
-                makespan=outcome.makespan,
-            )
+            records[position] = {**base, **columns}
 
     share = (time.perf_counter() - started) / max(len(scenarios), 1)
     return [

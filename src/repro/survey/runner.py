@@ -14,11 +14,21 @@ The engine runs under the ambient execution context
 default worker count and shard size, and — when it carries a
 :class:`~repro.runtime.cache.ConstructionCache` — the construction memo.
 The whole context (cache included, as the warm start) is installed once in
-every worker process; each finished shard ships its newly memoized entries
-back so the parent's cache keeps growing across shards and invocations.
+every worker process, whose cache then journals its stores; each finished
+shard ships every entry the worker stored since its last shard, new or
+replaced (an optimum the search improved), and the parent merges them —
+keeping the better of two optima — so its cache keeps growing across
+shards and invocations.
 
 ``workers <= 1`` (or a single shard) runs inline in the calling process —
-the mode used by tests and ``repro survey --smoke``.
+the mode used by tests and ``repro survey --smoke`` — where shards write
+the parent's own cache and ship nothing.
+
+Both evaluators — the per-scenario reference :func:`evaluate_scenario` and
+the batched :mod:`repro.survey.batch` — build every record from the same
+column builders (:func:`_record_base`, :func:`_construction_columns`,
+:func:`_simulation_columns`, :func:`_failure_columns`); only the measured
+values come from different kernels.
 
 **Failure model.**  A shard attempt that raises (a crashed worker, a torn
 shard write, an injected chaos fault) is retried with capped exponential
@@ -228,9 +238,46 @@ def _record_base(
     )
 
 
-def _evaluate_fault_scenario(
-    scenario: Scenario, guest, host, base, options: SurveyOptions, started: float
-) -> SurveyRecord:
+def _construction_columns(
+    strategy: Optional[str], embedding, dilation, average, congestion
+) -> Dict[str, object]:
+    """The columns of a measured construction: ``status`` ``"ok"`` through
+    ``matches_prediction``, with the theorem's prediction read from
+    ``embedding`` and checked against the measured ``dilation``."""
+    return dict(
+        status="ok",
+        strategy=strategy,
+        predicted_dilation=embedding.predicted_dilation,
+        dilation=dilation,
+        average_dilation=average,
+        congestion=congestion,
+        matches_prediction=embedding.matches_prediction(measured=dilation),
+    )
+
+
+def _simulation_columns(traffic: str, result) -> Dict[str, object]:
+    """The columns of a simulated phase: ``traffic`` through ``makespan``."""
+    statistics = result.statistics
+    return dict(
+        traffic=traffic,
+        messages=statistics.num_messages,
+        max_hops=statistics.max_hops,
+        max_link_load=statistics.max_link_load_messages,
+        estimated_time=statistics.estimated_completion_time,
+        makespan=result.makespan,
+    )
+
+
+def _failure_columns(error: BaseException) -> Dict[str, object]:
+    """The columns of a scenario that raised: ``"unsupported"`` with the
+    message when the strategy has no construction for the pair, ``"error"``
+    with ``Type: message`` for anything else."""
+    if isinstance(error, UnsupportedEmbeddingError):
+        return dict(status="unsupported", error=str(error))
+    return dict(status="error", error=f"{type(error).__name__}: {error}")
+
+
+def _fault_columns(scenario: Scenario, guest, host) -> Dict[str, object]:
     """Build on the pristine host, degrade, repair, re-measure.
 
     The named strategy is constructed (and cached) for the *pristine* host;
@@ -245,36 +292,20 @@ def _evaluate_fault_scenario(
     faults = scenario.fault_spec().apply(host)
     repaired = repair_embedding(embedding, faults)
     dilation, average_dilation = fault_dilation_summary(repaired, faults)
-    columns: Dict[str, object] = {}
+    columns = _construction_columns(
+        scenario.strategy, embedding, dilation, average_dilation, None
+    )
+    columns["matches_prediction"] = None
     if scenario.traffic:
         pattern = traffic_pattern(scenario.traffic, guest)
         result = simulate_phase(HostNetwork(host), repaired, pattern, faults=faults)
-        statistics = result.statistics
-        columns = dict(
-            traffic=scenario.traffic,
-            messages=statistics.num_messages,
-            max_hops=statistics.max_hops,
-            max_link_load=statistics.max_link_load_messages,
-            estimated_time=statistics.estimated_completion_time,
-            makespan=result.makespan,
-        )
-    return SurveyRecord(
-        status="ok",
-        strategy=scenario.strategy,
-        predicted_dilation=embedding.predicted_dilation,
-        dilation=dilation,
-        average_dilation=average_dilation,
-        congestion=None,
-        matches_prediction=None,
-        elapsed_seconds=time.perf_counter() - started,
-        **columns,
-        **base,
-    )
+        columns.update(_simulation_columns(scenario.traffic, result))
+    return columns
 
 
-def _evaluate_optimize_scenario(
-    scenario: Scenario, guest, host, base, options: SurveyOptions, started: float
-) -> SurveyRecord:
+def _optimize_columns(
+    scenario: Scenario, guest, host, guest_edges: int, options: SurveyOptions
+) -> Dict[str, object]:
     """Run the embedding search and report what it found.
 
     The search configuration is the fixed
@@ -282,27 +313,28 @@ def _evaluate_optimize_scenario(
     ambient construction cache — when the context carries one — both
     warm-starts the population with the stored optimum and persists the
     search's best, so a prior ``repro optimize`` run is reused here and vice
-    versa.  ``search_objective`` is the encoded integer objective,
-    ``improved`` whether search beat the construction it was seeded from.
+    versa.  The search makes no prediction, so ``predicted_dilation`` and
+    ``matches_prediction`` stay ``None``.  ``search_objective`` is the
+    encoded integer objective, ``improved`` whether search beat the
+    construction it was seeded from.
     """
     from ..optimize import SUITE_OPTIONS, optimize_embedding
 
     result = optimize_embedding(guest, host, SUITE_OPTIONS)
-    guest_edges = base["guest_edges"]
-    return SurveyRecord(
-        status="ok",
-        strategy=scenario.strategy,
-        predicted_dilation=None,
-        dilation=result.dilation,
-        average_dilation=result.dilation_total / guest_edges if guest_edges else 0.0,
-        congestion=result.congestion if options.with_congestion else None,
-        matches_prediction=None,
+    columns = _construction_columns(
+        scenario.strategy,
+        result.embedding,
+        result.dilation,
+        result.dilation_total / guest_edges if guest_edges else 0.0,
+        result.congestion if options.with_congestion else None,
+    )
+    columns["matches_prediction"] = None
+    columns.update(
         search_objective=result.objective,
         search_steps=result.steps,
         improved=result.improved,
-        elapsed_seconds=time.perf_counter() - started,
-        **base,
     )
+    return columns
 
 
 def evaluate_scenario(scenario: Scenario, options: SurveyOptions) -> SurveyRecord:
@@ -319,65 +351,40 @@ def evaluate_scenario(scenario: Scenario, options: SurveyOptions) -> SurveyRecor
     started = time.perf_counter()
     try:
         if scenario.faults:
-            return _evaluate_fault_scenario(
-                scenario, guest, host, base, options, started
+            columns = _fault_columns(scenario, guest, host)
+        elif scenario.strategy == "optimize" and not scenario.traffic:
+            columns = _optimize_columns(
+                scenario, guest, host, base["guest_edges"], options
             )
-        if scenario.strategy == "optimize" and not scenario.traffic:
-            return _evaluate_optimize_scenario(
-                scenario, guest, host, base, options, started
-            )
-        if scenario.traffic:
+        elif scenario.traffic:
             embedding = build_strategy(scenario.strategy, guest, host)
             pattern = traffic_pattern(scenario.traffic, guest)
             result = simulate_phase(HostNetwork(host), embedding, pattern)
-            statistics = result.statistics
-            dilation = embedding.dilation()
-            return SurveyRecord(
-                status="ok",
-                strategy=scenario.strategy,
-                predicted_dilation=embedding.predicted_dilation,
-                dilation=dilation,
-                average_dilation=embedding.average_dilation(),
-                congestion=(
-                    embedding.edge_congestion() if options.with_congestion else None
-                ),
-                matches_prediction=embedding.matches_prediction(measured=dilation),
-                traffic=scenario.traffic,
-                messages=statistics.num_messages,
-                max_hops=statistics.max_hops,
-                max_link_load=statistics.max_link_load_messages,
-                estimated_time=statistics.estimated_completion_time,
-                makespan=result.makespan,
-                elapsed_seconds=time.perf_counter() - started,
-                **base,
+            columns = _construction_columns(
+                scenario.strategy,
+                embedding,
+                embedding.dilation(),
+                embedding.average_dilation(),
+                embedding.edge_congestion() if options.with_congestion else None,
             )
-        embedding = embed(guest, host)
-        report = evaluate_embedding(embedding, with_congestion=options.with_congestion)
-        return SurveyRecord(
-            status="ok",
-            strategy=embedding.strategy,
-            predicted_dilation=embedding.predicted_dilation,
-            dilation=report.dilation,
-            average_dilation=report.average_dilation,
-            congestion=report.congestion,
-            matches_prediction=embedding.matches_prediction(measured=report.dilation),
-            elapsed_seconds=time.perf_counter() - started,
-            **base,
-        )
-    except UnsupportedEmbeddingError as error:
-        return SurveyRecord(
-            status="unsupported",
-            error=str(error),
-            elapsed_seconds=time.perf_counter() - started,
-            **base,
-        )
+            columns.update(_simulation_columns(scenario.traffic, result))
+        else:
+            embedding = embed(guest, host)
+            report = evaluate_embedding(
+                embedding, with_congestion=options.with_congestion
+            )
+            columns = _construction_columns(
+                embedding.strategy,
+                embedding,
+                report.dilation,
+                report.average_dilation,
+                report.congestion,
+            )
     except Exception as error:  # noqa: BLE001 - one bad pair must not kill a sweep
-        return SurveyRecord(
-            status="error",
-            error=f"{type(error).__name__}: {error}",
-            elapsed_seconds=time.perf_counter() - started,
-            **base,
-        )
+        columns = _failure_columns(error)
+    return SurveyRecord(
+        elapsed_seconds=time.perf_counter() - started, **columns, **base
+    )
 
 
 #: True inside a survey pool worker process (set by the pool initializer).
@@ -387,9 +394,12 @@ _IN_POOL_WORKER = False
 
 
 def _install_worker_context(context: ExecutionContext) -> None:
-    """Pool initializer: adopt the parent's context (cache = warm start)."""
+    """Pool initializer: adopt the parent's context (cache = warm start) and
+    journal the cache's stores, which :func:`_run_shard` ships back."""
     global _IN_POOL_WORKER
     _IN_POOL_WORKER = True
+    if context.cache is not None:
+        context.cache.start_journal()
     set_default_context(context)
 
 
@@ -424,11 +434,13 @@ def _run_shard(
 ) -> Tuple[int, List[SurveyRecord], Dict, Tuple[int, int], Dict[str, int]]:
     """Worker entry point: evaluate one shard under the ambient context.
 
-    Returns the shard's records plus the construction-cache entries this
-    shard added (relative to the shard start), so the parent can merge the
-    delta and keep one growing memo across shards and invocations, the
-    shard's (hits, misses) so pooled runs report true cache traffic, and
-    the injected-fault tally delta so chaos counters survive the pool.
+    Returns the shard's records plus, in a pool worker, the cache entries
+    the worker stored since its last shard (its journal: new entries and
+    replaced ones, such as an improved optimum), so the parent can merge
+    them and keep one growing memo across shards and invocations, and the
+    shard's (hits, misses) so pooled runs report true cache traffic; inline,
+    the shard wrote the parent's own cache, so both stay empty.  Last comes
+    the injected-fault tally delta, so chaos counters survive the pool.
 
     ``attempt`` keys the chaos plane's ``survey.shard`` injection point: a
     seeded plan decides crash-or-not as a pure function of
@@ -446,17 +458,14 @@ def _run_shard(
         raise InjectedFault(fault.kind, "survey.shard")
     chaos_before = chaos_counters()
     cache = current().cache
-    records: List[SurveyRecord]
-    delta: Dict = {}
-    if cache is None:
-        records = evaluate_shard(scenarios, options)
-        counters = (0, 0)
-    else:
-        known = set(cache.data)
+    if _IN_POOL_WORKER and cache is not None:
         hits, misses = cache.hits, cache.misses
         records = evaluate_shard(scenarios, options)
-        delta = {key: cache.data[key] for key in cache.data.keys() - known}
+        delta = cache.take_journal()
         counters = (cache.hits - hits, cache.misses - misses)
+    else:
+        records = evaluate_shard(scenarios, options)
+        delta, counters = {}, (0, 0)
     if options.shard_dir is not None:
         shard_path = Path(options.shard_dir) / f"shard-{shard_index:04d}.json"
         write_json(records, shard_path)
@@ -550,9 +559,9 @@ def _merge_worker_result(result, results, context) -> None:
     index, records, delta, (hits, misses), chaos_delta = result
     results[index] = records
     if context.cache is not None:
-        # Fold the worker's memo traffic back into the parent: new entries
-        # keep the cache growing across shards, and the counters keep
-        # `--cache` reporting truthful.
+        # Fold the worker's memo traffic back into the parent: its stored
+        # entries keep the cache growing across shards, and the counters
+        # keep `--cache` reporting truthful.
         context.cache.merge(delta)
         context.cache.hits += hits
         context.cache.misses += misses

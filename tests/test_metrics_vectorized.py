@@ -36,11 +36,7 @@ from repro.numbering.arrays import (
     indices_to_digits,
     shape_tables,
 )
-from repro.numbering.distance import (
-    graph_distance_indices,
-    mesh_distance,
-    torus_distance,
-)
+from repro.numbering.distance import mesh_distance, torus_distance
 
 from .conftest import graph_kinds, small_shapes
 
@@ -75,8 +71,8 @@ class TestDistanceArrays:
         ranks = st.integers(min_value=0, max_value=size - 1)
         a = [data.draw(ranks) for _ in range(10)]
         b = [data.draw(ranks) for _ in range(10)]
-        mesh_vec = graph_distance_indices(np.array(a), np.array(b), shape, torus=False)
-        torus_vec = graph_distance_indices(np.array(a), np.array(b), shape, torus=True)
+        mesh_vec = Mesh(shape).distance_indices(np.array(a), np.array(b))
+        torus_vec = Torus(shape).distance_indices(np.array(a), np.array(b))
         a_digits = indices_to_digits(np.array(a), shape)
         b_digits = indices_to_digits(np.array(b), shape)
         for row, (x, y) in enumerate(zip(a_digits, b_digits)):

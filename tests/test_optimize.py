@@ -183,6 +183,34 @@ class TestSearchBasics:
         result.embedding.validate()
         assert result.provenance != "paper"
 
+    @pytest.mark.parametrize("backend", ["array", "loop"])
+    @pytest.mark.parametrize("objective", ["dilation", "congestion", "combined"])
+    def test_result_columns_equal_full_scoring_of_its_row(self, backend, objective):
+        # The driver keeps the columns the search priced the best row with;
+        # here the best row is a candidate (search beats every seed), so
+        # they come from the generation's incremental pricing.
+        guest, host = NO_PAPER
+        options = OptimizeOptions(objective=objective, budget=300, population=6)
+        with use_context(backend=backend):
+            result = optimize_embedding(guest, host, options)
+        assert result.improved
+        edge_u, edge_v = guest.edge_index_arrays()
+        fresh = stacked_objective_components(
+            host,
+            edge_u,
+            edge_v,
+            result.embedding.host_index_array(),
+            with_congestion=True,
+        )
+        congestion = None if objective == "dilation" else int(fresh.congestion[0])
+        assert (result.dilation, result.dilation_total, result.congestion) == (
+            int(fresh.dilation_max[0]),
+            int(fresh.dilation_total[0]),
+            congestion,
+        )
+        assert result.state.dilation == result.dilation
+        assert result.state.congestion == congestion
+
     def test_unequal_sizes_rejected(self):
         with pytest.raises(UnsupportedEmbeddingError):
             optimize_embedding(Torus((4, 4)), Mesh((4, 5)))

@@ -19,6 +19,11 @@ from repro.runtime.cache import (
 PAIR = (Torus((4, 6)), Mesh((2, 2, 2, 3)))
 
 
+def _optimum(objective):
+    """A stored optimum of PAIR with the given encoded objective."""
+    return OptimizerState(tuple(range(24)), objective, "combined", 1, 1, 0, "test")
+
+
 class TestContentAddressing:
     def test_embedding_key_format(self):
         guest, host = PAIR
@@ -151,6 +156,35 @@ class TestSharingAndPersistence:
             embed(guest, host)
         assert b.merge(a.snapshot()) == len(a)
         assert b.merge(a.snapshot()) == 0
+
+    def test_merge_keeps_the_better_optimum(self):
+        guest, host = PAIR
+        key = optimum_cache_key("combined", guest, host)
+        cache = ConstructionCache({key: _optimum(5)})
+        assert cache.merge({key: _optimum(9)}) == 0
+        assert cache.data[key] == _optimum(5)
+        assert cache.merge({key: _optimum(3)}) == 0
+        assert cache.data[key] == _optimum(3)
+
+    def test_journal_holds_every_entry_stored_new_or_replaced(self):
+        guest, host = PAIR
+        cache = ConstructionCache()
+        with use_context(cache=cache):
+            embed(guest, host)
+        cache.store_optimum("combined", guest, host, _optimum(9))
+        cache.start_journal()
+        cache.store_optimum("combined", guest, host, _optimum(5))  # replaces
+        cache.store_optimum("combined", guest, host, _optimum(7))  # kept out
+        other = (Torus((4, 4)), Mesh((4, 4)))
+        with use_context(cache=cache):
+            embed(guest, host)  # a hit stores nothing
+            embed(*other)
+        built = embedding_cache_key("paper", *other)
+        assert cache.take_journal() == {
+            optimum_cache_key("combined", guest, host): _optimum(5),
+            built: cache.data[built],
+        }
+        assert cache.take_journal() == {}
 
     def test_pickle_round_trip(self):
         guest, host = PAIR

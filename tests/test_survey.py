@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.runtime import ConstructionCache, use_context
+from repro.runtime.cache import OptimizerState
 from repro.survey import (
     Scenario,
     SurveyOptions,
@@ -120,6 +121,27 @@ class TestRunner:
         assert cache.misses - misses == 0
         assert cache.hits - hits == len(scenarios)
         assert [strip(r) for r in warm.records] == [strip(r) for r in cold.records]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_survey_keeps_the_optima_its_shards_improve(self, workers):
+        # The search beats a planted optimum and replaces it in place: a
+        # pooled worker must ship the replaced entry, and the parent must
+        # keep the better of the optima it merges, as an inline run does.
+        scenario = Scenario("torus", (4, 4), "mesh", (4, 4), strategy="optimize")
+        guest, host = scenario.guest_graph(), scenario.host_graph()
+        planted = OptimizerState(
+            tuple(range(16)), 10**9, "combined", 99, 99, 0, "planted"
+        )
+        cache = ConstructionCache()
+        cache.store_optimum("combined", guest, host, planted)
+        with use_context(cache=cache):
+            report = run_survey(
+                [scenario, scenario], SurveyOptions(workers=workers, shard_size=1)
+            )
+        assert report.workers == workers
+        found = min(record.search_objective for record in report.records)
+        assert cache.fetch_optimum("combined", guest, host).objective == found
+        assert found < 10**9
 
     def test_run_survey_writes_and_merges_shards(self, tmp_path):
         scenarios = all_pairs(12)

@@ -40,7 +40,6 @@ from repro.netsim import (
 )
 from repro.netsim import simulator
 from repro.netsim.kernels import _repeated_sums
-from repro.numbering.arrays import compact_index_dtype
 from repro.runtime import ExecutionContext, use_context
 from repro.runtime.registry import build_strategy
 from repro.survey import (
@@ -100,6 +99,20 @@ class TestBatchedRecordIdentity:
         assert_identical_records(batched, run_reference(scenarios, options).records)
         assert any(r.status == "unsupported" for r in batched)  # covers that path
         assert all(r.congestion is not None for r in batched if r.status == "ok")
+
+    @pytest.mark.parametrize("with_congestion", [False, True])
+    @pytest.mark.parametrize(
+        "suite", ["basic", "squares", "figures", "expansion", "faults", "optima"]
+    )
+    def test_named_suite(self, suite, with_congestion):
+        # The batched evaluator hands fault and search scenarios to the
+        # reference path whole; every suite's records must still agree.
+        scenarios = scenarios_for_suite(suite, max_nodes=24)
+        options = SurveyOptions(workers=1, with_congestion=with_congestion)
+        assert_identical_records(
+            run_batched(scenarios, options).records,
+            run_reference(scenarios, options).records,
+        )
 
     def test_batched_matches_loop_backend_reference(self):
         # The strongest form of the contract: stacked kernels vs the
@@ -703,26 +716,6 @@ def assert_budget_boundary_is_the_phase_hop_count(network):
                 run(h2 - 1)
             with pytest.raises(SimulationError):
                 simulate_phase(network, embedding, full, max_events=h2 - 1)
-
-
-class TestDtypeDownsizing:
-    def test_compact_index_dtype_thresholds(self):
-        assert compact_index_dtype(0) is np.int32
-        assert compact_index_dtype(2**31 - 1) is np.int32
-        assert compact_index_dtype(2**31) is np.int64
-        with pytest.raises(ValueError):
-            compact_index_dtype(-1)
-
-    def test_stacked_images_use_int32_at_survey_scale(self):
-        from repro.analysis.metrics import stack_host_index_arrays
-
-        guest, host = Torus((4, 6)), Mesh((2, 2, 2, 3))
-        embeddings = [build_strategy(n, guest, host) for n in ("paper", "lexicographic")]
-        images = stack_host_index_arrays(embeddings, host)
-        assert images.dtype == np.int32
-        assert images.shape == (2, host.size)
-        for row, embedding in zip(images, embeddings):
-            assert (row == embedding.host_index_array()).all()
 
 
 class TestValidateArraySinglePass:
