@@ -18,16 +18,23 @@ low-dilation embeddings translate into faster communication phases.
 Both evaluations resolve their implementation from the ambient execution
 context (:mod:`repro.runtime.context`), the same switch as the construction
 builders and cost measures.  The array backend has one simulation path,
-:func:`simulate_endpoint_phases`: it places, routes (one
-:func:`~repro.netsim.kernels.expand_routes` call per link-index space),
-detours around faults and prices any number of phases over flat
-directed-link ids (:mod:`repro.netsim.kernels`), drains them through
+:func:`simulate_endpoint_phases`: it places, routes, detours around faults
+and prices any number of phases over flat directed-link ids
+(:mod:`repro.netsim.kernels`), drains them through
 :func:`simulate_phases_rounds` and reduces each phase's link loads with
-:func:`~repro.netsim.kernels.accumulate_link_loads`.  The drain is
+:func:`~repro.netsim.kernels.accumulate_link_loads`.  Routing expands the
+messages of every phase on one link-index space together, in blocks of
+8,192 with one :func:`~repro.netsim.kernels.expand_routes` call each, so
+its (messages x dimensions) temporaries never outgrow one block; the
+blocks' hops and link ids are concatenated once, into the arrays the
+phases keep.  The drain is
 round-based: a phase whose hops all share one occupancy (every built-in
 pattern on a network without link weights) runs in integer ticks and reads
 its times from a table of repeated float sums; any other phase runs the
-float round loop.  :func:`simulate_phase` runs it with a single phase;
+float round loop.  Completion times stay float64 arrays
+(:attr:`SimulationResult.completion_times`); the tuple
+:attr:`~SimulationResult.per_message_completion` is built only when read.
+:func:`simulate_phase` runs it with a single phase;
 :func:`analytic_phase_estimate` shares its placement, routing and pricing
 without the drain.  The loop backend's heap is the retained per-message
 reference, cross-checked hop-for-hop and float-for-float by the
@@ -39,6 +46,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -94,11 +102,30 @@ class PhaseStatistics:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Outcome of the discrete-time store-and-forward simulation."""
+    """Outcome of the discrete-time store-and-forward simulation.
+
+    ``completion_times`` is every message's completion time, in message
+    order, as a float64 array; :attr:`per_message_completion` is the same
+    times as a tuple of floats, built on first access.  Two results are
+    equal when their makespans, statistics and completion times are.
+    """
 
     makespan: float
     statistics: PhaseStatistics
-    per_message_completion: Tuple[float, ...]
+    completion_times: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def per_message_completion(self) -> Tuple[float, ...]:
+        return tuple(self.completion_times.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, SimulationResult):
+            return NotImplemented
+        return (
+            self.makespan == other.makespan
+            and self.statistics == other.statistics
+            and self.per_message_completion == other.per_message_completion
+        )
 
     def as_row(self) -> Dict[str, object]:
         row = self.statistics.as_row()
@@ -143,6 +170,61 @@ def _check_faults(network: HostNetwork, faults) -> None:
         )
 
 
+#: Messages per :func:`expand_routes` call when :func:`_priced_phases`
+#: expands a link-index space's routes: small enough that one call's
+#: (messages x dimensions) temporaries stay in cache, large enough to
+#: amortize the per-call overhead.
+_ROUTE_BLOCK = 8192
+
+
+def _endpoint_blocks(placements):
+    """The host endpoint ranks of consecutive blocks of many phases' messages.
+
+    ``placements`` holds one ``(images, source_ranks, target_ranks)`` per
+    phase: the host rank of every guest rank, and the guest endpoint ranks
+    of its messages.  Their concatenation is cut into blocks of
+    :data:`_ROUTE_BLOCK` messages and a shorter tail; a block runs on from
+    one phase into the next.  Yields each block's ``(sources, targets)``
+    host ranks, never concatenating more than one block.
+    """
+    filled = 0
+    sources, targets = [], []
+    for images, source_ranks, target_ranks in placements:
+        start = 0
+        while start < source_ranks.size:
+            stop = min(source_ranks.size, start + _ROUTE_BLOCK - filled)
+            sources.append(images[source_ranks[start:stop]])
+            targets.append(images[target_ranks[start:stop]])
+            filled += stop - start
+            start = stop
+            if filled == _ROUTE_BLOCK:
+                yield np.concatenate(sources), np.concatenate(targets)
+                filled = 0
+                sources, targets = [], []
+    if filled:
+        yield np.concatenate(sources), np.concatenate(targets)
+
+
+def _expanded_in_blocks(space, placements):
+    """The hop counts and link ids of every message of ``placements``.
+
+    ``placements`` is as in :func:`_endpoint_blocks`, every phase on
+    ``space``; the result is one ``hops`` and one ``link_ids`` array over
+    all their messages, in order.  Expansion is row-wise, so each block's
+    :func:`expand_routes` call gives exactly its slice of the whole batch's
+    routes, and only one block's (messages x dimensions) temporaries are
+    alive at a time.  The blocks' hops and link ids are concatenated once.
+    """
+    digits = shape_tables(space.shape).digits
+    # Seeded with empty parts: the phases may hold no message at all.
+    hops, link_ids = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for sources, targets in _endpoint_blocks(placements):
+        block = expand_routes(space, digits[sources], digits[targets])
+        hops.append(block.hops)
+        link_ids.append(block.link_ids)
+    return np.concatenate(hops), np.concatenate(link_ids)
+
+
 def _priced_phases(phases):
     """Placed, routed and priced data of many phases for the array backend.
 
@@ -151,51 +233,55 @@ def _priced_phases(phases):
     :meth:`~repro.netsim.traffic.TrafficPattern.endpoint_rank_arrays`
     returns them, and a materialized :class:`~repro.graphs.faults.Faults`
     of the host topology or ``None``.  All phases sharing one link-index
-    space expand their routes in a single :func:`expand_routes` call
-    (expansion is row-wise, so a concatenated batch expands to the
-    concatenation of the per-phase expansions); fault detours and link
-    weights then apply per phase.
+    space expand their routes together, in blocks of :data:`_ROUTE_BLOCK`
+    messages that run across phase boundaries
+    (:func:`_expanded_in_blocks`); fault detours and link weights then
+    apply per phase.
 
     Returns one ``(space, routes, sizes, occupancy, hop_occupancy)`` per
     phase — the directed-link id space, the CSR route arrays (detours
     applied), the per-message size and link-occupancy arrays, and the
     per-hop occupancy (``None`` for homogeneous links, where the
-    per-message value repeats).
+    per-message value repeats).  Each phase's ``hops`` and ``link_ids``
+    are views into its link-index space's arrays.  Without faults or link
+    weights, the call's memory peak exceeds what it returns by one block's
+    working set and the blocks' link ids at their concatenation.
     """
-    groups: Dict[int, Tuple[object, List[int]]] = {}  # per link-index space
-    placed = []  # per phase: the host ranks of its message endpoints
+    # Per link-index space: the space, its phases' indices and placements.
+    groups: Dict[int, Tuple[object, List[int], List[tuple]]] = {}
     for index, entry in enumerate(phases):
         network, embedding, (source_ranks, target_ranks, _), faults = entry
         _check_topology(network, embedding)
         _check_faults(network, faults)
-        images = embedding.host_index_array()
         space = network.link_index_space()
-        groups.setdefault(id(space), (space, []))[1].append(index)
-        placed.append((images[source_ranks], images[target_ranks]))
+        _space, members, placements = groups.setdefault(id(space), (space, [], []))
+        members.append(index)
+        placements.append((embedding.host_index_array(), source_ranks, target_ranks))
     expanded: List = [None] * len(phases)
-    for space, members in groups.values():
-        digits = shape_tables(space.shape).digits
-        merged = expand_routes(
-            space,
-            digits[np.concatenate([placed[index][0] for index in members])],
-            digits[np.concatenate([placed[index][1] for index in members])],
-        )
-        lower = 0
-        for index in members:
-            upper = lower + placed[index][0].size
-            hop_lower = int(merged.starts[lower])
+    for space, members, placements in groups.values():
+        hops, link_ids = _expanded_in_blocks(space, placements)
+        lower = hop_lower = 0
+        for index, (_images, source_ranks, _targets) in zip(members, placements):
+            upper = lower + source_ranks.size
+            starts = np.zeros(source_ranks.size + 1, dtype=np.int64)
+            np.cumsum(hops[lower:upper], out=starts[1:])
+            hop_upper = hop_lower + int(starts[-1])
             expanded[index] = RouteArrays(
-                hops=merged.hops[lower:upper],
-                starts=merged.starts[lower : upper + 1] - hop_lower,
-                link_ids=merged.link_ids[hop_lower : int(merged.starts[upper])],
+                hops=hops[lower:upper],
+                starts=starts,
+                link_ids=link_ids[hop_lower:hop_upper],
             )
-            lower = upper
+            lower, hop_lower = upper, hop_upper
     priced = []
-    for index, (network, _embedding, (_, _, sizes), faults) in enumerate(phases):
+    for index, (network, embedding, endpoints, faults) in enumerate(phases):
+        source_ranks, target_ranks, sizes = endpoints
         space = network.link_index_space()
         routes = expanded[index]
         if faults is not None:
-            routes = apply_fault_detours(space, routes, faults, *placed[index])
+            images = embedding.host_index_array()
+            routes = apply_fault_detours(
+                space, routes, faults, images[source_ranks], images[target_ranks]
+            )
         # CostModel.link_occupancy is pure arithmetic, so it vectorizes as-is:
         # one source of truth for the per-hop cost on both backend paths.
         occupancy = network.cost_model.link_occupancy(sizes)
@@ -367,7 +453,7 @@ def simulate_endpoint_phases(
         SimulationResult(
             makespan=makespan,
             statistics=_statistics_from_arrays(*phase),
-            per_message_completion=tuple(completion),
+            completion_times=completion,
         )
         for phase, (makespan, completion) in zip(priced, outcomes)
     ]
@@ -390,8 +476,8 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
     the per-message occupancy, and the per-*hop* occupancy (aligned with
     ``routes.link_ids``) of heterogeneous links or ``None`` for homogeneous
     links, where each message's occupancy repeats over its hops.  The
-    result is one ``(makespan, per_message_completion)`` pair per phase,
-    in the order of ``phases``.
+    result is one ``(makespan, completion_times)`` pair per phase, in the
+    order of ``phases``: a float and a float64 array, one time per message.
 
     Each phase's own occupancies choose its drain, and each drain runs all
     of its phases in a single loop: link ids are offset into disjoint
@@ -426,7 +512,7 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
         raise SimulationError(
             f"simulation exceeded {max_events} events; the configuration is too large"
         )
-    results = [(0.0, []) for _ in phases]
+    results = [(0.0, np.zeros(0, dtype=np.float64)) for _ in phases]
     steps = {}  # tick-drained phase index -> its one occupancy
     floats = []
     for index, (_space, routes, occupancy, hop_occupancy) in enumerate(phases):
@@ -445,7 +531,7 @@ def simulate_phases_rounds(phases, *, max_events: int = 5_000_000):
         ticks = _drain_ticks([phases[index] for index in steps])
         for (index, step), finish in zip(steps.items(), ticks):
             sums = _repeated_sums(step, int(finish.max()))
-            results[index] = (float(sums[-1]), sums[finish].tolist())
+            results[index] = (float(sums[-1]), sums[finish])
     if floats:
         drained = _drain_floats([phases[index] for index in floats])
         for index, outcome in zip(floats, drained):
@@ -508,13 +594,15 @@ def _drain_ticks(phases):
     # passes the bit on to the finish tick: the message is never the
     # earliest again, and its completion tick is its ready tick without the
     # bit.  Parked entries are compacted away once they are a quarter of
-    # the set.
+    # the set.  The per-message hop bounds are dropped once it is built:
+    # the rounds run at the drain's memory peak.
     ids = np.flatnonzero(first_hop < last_hop)
     link_ids[last_hop[ids] - 1] |= _PARKED
-    ready_a = np.zeros(ids.size, dtype=np.int64)
     hop_a = first_hop[ids]
-    positions = np.arange(ids.size, dtype=np.int64)
     completion = np.zeros(first_hop.size, dtype=np.int64)
+    del first_hop, last_hop
+    ready_a = np.zeros(ids.size, dtype=np.int64)
+    positions = np.arange(ids.size, dtype=np.int64)
     link_free = np.zeros(num_slots, dtype=np.int64)
     # stamp[link]: a batch position that requested the link this round.
     # Written before it is read in every round, so it needs no reset.
@@ -690,7 +778,7 @@ def _drain_floats(phases):
             dead = 0
 
     return [
-        (float(phase_completion.max()), phase_completion.tolist())
+        (float(phase_completion.max()), phase_completion)
         for phase_completion in _per_phase(completion, phases)
     ]
 
@@ -818,5 +906,5 @@ def simulate_phase(
     return SimulationResult(
         makespan=makespan,
         statistics=statistics,
-        per_message_completion=tuple(completion),
+        completion_times=np.asarray(completion, dtype=np.float64),
     )

@@ -20,8 +20,10 @@ from repro.baselines import random_embedding
 from repro.core.dispatch import embed
 from repro.exceptions import SimulationError
 from repro.graphs.base import Mesh, Torus, make_graph
+from repro.graphs.faults import FaultSpec
 from repro.netsim import (
     HostNetwork,
+    LinkWeightSpec,
     Message,
     TrafficPattern,
     accumulate_link_loads,
@@ -30,10 +32,12 @@ from repro.netsim import (
     expand_routes,
     neighbor_exchange_traffic,
     route_message,
+    simulate_endpoint_phases,
     simulate_phase,
     traffic_rank_arrays,
     transpose_traffic,
 )
+from repro.netsim import simulator
 from repro.numbering.arrays import indices_to_digits, signed_offset_digits
 from repro.runtime import use_context
 
@@ -70,6 +74,50 @@ def placed_phases(draw):
         )
     )
     return HostNetwork(host), embedding, TrafficPattern("hypothesis", messages)
+
+
+@st.composite
+def one_host_phase_lists(draw):
+    """1-4 ``(network, embedding, traffic, faults)`` phases on one host.
+
+    The host is a ``small_shapes`` mesh or torus, extent-2 lines and odd
+    rings included.  Each phase has its own guest (the host's extents in
+    some order), random embedding and dyadic-size messages.  It runs on the
+    plain network or on one with ``random`` link weights, so phases on one
+    network share a merged route expansion, and it loses the two links of
+    ``n0l2s1`` or none.
+    """
+    host = make_graph(draw(graph_kinds), draw(small_shapes(max_dim=3)))
+    weights = LinkWeightSpec("random", 0.3, draw(st.integers(0, 99)))
+    networks = [HostNetwork(host), HostNetwork(host, link_weights=weights)]
+    faults = FaultSpec.from_token("n0l2s1").apply(host)
+    phases = []
+    for _ in range(draw(st.integers(1, 4))):
+        guest = make_graph(draw(graph_kinds), tuple(draw(st.permutations(host.shape))))
+        embedding = random_embedding(guest, host, seed=draw(st.integers(0, 5)))
+        ranks = st.integers(min_value=0, max_value=guest.size - 1)
+        messages = tuple(
+            Message(guest.index_node(a), guest.index_node(b), size)
+            for a, b, size in draw(
+                st.lists(st.tuples(ranks, ranks, DYADIC_SIZES), max_size=25)
+            )
+        )
+        phases.append(
+            (
+                draw(st.sampled_from(networks)),
+                embedding,
+                TrafficPattern("blocks", messages),
+                draw(st.sampled_from([None, faults])),
+            )
+        )
+    return phases
+
+
+def simulation_outcomes(results):
+    return [
+        (result.makespan, result.per_message_completion, result.statistics)
+        for result in results
+    ]
 
 
 class TestRouteExpansion:
@@ -167,6 +215,88 @@ class TestRouteExpansion:
         distances = host.distance_indices(images[sources], images[targets])
         assert routes.total_hops == int(distances.sum())
         assert peak <= 6 * m * d * 8, peak / (m * d * 8)
+
+
+class TestBlockedPricing:
+    @settings(max_examples=60, deadline=None)
+    @given(one_host_phase_lists(), st.sampled_from([1, 2, 3, 7]))
+    def test_blocks_equal_one_expansion_and_the_loop_oracle(self, phases, block):
+        # Blocks of 1-7 messages cut phases apart and run across their
+        # boundaries; the default block holds every message of the call.
+        entries = [
+            (
+                network,
+                embedding,
+                traffic.endpoint_rank_arrays(embedding.guest.shape),
+                faults,
+            )
+            for network, embedding, traffic, faults in phases
+        ]
+
+        def estimates():
+            return [
+                analytic_phase_estimate(network, embedding, traffic, faults=faults)
+                for network, embedding, traffic, faults in phases
+            ]
+
+        def array_outcomes(block_size):
+            with pytest.MonkeyPatch.context() as patch, use_context(backend="array"):
+                patch.setattr(simulator, "_ROUTE_BLOCK", block_size)
+                outcomes = simulation_outcomes(simulate_endpoint_phases(entries))
+                return outcomes, estimates()
+
+        with use_context(backend="loop"):
+            try:
+                oracle = (
+                    simulation_outcomes(
+                        simulate_phase(network, embedding, traffic, faults=faults)
+                        for network, embedding, traffic, faults in phases
+                    ),
+                    estimates(),
+                )
+            except SimulationError:
+                oracle = None  # the dead links cut two endpoints apart
+        for block_size in (block, simulator._ROUTE_BLOCK):
+            if oracle is None:
+                with pytest.raises(SimulationError):
+                    array_outcomes(block_size)
+            else:
+                assert array_outcomes(block_size) == oracle
+
+    def test_pricing_peak_stays_within_one_block(self):
+        # Torus(32,32) -> Mesh(4,4,4,4,4) all-to-all-groups: 31,744 messages,
+        # then the same endpoint arrays four times over.  At both sizes the
+        # traced peak of pricing exceeds the arrays it returns by the blocks'
+        # link ids, alive once more at their one concatenation, and one
+        # block's working set: its host endpoint ranks, their two digit-row
+        # gathers and expand_routes' own bound of six (messages x dimensions)
+        # arrays.  Whole-batch expansion exceeds that at the smaller size
+        # already, by an excess that grows with the message count.
+        guest, host = Torus((32, 32)), Mesh((4, 4, 4, 4, 4))
+        network, embedding = HostNetwork(host), embed(guest, host)
+        endpoints = traffic_rank_arrays("all-to-all-groups", guest)
+        bound = (8 * host.dimension + 4) * 8 * simulator._ROUTE_BLOCK
+        simulator._priced_phases([(network, embedding, endpoints, None)])  # warm memos
+        for repeat in (1, 4):
+            tiled = tuple(np.tile(array, repeat) for array in endpoints)
+            phase = (network, embedding, tiled, None)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                ((_space, routes, _sizes, occupancy, hop_occupancy),) = (
+                    simulator._priced_phases([phase])
+                )
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert routes.num_messages == 31744 * repeat
+            assert hop_occupancy is None
+            returned = sum(
+                array.nbytes
+                for array in (routes.hops, routes.starts, routes.link_ids, occupancy)
+            )
+            excess = peak - returned - routes.link_ids.nbytes
+            assert excess <= bound, (repeat, excess / bound)
 
 
 class TestAnalyticEstimateDifferential:
