@@ -25,7 +25,7 @@ by more than 2x.  Refresh with::
 import time
 import timeit
 
-from repro.runtime import ExecutionContext, inject, use_context
+from repro.runtime import inject, use_context
 from repro.survey import SurveyOptions, run_survey, scenarios_for_suite
 from repro.utils.backoff import BackoffPolicy
 
@@ -47,10 +47,10 @@ RETRY = BackoffPolicy(max_attempts=3, base_delay=0.02, max_delay=0.1, factor=4.0
 
 def _sweep(chaos=None):
     scenarios = scenarios_for_suite("squares")
-    context = ExecutionContext(workers=2, shard_size=8, chaos=chaos)
-    with use_context(context):
+    options = SurveyOptions(workers=2, shard_size=8, retry=RETRY)
+    with use_context(chaos=chaos):
         started = time.perf_counter()
-        report = run_survey(scenarios, SurveyOptions(retry=RETRY))
+        report = run_survey(scenarios, options)
         elapsed = time.perf_counter() - started
     return report, len(report.records) / elapsed
 
@@ -98,10 +98,9 @@ def test_disabled_injection_is_effectively_free():
 
     # One record through the (sequential, in-process) survey evaluator.
     scenarios = scenarios_for_suite("squares")
-    with use_context(ExecutionContext(workers=1)):
-        started = time.perf_counter()
-        report = run_survey(scenarios, SurveyOptions(retry=RETRY))
-        per_record = (time.perf_counter() - started) / len(report.records)
+    started = time.perf_counter()
+    report = run_survey(scenarios, SurveyOptions(workers=1, retry=RETRY))
+    per_record = (time.perf_counter() - started) / len(report.records)
 
     overhead = noop_seconds / per_record
     print(

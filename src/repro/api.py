@@ -9,8 +9,10 @@ accidental drift fails CI).
 Every entry point accepts graphs either as live
 :class:`~repro.graphs.base.CartesianGraph` objects or as the CLI/service
 spec strings (``"torus:8x8"``, ``"mesh:2,2,2,3"``, ``"ring:24"``,
-``"hypercube:4"``), and resolves backend/cache/parallelism from the ambient
-execution context — scope overrides with :func:`use_context`:
+``"hypercube:4"``), and resolves backend and cache from the ambient
+execution context (:func:`run_survey` takes its worker count and shard
+size from its ``SurveyOptions``) — scope overrides with
+:func:`use_context`:
 
 >>> import repro.api as api
 >>> with api.use_context(cache=api.load_cache("warm.pkl")):

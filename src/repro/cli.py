@@ -8,8 +8,9 @@ Subcommands:
     dilation, and optionally the congestion and a picture of the mapping.
 
 ``figure``
-    Regenerate one of the paper's worked figures (``fig4``, ``fig9``,
-    ``fig10``, ``fig11``, ``fig12``) as text.
+    Print one of the paper's worked figures (``fig1`` to ``fig4``, ``fig9``
+    to ``fig12``) as text: its registered ``FIG-`` experiment from
+    :mod:`repro.experiments`.
 
 ``simulate``
     Map a guest task graph onto a host network with the paper's embedding
@@ -51,17 +52,10 @@ from typing import Optional, Sequence
 from .analysis.metrics import evaluate_embedding
 from .analysis.report import format_table
 from .baselines import random_embedding
-from .core import (
-    ExpansionFactor,
-    embed,
-    embed_lowering_general,
-    f_value,
-    g_value,
-    h_value,
-)
+from .core import embed
 from .analysis.fault_tolerance import repair_embedding
 from .exceptions import UnsupportedEmbeddingError
-from .graphs.base import CartesianGraph, Mesh, make_graph
+from .graphs.base import CartesianGraph, make_graph
 from .graphs.faults import FaultSpec
 from .netsim import (
     CostModel,
@@ -71,7 +65,6 @@ from .netsim import (
     traffic_pattern,
     traffic_pattern_names,
 )
-from .numbering.graycode import natural_sequence
 from .runtime import (
     BACKENDS,
     ConstructionCache,
@@ -88,7 +81,7 @@ from .survey import (
     write_records,
 )
 from .types import GraphKind
-from .viz.ascii import render_embedding_grid, render_sequence_table
+from .viz.ascii import render_embedding_grid
 
 __all__ = ["main", "parse_graph"]
 
@@ -199,63 +192,22 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    # Imported here, so that other commands import nothing more.
+    from .experiments.registry import EXPERIMENTS, _ensure_loaded, run_experiment
+
+    _ensure_loaded()
+    figures = {
+        f"fig{number}": experiment_id
+        for experiment_id in EXPERIMENTS
+        if experiment_id.startswith("FIG-")
+        for number in experiment_id[len("FIG-") :].split("/")
+    }
     name = args.name.lower()
-    if name == "fig4":
-        base = (4, 2, 3)
-        naturals = natural_sequence(base)
-        print(
-            render_sequence_table(
-                24,
-                {"P (natural)": lambda x: naturals[x], "P' (= f_L)": lambda x: f_value(base, x)},
-                title="Figure 4: sequences P and P' for L = (4, 2, 3)",
-            )
-        )
-    elif name == "fig9":
-        base = (4, 2, 3)
-        print(
-            render_sequence_table(
-                24,
-                {
-                    "f_L": lambda x: f_value(base, x),
-                    "g_L": lambda x: g_value(base, x),
-                    "h_L": lambda x: h_value(base, x),
-                },
-                title="Figure 9: embedding functions f, g, h for L = (4, 2, 3)",
-            )
-        )
-    elif name == "fig10":
-        host = Mesh((4, 2, 3))
-        from .core.basic import line_in_graph_embedding, ring_in_graph_embedding
-
-        print(render_embedding_grid(line_in_graph_embedding(host), title="Figure 10(d): line via f"))
-        print()
-        print(render_embedding_grid(ring_in_graph_embedding(host), title="Figure 10(f): ring via h"))
-    elif name == "fig11":
-        factor = ExpansionFactor(((2, 2), (2, 3)))
-        from .core.increasing import F_value, G_value, H_value
-
-        guest_base = (4, 6)
-        naturals = natural_sequence(guest_base)
-        print(
-            render_sequence_table(
-                24,
-                {
-                    "F_V": lambda x: F_value(factor, naturals[x]),
-                    "G_V": lambda x: G_value(factor, naturals[x]),
-                    "H_V": lambda x: H_value(factor, naturals[x]),
-                },
-                title="Figure 11: F_V, G_V, H_V for L = (4, 6), V = ((2,2),(2,3))",
-            )
-        )
-    elif name == "fig12":
-        guest = Mesh((3, 3, 6))
-        host = Mesh((6, 9))
-        embedding = embed_lowering_general(guest, host)
-        print(render_embedding_grid(embedding, title="Figure 12: (3,3,6)-mesh in a (6,9)-mesh"))
-        print(f"dilation = {embedding.dilation()} (paper: 3)")
-    else:
-        print(f"unknown figure {args.name!r}; choose from fig4, fig9, fig10, fig11, fig12", file=sys.stderr)
+    if name not in figures:
+        choices = ", ".join(figures)
+        print(f"unknown figure {args.name!r}; choose from {choices}", file=sys.stderr)
         return 2
+    print(run_experiment(figures[name]).render())
     return 0
 
 
@@ -583,8 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_embed.set_defaults(func=_cmd_embed)
 
-    p_figure = subparsers.add_parser("figure", help="regenerate one of the paper's figures")
-    p_figure.add_argument("name", help="fig4, fig9, fig10, fig11 or fig12")
+    p_figure = subparsers.add_parser(
+        "figure", help="print one of the paper's worked figures (its FIG- experiment)"
+    )
+    p_figure.add_argument(
+        "name", help="fig1, fig2, fig3, fig4, fig9, fig10, fig11 or fig12"
+    )
     p_figure.set_defaults(func=_cmd_figure)
 
     p_sim = subparsers.add_parser("simulate", help="simulate a communication phase")

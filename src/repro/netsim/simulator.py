@@ -145,8 +145,9 @@ def _routes_for(
 ) -> List[Tuple[List[DirectedLink], float]]:
     """Per-message loop reference: placed endpoints routed one message at a time.
 
-    Endpoint validation happened in :meth:`TrafficPattern.placed`, so the
-    per-message routing trusts the placed endpoints (``validate=False``).
+    :meth:`TrafficPattern.placed` looked every endpoint up in the
+    embedding's mapping, so the per-message routing trusts the placed
+    endpoints (``validate=False``).
     """
     _check_topology(network, embedding)
     routes: List[Tuple[List[DirectedLink], float]] = []
@@ -693,9 +694,9 @@ def _drain_floats(phases):
     would order it.  Within the round, requests are served in the heap's
     per-link order ``(link, ready, message index)``: a round in which no two
     requests share a link (detected with a per-link stamp, no sort) is one
-    vectorized step; otherwise one sort of a unique integer key groups each
-    link's queue into a run (a lexsort when the round mixes ready times),
-    and every queue is drained one *queue position* per inner step, the
+    vectorized step; otherwise a stable lexsort on ``(link, ready)`` groups
+    each link's queue into a run, and every queue is drained one *queue
+    position* per inner step, the
     runs leaving the lockstep as they empty (``start = max(ready,
     link_free)``, the same float ops in the same order).  Degenerate cases
     where the window collapses (zero occupancy, or times too large for the
@@ -758,7 +759,7 @@ def _drain_floats(phases):
             finish_b += o_b
             link_free[links] = finish_b
         else:
-            finish_b = _serve_link_queues(links, r_b, o_b, t_min, link_free)
+            finish_b = _serve_link_queues(links, r_b, o_b, link_free)
         hop_b += 1
         hop_a[sel] = hop_b
         finished = hop_b == last_a[sel]
@@ -783,30 +784,19 @@ def _drain_floats(phases):
     ]
 
 
-def _serve_link_queues(links, ready, occupancy, t_min, link_free):
+def _serve_link_queues(links, ready, occupancy, link_free):
     """Finish times of one round's requests when some of them share a link.
 
-    The batch is ascending by message index, so when every ready time
-    equals ``t_min`` (every round of a uniform-occupancy phase) sorting the
-    unique key ``link · 2^b + position``, with ``2^b`` above the batch
-    size, gives the heap's ``(link, ready, index)`` order, and a shift and
-    a mask recover both parts.  Other rounds lexsort on the ready time too.
+    The batch is ascending by message index, so a stable lexsort on
+    ``(link, ready)`` gives the heap's ``(link, ready, index)`` order.
     Each run of equal links is one queue: position ``p`` of every queue
     longer than ``p`` is served in one step, which chains off the
     ``link_free`` the step before left — the heap's arithmetic, one
     vectorized step per queue depth.
     """
     size = links.size
-    if ready.max() == t_min:
-        shift = size.bit_length()
-        key = links << shift
-        key |= np.arange(size, dtype=np.int64)
-        key.sort()
-        order = key & ((1 << shift) - 1)
-        sorted_links = key >> shift
-    else:
-        order = np.lexsort((ready, links))
-        sorted_links = links[order]
+    order = np.lexsort((ready, links))
+    sorted_links = links[order]
     head = np.empty(size, dtype=bool)
     head[0] = True
     np.not_equal(sorted_links[1:], sorted_links[:-1], out=head[1:])

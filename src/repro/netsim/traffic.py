@@ -27,12 +27,7 @@ import numpy as np
 from ..core.embedding import Embedding
 from ..exceptions import SimulationError
 from ..graphs.base import CartesianGraph
-from ..numbering.arrays import (
-    digit_weights,
-    digits_to_indices,
-    indices_to_digits,
-)
-from ..runtime.context import use_array_path
+from ..numbering.arrays import digit_weights, digits_to_indices
 from ..runtime.registry import register_traffic, traffic_names as _registered_names
 from ..types import Node, Shape
 
@@ -130,26 +125,11 @@ class TrafficPattern:
     def placed(self, embedding: Embedding) -> List[tuple[Node, Node, float]]:
         """Translate task endpoints to processors via the embedding.
 
-        Under the array backend the translation is one batched gather
-        through the embedding's flat host-index array (guest tuples -> ranks
-        -> image ranks -> host tuples), so array-built embeddings are placed
-        without ever materializing their tuple ``mapping`` dict; the loop
-        backend looks each endpoint up in the dict individually.
+        The loop backend's per-message placement: each endpoint is looked up
+        in the embedding's mapping (a ``KeyError`` for a non-node).  The
+        array path never places messages one by one; it gathers whole phases
+        from :meth:`endpoint_rank_arrays`.
         """
-        if use_array_path() and self.messages:
-            source_ranks, target_ranks, _sizes = self.endpoint_rank_arrays(
-                embedding.guest.shape
-            )
-            images = embedding.host_index_array()
-            host_shape = embedding.host.shape
-            placed_sources = indices_to_digits(images[source_ranks], host_shape)
-            placed_targets = indices_to_digits(images[target_ranks], host_shape)
-            return [
-                (tuple(source), tuple(target), message.size)
-                for source, target, message in zip(
-                    placed_sources.tolist(), placed_targets.tolist(), self.messages
-                )
-            ]
         return [
             (embedding[message.source], embedding[message.destination], message.size)
             for message in self.messages
@@ -342,7 +322,7 @@ def bursty_traffic(
 # differential suite pins the two forms equal for every pattern.
 
 
-def _neighbor_exchange_ranks(guest: CartesianGraph, np):
+def _neighbor_exchange_ranks(guest: CartesianGraph):
     """Sources/targets of one message per directed guest edge.
 
     Reproduces ``guest.edges()`` order exactly — nodes in natural order,
@@ -368,7 +348,7 @@ def _neighbor_exchange_ranks(guest: CartesianGraph, np):
     return sources, targets
 
 
-def _transpose_ranks(guest: CartesianGraph, np):
+def _transpose_ranks(guest: CartesianGraph):
     """Sources/targets of the transpose pattern, in natural node order."""
     digits = guest.node_digit_array()
     weights = digit_weights(guest.shape)
@@ -382,7 +362,7 @@ def _transpose_ranks(guest: CartesianGraph, np):
     return ranks[keep], partners[keep]
 
 
-def _all_to_all_groups_ranks(guest: CartesianGraph, np):
+def _all_to_all_groups_ranks(guest: CartesianGraph):
     """Sources/targets of the within-group all-to-all, default group size."""
     group_size = guest.shape[-1]
     num_groups = guest.size // group_size
@@ -398,7 +378,7 @@ def _all_to_all_groups_ranks(guest: CartesianGraph, np):
     )
 
 
-def _pairs_to_rank_arrays(pairs, np):
+def _pairs_to_rank_arrays(pairs):
     """Rank-pair list -> the two flat endpoint arrays (shared seeded draws)."""
     if not pairs:
         empty = np.zeros(0, dtype=np.int64)
@@ -407,16 +387,16 @@ def _pairs_to_rank_arrays(pairs, np):
     return np.ascontiguousarray(array[:, 0]), np.ascontiguousarray(array[:, 1])
 
 
-def _random_permutation_rank_arrays(guest: CartesianGraph, np):
-    return _pairs_to_rank_arrays(_random_permutation_pairs(guest, 0), np)
+def _random_permutation_rank_arrays(guest: CartesianGraph):
+    return _pairs_to_rank_arrays(_random_permutation_pairs(guest, 0))
 
 
-def _hotspot_rank_arrays(guest: CartesianGraph, np):
-    return _pairs_to_rank_arrays(_hotspot_pairs(guest), np)
+def _hotspot_rank_arrays(guest: CartesianGraph):
+    return _pairs_to_rank_arrays(_hotspot_pairs(guest))
 
 
-def _bursty_rank_arrays(guest: CartesianGraph, np):
-    return _pairs_to_rank_arrays(_bursty_pairs(guest, 0), np)
+def _bursty_rank_arrays(guest: CartesianGraph):
+    return _pairs_to_rank_arrays(_bursty_pairs(guest, 0))
 
 
 _RANK_GENERATORS = {
@@ -443,7 +423,7 @@ def traffic_rank_arrays(
     generator = _RANK_GENERATORS.get(name)
     if generator is None:
         return None
-    sources, targets = generator(guest, np)
+    sources, targets = generator(guest)
     return sources, targets, np.full(sources.size, message_size, dtype=np.float64)
 
 

@@ -1,7 +1,9 @@
 """The runtime layer: one execution context instead of hand-threaded kwargs.
 
-Backend selection, the construction memo cache and the survey parallelism
-policy live in one ambient :class:`~repro.runtime.context.ExecutionContext`:
+Backend selection, the construction memo cache, the survey's batch switch
+and the chaos plan live in one ambient
+:class:`~repro.runtime.context.ExecutionContext` (a survey's worker count
+and shard size are its :class:`~repro.survey.runner.SurveyOptions`):
 
 >>> from repro.runtime import use_context
 >>> with use_context(backend="loop"):

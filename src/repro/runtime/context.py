@@ -1,4 +1,4 @@
-"""The execution context: backend, cache and parallelism in one ambient object.
+"""The execution context: backend, cache, batching and chaos in one ambient object.
 
 Every layer of the embed → place → route → simulate pipeline *consults* one
 ambient :class:`ExecutionContext` (the SYS_ATL/Exo idiom: a scheduling
@@ -13,14 +13,15 @@ context, not a parameter every caller must forward):
 
 The context is the only input to backend selection (see
 ``docs/ARCHITECTURE.md``): the innermost ``use_context`` scope wins, else the
-process default context (``backend="auto"``).
+process default context (``backend="auto"``).  How a survey is scheduled
+(worker count, shard size, retries) is not context: it is
+:class:`~repro.survey.runner.SurveyOptions`, per run.
 """
 
 from __future__ import annotations
 
 import contextvars
 import dataclasses
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Union
@@ -51,7 +52,7 @@ BACKENDS = ("auto", "array", "loop")
 
 @dataclass(frozen=True)
 class ExecutionContext:
-    """One execution context: backend selection, memo cache, parallelism.
+    """One execution context: backend selection, memo cache, batching, chaos.
 
     Attributes
     ----------
@@ -63,11 +64,6 @@ class ExecutionContext:
         The content-addressed construction memo
         (:class:`~repro.runtime.cache.ConstructionCache`), or ``None`` to
         disable memoization (the default).
-    workers:
-        Worker-process count for sharded runs (the survey engine); ``None``
-        means ``os.cpu_count()``, ``0``/``1`` means sequential in-process.
-    shard_size:
-        Scenarios per shard — the unit of work handed to one worker.
     batch:
         Whether the survey engine evaluates shards through the batched path
         (:mod:`repro.survey.batch` — stacked metric kernels, one vectorized
@@ -89,8 +85,6 @@ class ExecutionContext:
 
     backend: Backend = "auto"
     cache: Optional[ConstructionCache] = None
-    workers: Optional[int] = None
-    shard_size: int = 64
     batch: bool = True
     chaos: Optional[Union["ChaosPlan", str]] = None
 
@@ -104,10 +98,6 @@ class ExecutionContext:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        if self.workers is not None and self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
         if isinstance(self.chaos, str):
             from .chaos import ChaosPlan
 
@@ -120,12 +110,6 @@ class ExecutionContext:
     def use_array(self) -> bool:
         """True when the resolved backend runs the vectorized array kernels."""
         return self.resolved_backend() == "array"
-
-    def resolved_workers(self) -> int:
-        """The effective worker count (``None`` → ``os.cpu_count()``)."""
-        if self.workers is not None:
-            return self.workers
-        return os.cpu_count() or 1
 
 
 _default_context = ExecutionContext()
@@ -146,7 +130,8 @@ def set_default_context(context: ExecutionContext) -> ExecutionContext:
 
     Scoped :func:`use_context` overrides still win while active.  Survey
     worker processes call this once at pool start-up so every shard they
-    evaluate inherits the parent's backend, cache warm start and policy.
+    evaluate inherits the parent's backend, cache warm start, batching and
+    chaos plan.
     """
     global _default_context
     previous = _default_context

@@ -9,9 +9,10 @@ the same ``shard_dir``, finished shard files are loaded instead of
 recomputed (crash resume); the result merge is deterministic regardless of
 scheduling order either way.
 
-The engine runs under the ambient execution context
-(:mod:`repro.runtime.context`): the context supplies the backend, the
-default worker count and shard size, and — when it carries a
+The scheduling policy — worker count, shard size, retries, resume — is
+:class:`SurveyOptions` alone.  Everything else comes from the ambient
+execution context (:mod:`repro.runtime.context`): the backend, the batching
+switch, the chaos plan and — when it carries a
 :class:`~repro.runtime.cache.ConstructionCache` — the construction memo.
 The whole context (cache included, as the warm start) is installed once in
 every worker process, whose cache then journals its stores; each finished
@@ -39,14 +40,17 @@ sweep keeps going.  A worker process dying outright (``os._exit``, OOM,
 SIGKILL) breaks the whole :class:`~concurrent.futures.ProcessPoolExecutor`;
 the runner respawns the pool and resubmits **only the unfinished shards**
 (the same frontier crash-resume uses), charging one attempt to each shard
-that was in flight when the pool broke.  ``SurveyOptions.shard_timeout``
-adds a per-shard deadline: a shard still running past it is treated like a
-crash (pool recycled, attempt charged).  All recovery traffic — retries,
-pool respawns, quarantines, injected faults — is reported on
+that was in flight when the pool broke.  There is no per-shard deadline: a
+wedged worker blocks the sweep.  All recovery traffic — retries, pool
+respawns, quarantines, injected faults — is reported on
 :class:`SurveyReport`.  The chaos plane (:mod:`repro.runtime.chaos`)
 injects ``worker_crash``/``slow_io`` faults at the ``survey.shard`` site,
 keyed by ``(shard, attempt)`` so a seeded schedule replays identically and
-the retry of a crashed shard draws a fresh decision.
+the retry of a crashed shard draws a fresh decision.  Every pool worker
+ships the faults its shard fired, failed shards included, so pooled and
+inline runs tally alike — except a ``worker_crash`` in a pool worker, which
+kills the process before it can report and shows only in
+``crash_recoveries``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.fault_tolerance import fault_dilation_summary, repair_embedding
 from ..analysis.metrics import evaluate_embedding
@@ -85,6 +89,9 @@ __all__ = [
     "evaluate_shard",
 ]
 
+#: Scenarios per shard when :attr:`SurveyOptions.shard_size` is ``None``.
+DEFAULT_SHARD_SIZE = 64
+
 #: Default per-shard retry policy: three attempts, 50ms → 2s capped
 #: exponential backoff with half jitter.  One policy instance — the
 #: dataclass is frozen — shared by every :class:`SurveyOptions` default.
@@ -95,17 +102,16 @@ DEFAULT_SHARD_BACKOFF = BackoffPolicy(
 
 @dataclass(frozen=True)
 class SurveyOptions:
-    """Knobs of a survey run.
+    """Knobs of a survey run, its scheduling policy included.
 
     Attributes
     ----------
     workers:
-        Worker process count; ``None`` defers to the execution context
-        (whose own default is ``os.cpu_count()``), ``0``/``1`` runs
-        sequentially in-process.
+        Worker process count; ``None`` means ``os.cpu_count()``, ``0``/``1``
+        runs sequentially in-process.
     shard_size:
         Scenarios per shard (the unit of work handed to a worker); ``None``
-        defers to the execution context.
+        means :data:`DEFAULT_SHARD_SIZE`.
     shard_dir:
         When set, each finished shard is written there as
         ``shard-<k>.json`` before the merged result is assembled.
@@ -120,11 +126,6 @@ class SurveyOptions:
         The per-shard retry policy: ``retry.max_attempts`` total tries per
         shard (the quarantine threshold), with the policy's capped jittered
         exponential backoff between them.
-    shard_timeout:
-        Per-shard deadline in seconds (pooled runs only): a shard still
-        running past it is treated like a worker crash — the pool is
-        recycled, the shard is charged an attempt and retried.  ``None``
-        (the default) disables the deadline.
     """
 
     workers: Optional[int] = None
@@ -133,7 +134,6 @@ class SurveyOptions:
     with_congestion: bool = False
     resume: bool = True
     retry: BackoffPolicy = DEFAULT_SHARD_BACKOFF
-    shard_timeout: Optional[float] = None
 
 
 @dataclass
@@ -142,10 +142,10 @@ class SurveyReport:
 
     The recovery counters report the run's fault traffic: ``retries`` is
     every shard attempt after the first, ``crash_recoveries`` every pool
-    respawn after a broken worker (or a shard deadline), ``quarantined``
-    the shards abandoned after exhausting their attempts (their scenarios
-    carry status ``"failed"``), and ``chaos_faults`` the injected-fault
-    tally (``site:kind`` → count) when a chaos plan was active.
+    respawn after a broken worker, ``quarantined`` the shards abandoned
+    after exhausting their attempts (their scenarios carry status
+    ``"failed"``), and ``chaos_faults`` the injected-fault tally
+    (``site:kind`` → count) when a chaos plan was active.
     """
 
     records: List[SurveyRecord]
@@ -426,12 +426,23 @@ def evaluate_shard(
     return [evaluate_scenario(scenario, options) for scenario in scenarios]
 
 
+def _chaos_since(before: Dict[str, int]) -> Dict[str, int]:
+    """The injected faults fired in this process since ``before``."""
+    return {
+        label: count - before.get(label, 0)
+        for label, count in chaos_counters().items()
+        if count != before.get(label, 0)
+    }
+
+
 def _run_shard(
     shard_index: int,
     scenarios: Sequence[Scenario],
     options: SurveyOptions,
     attempt: int = 0,
-) -> Tuple[int, List[SurveyRecord], Dict, Tuple[int, int], Dict[str, int]]:
+) -> Tuple[
+    int, Union[List[SurveyRecord], Exception], Dict, Tuple[int, int], Dict[str, int]
+]:
     """Worker entry point: evaluate one shard under the ambient context.
 
     Returns the shard's records plus, in a pool worker, the cache entries
@@ -440,41 +451,44 @@ def _run_shard(
     them and keep one growing memo across shards and invocations, and the
     shard's (hits, misses) so pooled runs report true cache traffic; inline,
     the shard wrote the parent's own cache, so both stay empty.  Last comes
-    the injected-fault tally delta, so chaos counters survive the pool.
+    the shard's injected-fault tally, so chaos counters survive the pool.
+    A pool worker returns a failed shard's exception in place of its
+    records, so its tally reaches the parent too (:func:`_merge_worker_result`
+    raises it there); inline, the exception propagates.
 
     ``attempt`` keys the chaos plane's ``survey.shard`` injection point: a
     seeded plan decides crash-or-not as a pure function of
     ``(shard, attempt)``, so the schedule replays identically whatever the
     pool scheduling, and a retried shard draws a *fresh* decision.
     """
-    fault = inject(
-        "survey.shard",
-        key=("shard", shard_index, attempt),
-        kinds=("worker_crash", "slow_io"),
-    )
-    if fault is not None:
-        if _IN_POOL_WORKER:
-            os._exit(1)  # a real crash: no cleanup, no result, broken pool
-        raise InjectedFault(fault.kind, "survey.shard")
     chaos_before = chaos_counters()
-    cache = current().cache
-    if _IN_POOL_WORKER and cache is not None:
-        hits, misses = cache.hits, cache.misses
-        records = evaluate_shard(scenarios, options)
-        delta = cache.take_journal()
-        counters = (cache.hits - hits, cache.misses - misses)
-    else:
-        records = evaluate_shard(scenarios, options)
-        delta, counters = {}, (0, 0)
-    if options.shard_dir is not None:
-        shard_path = Path(options.shard_dir) / f"shard-{shard_index:04d}.json"
-        write_json(records, shard_path)
-    chaos_delta = {
-        label: count - chaos_before.get(label, 0)
-        for label, count in chaos_counters().items()
-        if count != chaos_before.get(label, 0)
-    }
-    return shard_index, records, delta, counters, chaos_delta
+    try:
+        fault = inject(
+            "survey.shard",
+            key=("shard", shard_index, attempt),
+            kinds=("worker_crash", "slow_io"),
+        )
+        if fault is not None:
+            if _IN_POOL_WORKER:
+                os._exit(1)  # a real crash: no cleanup, no result, broken pool
+            raise InjectedFault(fault.kind, "survey.shard")
+        cache = current().cache
+        if _IN_POOL_WORKER and cache is not None:
+            hits, misses = cache.hits, cache.misses
+            records = evaluate_shard(scenarios, options)
+            delta = cache.take_journal()
+            counters = (cache.hits - hits, cache.misses - misses)
+        else:
+            records = evaluate_shard(scenarios, options)
+            delta, counters = {}, (0, 0)
+        if options.shard_dir is not None:
+            shard_path = Path(options.shard_dir) / f"shard-{shard_index:04d}.json"
+            write_json(records, shard_path)
+    except Exception as error:  # noqa: BLE001 - the parent decides the retry
+        if not _IN_POOL_WORKER:
+            raise
+        return shard_index, error, {}, (0, 0), _chaos_since(chaos_before)
+    return shard_index, records, delta, counters, _chaos_since(chaos_before)
 
 
 def _shards(scenarios: Sequence[Scenario], shard_size: int) -> List[Sequence[Scenario]]:
@@ -555,8 +569,13 @@ def _quarantine_records(
 
 
 def _merge_worker_result(result, results, context) -> None:
-    """Fold one finished shard into the parent: records, cache, chaos tally."""
+    """Fold one finished shard into the parent: chaos tally, then records
+    and cache — or, for a shard that failed, raise its exception."""
     index, records, delta, (hits, misses), chaos_delta = result
+    if chaos_delta:
+        merge_chaos_counters(chaos_delta)
+    if isinstance(records, Exception):
+        raise records
     results[index] = records
     if context.cache is not None:
         # Fold the worker's memo traffic back into the parent: its stored
@@ -565,8 +584,6 @@ def _merge_worker_result(result, results, context) -> None:
         context.cache.merge(delta)
         context.cache.hits += hits
         context.cache.misses += misses
-    if chaos_delta:
-        merge_chaos_counters(chaos_delta)
 
 
 def _run_inline(pending, options, results, recovery, rng) -> None:
@@ -588,25 +605,13 @@ def _run_inline(pending, options, results, recovery, rng) -> None:
                 time.sleep(options.retry.delay(attempt - 1, rng))
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Abandon a pool whose shard blew its deadline: cancel the queue and
-    kill the worker processes (there is no portable way to stop one task)."""
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:  # noqa: BLE001 - already-dead workers are fine
-            pass
-
-
 def _run_pooled(pending, options, context, workers, results, recovery, rng) -> None:
-    """Pooled path: one pool per *round*; a broken pool (crashed worker) or
-    a blown shard deadline ends the round, charges an attempt to every
-    shard that was in flight, and the next round resubmits only the
-    unfinished frontier on a fresh pool.  Shards out of attempts are
-    quarantined between rounds; plain (non-crash) shard failures retry
-    within the round after their backoff delay.
+    """Pooled path: one pool per *round*; a broken pool (crashed worker)
+    ends the round, charges an attempt to every shard that was in flight,
+    and the next round resubmits only the unfinished frontier on a fresh
+    pool.  Shards out of attempts are quarantined between rounds; plain
+    (non-crash) shard failures retry within the round after their backoff
+    delay.
     """
     queue: Dict[int, Sequence[Scenario]] = dict(pending)
     attempts: Dict[int, int] = {index: 0 for index, _ in pending}
@@ -637,41 +642,30 @@ def _run_pooled(pending, options, context, workers, results, recovery, rng) -> N
         ) as pool:
             # Windowed submission: at most `pool_workers` shards in flight,
             # so every submitted future is (about to be) running — which
-            # makes both the crash blast radius (who gets charged an
-            # attempt) and the per-shard deadline accurate.
+            # makes the crash blast radius (who gets charged an attempt)
+            # accurate.
             unsubmitted: List[int] = sorted(queue)
             futures: Dict[object, int] = {}
-            started_at: Dict[object, float] = {}
             retry_at: List[Tuple[float, int]] = []  # (due time, shard index)
-
-            def _submit(index: int) -> None:
-                future = pool.submit(
-                    _run_shard, index, queue[index], options, attempts[index]
-                )
-                futures[future] = index
-                started_at[future] = time.monotonic()
-
             try:
                 while futures or retry_at or unsubmitted:
                     now = time.monotonic()
                     while retry_at and retry_at[0][0] <= now:
                         unsubmitted.append(retry_at.pop(0)[1])
                     while unsubmitted and len(futures) < pool_workers:
-                        _submit(unsubmitted.pop(0))
+                        index = unsubmitted.pop(0)
+                        future = pool.submit(
+                            _run_shard, index, queue[index], options, attempts[index]
+                        )
+                        futures[future] = index
+                    # Block until a shard finishes or the earliest retry is due.
+                    due = retry_at[0][0] - now if retry_at else None
                     if not futures:
-                        # Only backoff timers left: sleep until the next one.
-                        time.sleep(max(0.0, retry_at[0][0] - time.monotonic()))
+                        time.sleep(due)  # only backoff timers left
                         continue
-                    timeout = 0.05
-                    if options.shard_timeout is not None:
-                        next_deadline = min(started_at.values()) + options.shard_timeout
-                        timeout = min(timeout, max(0.0, next_deadline - now))
-                    done, _ = wait(
-                        futures, timeout=timeout, return_when=FIRST_COMPLETED
-                    )
+                    done, _ = wait(futures, timeout=due, return_when=FIRST_COMPLETED)
                     for future in done:
                         index = futures.pop(future)
-                        started_at.pop(future)
                         try:
                             _merge_worker_result(future.result(), results, context)
                             queue.pop(index, None)
@@ -699,28 +693,6 @@ def _run_pooled(pending, options, context, workers, results, recovery, rng) -> N
                     if round_broke:
                         recovery.crash_recoveries += 1
                         break
-                    if options.shard_timeout is not None and futures:
-                        now = time.monotonic()
-                        overdue = [
-                            futures[future]
-                            for future, since in started_at.items()
-                            if now - since > options.shard_timeout
-                        ]
-                        if overdue:
-                            # A wedged shard: there is no way to stop one
-                            # task, so kill the pool, charge every in-flight
-                            # shard and retry the frontier on a fresh pool.
-                            error = TimeoutError(
-                                f"shard exceeded its "
-                                f"{options.shard_timeout:g}s deadline"
-                            )
-                            casualties.extend(futures.values())
-                            for index in casualties:
-                                _charge(index, error)
-                            recovery.crash_recoveries += 1
-                            _terminate_pool(pool)
-                            round_broke = True
-                            break
             except KeyboardInterrupt:
                 # Ctrl-C mid-sweep: drop the queued shards and stop handing
                 # work to the pool, so the interpreter isn't left waiting on
@@ -750,19 +722,19 @@ def run_survey(
 
     Records are returned in the input scenario order whatever the worker
     scheduling; two runs over the same scenario list produce identical
-    records (modulo the ``elapsed_seconds`` timings).  Parallelism policy
-    resolves ``options`` first, then the ambient execution context; worker
-    processes inherit the full context — backend, cache warm start and all.
+    records (modulo the ``elapsed_seconds`` timings).  The worker count and
+    shard size come from ``options`` alone; worker processes inherit the
+    full context — backend, cache warm start and all.
     """
     options = options or SurveyOptions()
     context = current()
     scenarios = list(scenarios)
-    workers = (
-        options.workers if options.workers is not None else context.resolved_workers()
-    )
-    shard_size = (
-        options.shard_size if options.shard_size is not None else context.shard_size
-    )
+    workers = options.workers
+    if workers is None:
+        workers = os.cpu_count() or 1
+    shard_size = options.shard_size
+    if shard_size is None:
+        shard_size = DEFAULT_SHARD_SIZE
     started = time.perf_counter()
     chaos_before = chaos_counters()
     recovery = _Recovery()
@@ -793,12 +765,6 @@ def run_survey(
             str(Path(options.shard_dir) / f"shard-{index:04d}.json")
             for index in sorted(results)
         ]
-    chaos_after = chaos_counters()
-    chaos_faults = {
-        label: count - chaos_before.get(label, 0)
-        for label, count in chaos_after.items()
-        if count != chaos_before.get(label, 0)
-    }
     merged: List[SurveyRecord] = []
     for index in sorted(results):
         merged.extend(results[index])
@@ -814,5 +780,5 @@ def run_survey(
         retries=recovery.retries,
         crash_recoveries=recovery.crash_recoveries,
         quarantined=recovery.quarantined,
-        chaos_faults=chaos_faults,
+        chaos_faults=_chaos_since(chaos_before),
     )

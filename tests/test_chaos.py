@@ -42,6 +42,7 @@ pytestmark = pytest.mark.smoke
 FAST_RETRY = BackoffPolicy(
     max_attempts=3, base_delay=0.01, max_delay=0.02, factor=2.0, jitter=0.5
 )
+TWO_ATTEMPTS = BackoffPolicy(max_attempts=2, base_delay=0.01, max_delay=0.02)
 
 
 def strip(record_dict):
@@ -194,12 +195,10 @@ class TestSurveyRecovery:
         # recovery, nothing quarantined.  The crash path goes through a
         # real os._exit(1) in the worker, i.e. BrokenProcessPool recovery.
         scenarios = scenarios_for_suite("smoke")
-        with use_context(ExecutionContext(workers=2, shard_size=1)):
-            baseline = run_survey(scenarios, SurveyOptions(retry=FAST_RETRY))
-        with use_context(
-            ExecutionContext(workers=2, shard_size=1, chaos="worker_crash:0.02,seed=8")
-        ):
-            report = run_survey(scenarios, SurveyOptions(retry=FAST_RETRY))
+        options = SurveyOptions(workers=2, shard_size=1, retry=FAST_RETRY)
+        baseline = run_survey(scenarios, options)
+        with use_context(chaos="worker_crash:0.02,seed=8"):
+            report = run_survey(scenarios, options)
         assert report.crash_recoveries >= 1
         assert report.retries >= 1
         assert report.quarantined == 0
@@ -216,10 +215,9 @@ class TestSurveyRecovery:
         # two shards are in flight when the pool breaks; they are the only
         # retries, not the six shards still waiting to start.
         scenarios = scenarios_for_suite("smoke")
-        with use_context(
-            ExecutionContext(workers=2, shard_size=1, chaos="worker_crash:0.1,seed=68")
-        ):
-            report = run_survey(scenarios, SurveyOptions(retry=FAST_RETRY))
+        options = SurveyOptions(workers=2, shard_size=1, retry=FAST_RETRY)
+        with use_context(chaos="worker_crash:0.1,seed=68"):
+            report = run_survey(scenarios, options)
         assert report.crash_recoveries == 1
         assert 1 <= report.retries <= 2
         assert report.quarantined == 0
@@ -228,16 +226,58 @@ class TestSurveyRecovery:
 
     def test_pooled_poison_shards_quarantine_and_sweep_completes(self):
         scenarios = scenarios_for_suite("smoke")[:2]
-        options = SurveyOptions(
-            retry=BackoffPolicy(max_attempts=2, base_delay=0.01, max_delay=0.02)
-        )
-        with use_context(
-            ExecutionContext(workers=2, shard_size=1, chaos="worker_crash:1.0,seed=1")
-        ):
+        options = SurveyOptions(workers=2, shard_size=1, retry=TWO_ATTEMPTS)
+        with use_context(chaos="worker_crash:1.0,seed=1"):
             report = run_survey(scenarios, options)
         assert report.quarantined == 2
         assert report.crash_recoveries >= 1
         assert all(record.status == "failed" for record in report.records)
+
+    def test_pooled_plain_failures_retry_on_their_timers_then_quarantine(
+        self, tmp_path
+    ):
+        # A torn write fails the shard without breaking the pool: each shard
+        # waits out its backoff timer, retries once and quarantines, and no
+        # torn shard file is left behind.
+        scenarios = scenarios_for_suite("smoke")[:4]
+        options = SurveyOptions(
+            workers=2, shard_size=1, shard_dir=str(tmp_path), retry=TWO_ATTEMPTS
+        )
+        with use_context(chaos="torn_write:1.0,seed=1"):
+            report = run_survey(scenarios, options)
+        assert report.retries == 4
+        assert report.quarantined == 4
+        assert report.crash_recoveries == 0
+        assert all(record.status == "failed" for record in report.records)
+        assert list(tmp_path.glob("shard-*.json")) == []
+        report = run_survey(scenarios, options)
+        assert [record.status for record in report.records] == ["ok"] * 4
+        assert len(list(tmp_path.glob("shard-*.json"))) == 4
+
+    # Four single-scenario shards: with a shard dir, each shard's write tears
+    # on both of its attempts (8 faults); without one, each shard sleeps
+    # once and succeeds (4).  A pool worker must ship the same tally.
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "spec, with_shard_dir, expected",
+        [
+            ("torn_write:1.0,seed=1", True, {"store.write:torn_write": 8}),
+            ("slow_io:1.0x10ms,seed=1", False, {"survey.shard:slow_io": 4}),
+        ],
+    )
+    def test_pooled_and_inline_runs_tally_the_same_faults(
+        self, tmp_path, workers, spec, with_shard_dir, expected
+    ):
+        options = SurveyOptions(
+            workers=workers,
+            shard_size=1,
+            shard_dir=str(tmp_path) if with_shard_dir else None,
+            retry=TWO_ATTEMPTS,
+        )
+        with use_context(chaos=spec):
+            report = run_survey(scenarios_for_suite("smoke")[:4], options)
+        assert report.workers == workers
+        assert report.chaos_faults == expected
 
     def test_quarantined_shards_are_not_persisted_so_reruns_retry_them(
         self, tmp_path

@@ -42,7 +42,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "congestion" in out
 
-    @pytest.mark.parametrize("figure", ["fig4", "fig9", "fig10", "fig11", "fig12"])
+    @pytest.mark.parametrize(
+        "figure", ["fig1", "fig3", "fig4", "fig9", "fig10", "fig11", "fig12"]
+    )
     def test_figure_commands(self, figure, capsys):
         assert main(["figure", figure]) == 0
         out = capsys.readouterr().out
@@ -50,6 +52,7 @@ class TestCommands:
 
     def test_unknown_figure(self, capsys):
         assert main(["figure", "fig99"]) == 2
+        assert "fig1, fig2, fig3, fig4, fig9" in capsys.readouterr().err
 
     def test_simulate_command(self, capsys):
         assert main(["simulate", "--guest", "torus:4,4", "--host", "mesh:2,2,2,2"]) == 0

@@ -19,29 +19,20 @@ class TestExecutionContext:
         context = ExecutionContext()
         assert context.backend == "auto"
         assert context.cache is None
-        assert context.workers is None
-        assert context.shard_size == 64
+        assert context.batch is True
+        assert context.chaos is None
 
     def test_backend_validation(self):
         with pytest.raises(ValueError):
             ExecutionContext(backend="vectorized")
-        with pytest.raises(ValueError):
-            ExecutionContext(workers=-1)
-        with pytest.raises(ValueError):
-            ExecutionContext(shard_size=0)
 
     def test_resolved_backend_with_numpy(self):
         assert ExecutionContext(backend="auto").resolved_backend() == "array"
         assert ExecutionContext(backend="array").resolved_backend() == "array"
         assert ExecutionContext(backend="loop").resolved_backend() == "loop"
 
-    def test_resolved_workers(self):
-        assert ExecutionContext(workers=3).resolved_workers() == 3
-        assert ExecutionContext(workers=0).resolved_workers() == 0
-        assert ExecutionContext().resolved_workers() >= 1
-
     def test_context_is_picklable(self):
-        context = ExecutionContext(backend="loop", workers=2, shard_size=16)
+        context = ExecutionContext(backend="loop", batch=False)
         clone = pickle.loads(pickle.dumps(context))
         assert clone == context
 
@@ -93,11 +84,11 @@ class TestScoping:
             assert current().backend == "loop"
 
     def test_overrides_derive_from_the_active_context(self):
-        with use_context(backend="loop", shard_size=8):
-            with use_context(workers=2):  # backend/shard_size inherited
+        with use_context(backend="loop"):
+            with use_context(batch=False):  # backend inherited
                 assert current().backend == "loop"
-                assert current().shard_size == 8
-                assert current().workers == 2
+                assert current().batch is False
+            assert current().batch is True
 
     def test_restored_even_when_the_body_raises(self):
         with pytest.raises(RuntimeError):
@@ -106,11 +97,11 @@ class TestScoping:
         assert current().backend == "auto"
 
     def test_full_context_argument(self):
-        context = ExecutionContext(backend="loop", shard_size=4)
+        context = ExecutionContext(backend="loop", batch=False)
         with use_context(context) as scoped:
             assert scoped is context
-        with use_context(context, shard_size=16) as scoped:
-            assert scoped.backend == "loop" and scoped.shard_size == 16
+        with use_context(context, batch=True) as scoped:
+            assert scoped.backend == "loop" and scoped.batch is True
 
     def test_set_default_context_survives_outside_scopes(self):
         previous = set_default_context(ExecutionContext(backend="loop"))

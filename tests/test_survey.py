@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -142,6 +143,17 @@ class TestRunner:
         found = min(record.search_objective for record in report.records)
         assert cache.fetch_optimum("combined", guest, host).objective == found
         assert found < 10**9
+
+    def test_unset_shard_size_means_64_scenarios_per_shard(self, tmp_path):
+        scenarios = all_pairs(12)[:100]
+        run_survey(scenarios, SurveyOptions(workers=1, shard_dir=str(tmp_path)))
+        assert len(list(tmp_path.glob("shard-*.json"))) == 2
+
+    def test_unset_workers_means_one_per_cpu(self):
+        scenarios = scenarios_for_suite("smoke")[:3]
+        report = run_survey(scenarios, SurveyOptions(workers=None, shard_size=1))
+        assert report.workers == min(os.cpu_count() or 1, 3)
+        assert [record.status for record in report.records] == ["ok"] * 3
 
     def test_run_survey_writes_and_merges_shards(self, tmp_path):
         scenarios = all_pairs(12)
