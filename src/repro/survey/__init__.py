@@ -17,11 +17,16 @@ persist the results.
 ``batch``
     The batched shard evaluator — scenarios grouped by signature, stacked
     host-index matrices through fused metric kernels and one vectorized
-    event loop per shard.  The default path (``use_context(batch=False)``
-    forces the per-scenario reference).
+    event loop per shard, filling the shard's record table in place.  The
+    default path (``use_context(batch=False)`` forces the per-scenario
+    reference).
 ``store``
-    :class:`~repro.survey.store.SurveyRecord` and the JSON/CSV result store
-    (round-trippable, shard-mergeable).
+    :class:`~repro.survey.store.SurveyRecord`, the column table
+    :class:`~repro.survey.store.RecordTable` that shards evaluate into and
+    :attr:`~repro.survey.runner.SurveyReport.records` holds (a record is
+    built only for a row a caller reads), and the JSON/CSV result store,
+    which writes a table column by column (round-trippable,
+    shard-mergeable).
 
 The ``repro survey`` CLI subcommand (:mod:`repro.cli`) fronts the engine.
 """
@@ -30,6 +35,7 @@ from .batch import evaluate_shard_batched
 from .scenarios import Scenario, all_pairs, scenarios_for_suite, shapes_up_to, suite_names
 from .runner import SurveyOptions, SurveyReport, run_survey
 from .store import (
+    RecordTable,
     SurveyRecord,
     merge_shards,
     read_csv,
@@ -51,6 +57,7 @@ __all__ = [
     "run_survey",
     "evaluate_shard_batched",
     "SurveyRecord",
+    "RecordTable",
     "write_json",
     "read_json",
     "write_csv",

@@ -21,11 +21,13 @@ whole *shard* at once instead:
   :class:`~repro.netsim.network.HostNetwork` per host signature, and all of
   a shard's phases advance together through one round-based vectorized drain
   (:func:`repro.netsim.simulator.simulate_endpoint_phases`);
-* records are assembled from the stacked results, in scenario order, by the
-  reference path's own column builders (``_record_base``,
+* the shard evaluates into one :class:`~repro.survey.store.RecordTable`:
+  the reference path's own column builders (``_record_base``,
   ``_construction_columns``, ``_simulation_columns`` and
-  ``_failure_columns`` of :mod:`repro.survey.runner`), each built once at
-  the end with its share of the shard's time.
+  ``_failure_columns`` of :mod:`repro.survey.runner`) write each row's
+  cells in place from the stacked results, with no per-record dict and no
+  :class:`~repro.survey.store.SurveyRecord`, and every batched row carries
+  its share of the shard's time.
 
 The per-scenario path (:func:`repro.survey.runner.evaluate_scenario`) stays
 as the cross-checked reference — ``use_context(batch=False)`` forces it, and
@@ -43,7 +45,6 @@ for record.
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Dict, List, Sequence, Tuple
 
@@ -59,12 +60,11 @@ from ..runtime.registry import build_strategy
 from .runner import (
     _construction_columns,
     _failure_columns,
-    _graph_columns,
     _record_base,
     _simulation_columns,
 )
 from .scenarios import Scenario
-from .store import SurveyRecord
+from .store import RecordTable
 
 __all__ = ["evaluate_shard_batched"]
 
@@ -73,16 +73,15 @@ GraphSpec = Tuple[str, Tuple[int, ...]]
 
 
 class _ShardState:
-    """Per-shard memo of graph columns, networks, traffic patterns and builds.
+    """Per-shard memo of networks, traffic patterns and builds.
 
-    The pattern and build memos hold the built object, or the failure
-    columns (a ``dict``) of the error that building it raised, exactly as
-    the reference path records it.
+    The pattern and build memos hold the built object, or the exception
+    that building it raised, which the reference path's failure columns
+    record.  A memoized exception keeps no traceback: its frames would hold
+    the failed build's locals until the shard ends.
     """
 
-    def __init__(self, graph_columns):
-        # Each graph's record columns, derived once per shard.
-        self.graph_columns = functools.lru_cache(maxsize=None)(graph_columns)
+    def __init__(self):
         self.networks: Dict[GraphSpec, HostNetwork] = {}
         self.patterns: Dict[Tuple[str, GraphSpec], object] = {}
         self.builds: Dict[Tuple[str, GraphSpec, GraphSpec], object] = {}
@@ -96,7 +95,7 @@ class _ShardState:
         return network
 
     def endpoints(self, name: str, guest: CartesianGraph):
-        """``(source_ranks, target_ranks, sizes)``, or failure columns.
+        """``(source_ranks, target_ranks, sizes)``, or the exception.
 
         Memoized per ``(pattern, guest signature)``.  The three built-in
         patterns come from the vectorized rank generators
@@ -113,26 +112,26 @@ class _ShardState:
                     entry = traffic_pattern(name, guest).endpoint_rank_arrays(
                         guest.shape
                     )
-            except Exception as error:  # noqa: BLE001 - mirrored as a failure record
-                entry = _failure_columns(error)
+            except Exception as error:  # noqa: BLE001 - recorded as a failure row
+                entry = error.with_traceback(None)
             self.patterns[key] = entry
         return entry
 
-    def embedding(self, strategy: str, guest: CartesianGraph, host: CartesianGraph):
-        """The strategy's embedding of the pair, or failure columns.
+    def embedding(self, strategy: str, signature, guest, host):
+        """The strategy's embedding of the pair, or the exception.
 
-        Memoized per ``(strategy, guest, host)`` signature; the underlying
-        builder already memoizes through the context cache when one is
-        installed, so the local dict only removes repeated Python dispatch
-        within the shard.
+        Memoized per ``(strategy, signature)``; the underlying builder
+        already memoizes through the context cache when one is installed,
+        so the local dict only removes repeated Python dispatch within the
+        shard.
         """
-        key = (strategy, (guest.kind.value, guest.shape), (host.kind.value, host.shape))
+        key = (strategy, signature)
         entry = self.builds.get(key)
         if entry is None:
             try:
                 entry = build_strategy(strategy, guest, host)
-            except Exception as error:  # noqa: BLE001 - mirrored as a failure record
-                entry = _failure_columns(error)
+            except Exception as error:  # noqa: BLE001 - recorded as a failure row
+                entry = error.with_traceback(None)
             self.builds[key] = entry
         return entry
 
@@ -188,22 +187,24 @@ def _measure_groups(groups, with_congestion):
 
 def evaluate_shard_batched(
     scenarios: Sequence[Scenario], options
-) -> List[SurveyRecord]:
+) -> RecordTable:
     """Evaluate one shard through the batched kernels (array backend only).
 
-    Returns records in scenario order, byte-identical to
+    Returns the shard's record table in scenario order, byte-identical to
     ``[evaluate_scenario(s, options) for s in scenarios]`` up to the
-    ``elapsed_seconds`` timing column (batched records carry the per-record
+    ``elapsed_seconds`` timing column (batched rows carry the per-record
     share of the shard's wall time).
     """
     # Looked up per call, so a test can substitute the reference path.
     from .runner import evaluate_scenario
 
     started = time.perf_counter()
-    state = _ShardState(_graph_columns)
-    # Per position: a finished reference-path record (with its own timing)
-    # or a batched record's columns, built into a record once at the end.
-    records: List[object] = [None] * len(scenarios)
+    state = _ShardState()
+    table = RecordTable.blank(len(scenarios))
+    # A row is finished once its status is set.  Rows written from a
+    # reference-path record carry its own timing; every other row's
+    # elapsed_seconds stays None until the shard's share fills it.
+    status = table.columns["status"]
 
     # ---------------------------------------------------------------- #
     # Pass 1: resolve graphs and constructions, group by signature.
@@ -218,26 +219,31 @@ def evaluate_shard_batched(
             # scenarios likewise: the optimizer *is* the batched computation
             # (its population already rides the stacked kernels), so the
             # shard-level grouping has nothing further to fuse.
-            records[position] = evaluate_scenario(scenario, options)
+            table.put(position, evaluate_scenario(scenario, options))
             continue
         guest = scenario.guest_graph()
         host = scenario.host_graph()
-        base = _record_base(scenario, guest, host, state.graph_columns)
+        _record_base(table, position, scenario, guest, host)
         # Embedding scenarios always measure the paper dispatcher's
         # construction (the reference path calls `embed`, which is
         # `build_strategy("paper", ...)`); simulation scenarios build the
         # strategy they name.
         strategy = scenario.strategy if scenario.traffic else "paper"
-        embedding = state.embedding(strategy, guest, host)
-        if isinstance(embedding, dict):
-            records[position] = {**base, **embedding}
+        signature = ((guest.kind_value, guest.shape), (host.kind_value, host.shape))
+        embedding = state.embedding(strategy, signature, guest, host)
+        if isinstance(embedding, Exception):
+            _failure_columns(table, position, embedding)
             continue
-        signature = ((guest.kind.value, guest.shape), (host.kind.value, host.shape))
-        group = groups.setdefault(
-            signature, {"guest": guest, "host": host, "rows": {}, "uses": []}
-        )
+        group = groups.get(signature)
+        if group is None:
+            group = groups[signature] = {
+                "guest": guest,
+                "host": host,
+                "rows": {},
+                "uses": [],
+            }
         group["rows"].setdefault(strategy, embedding)
-        group["uses"].append((position, strategy, scenario, base))
+        group["uses"].append((position, strategy, scenario))
         if scenario.traffic:
             sim_jobs.append(
                 {
@@ -245,7 +251,6 @@ def evaluate_shard_batched(
                     "signature": signature,
                     "strategy": strategy,
                     "scenario": scenario,
-                    "base": base,
                     "embedding": embedding,
                     "network": state.network(host),
                 }
@@ -270,8 +275,8 @@ def evaluate_shard_batched(
         endpoints = state.endpoints(
             job["scenario"].traffic, groups[job["signature"]]["guest"]
         )
-        if isinstance(endpoints, dict):
-            records[job["position"]] = {**job["base"], **endpoints}
+        if isinstance(endpoints, Exception):
+            _failure_columns(table, job["position"], endpoints)
         else:
             job["endpoints"] = endpoints
             ready_jobs.append(job)
@@ -294,34 +299,36 @@ def evaluate_shard_batched(
             outcomes[job["position"]] = result
 
     # ---------------------------------------------------------------- #
-    # Pass 4: assemble records column-wise, in scenario order.
+    # Pass 4: fill the measured columns in place, row by row.
     # ---------------------------------------------------------------- #
     for signature, group in groups.items():
-        for position, strategy, scenario, base in group["uses"]:
-            if records[position] is not None:
+        for position, strategy, scenario in group["uses"]:
+            if status[position] is not None:
                 continue
             values = metrics.get((signature, strategy))
             if values is None:
                 # Stacked kernels declined this group: reference path.
-                records[position] = evaluate_scenario(scenario, options)
+                table.put(position, evaluate_scenario(scenario, options))
                 continue
             embedding = group["rows"][strategy]
             if not scenario.traffic:
-                columns = _construction_columns(embedding.strategy, embedding, *values)
+                _construction_columns(
+                    table, position, embedding.strategy, embedding, *values
+                )
             elif isinstance(outcomes[position], Exception):
                 # Pass 3 left an outcome for every phase of a measured group.
-                columns = _failure_columns(outcomes[position])
+                _failure_columns(table, position, outcomes[position])
             else:
-                columns = _construction_columns(scenario.strategy, embedding, *values)
-                columns.update(
-                    _simulation_columns(scenario.traffic, outcomes[position])
+                _construction_columns(
+                    table, position, scenario.strategy, embedding, *values
                 )
-            records[position] = {**base, **columns}
+                _simulation_columns(
+                    table, position, scenario.traffic, outcomes[position]
+                )
 
     share = (time.perf_counter() - started) / max(len(scenarios), 1)
-    return [
-        SurveyRecord(elapsed_seconds=share, **record)
-        if isinstance(record, dict)
-        else record
-        for record in records
-    ]
+    elapsed = table.columns["elapsed_seconds"]
+    for position, seconds in enumerate(elapsed):
+        if seconds is None:
+            elapsed[position] = share
+    return table

@@ -16,8 +16,9 @@ switch, the chaos plan and — when it carries a
 :class:`~repro.runtime.cache.ConstructionCache` — the construction memo.
 The whole context (cache included, as the warm start) is installed once in
 every worker process, whose cache then journals its stores; each finished
-shard ships every entry the worker stored since its last shard, new or
-replaced (an optimum the search improved), and the parent merges them —
+shard, failed ones included, ships every entry the worker stored since
+its last shard, new or replaced (an optimum the search improved), with its
+hit/miss counts, and the parent merges them —
 keeping the better of two optima — so its cache keeps growing across
 shards and invocations.
 
@@ -26,10 +27,15 @@ the mode used by tests and ``repro survey --smoke`` — where shards write
 the parent's own cache and ship nothing.
 
 Both evaluators — the per-scenario reference :func:`evaluate_scenario` and
-the batched :mod:`repro.survey.batch` — build every record from the same
-column builders (:func:`_record_base`, :func:`_construction_columns`,
+the batched :mod:`repro.survey.batch` — fill rows of a
+:class:`~repro.survey.store.RecordTable` through the same column builders
+(:func:`_record_base`, :func:`_construction_columns`,
 :func:`_simulation_columns`, :func:`_failure_columns`); only the measured
-values come from different kernels.
+values come from different kernels.  Every shard result is a table (fresh,
+resumed from its file, or quarantined), pool workers ship tables, and
+:attr:`SurveyReport.records` is their concatenation in shard order, so a
+:class:`~repro.survey.store.SurveyRecord` is built only for a row a caller
+reads.
 
 **Failure model.**  A shard attempt that raises (a crashed worker, a torn
 shard write, an injected chaos fault) is retried with capped exponential
@@ -55,6 +61,7 @@ kills the process before it can report and shows only in
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -67,7 +74,9 @@ from ..analysis.fault_tolerance import fault_dilation_summary, repair_embedding
 from ..analysis.metrics import evaluate_embedding
 from ..core.dispatch import embed
 from ..exceptions import UnsupportedEmbeddingError
+from ..graphs.base import make_graph
 from ..netsim import HostNetwork, simulate_phase, traffic_pattern
+from ..numbering.arrays import _SHAPE_MEMO_SIZE
 from ..runtime.chaos import (
     InjectedFault,
     chaos_counters,
@@ -79,7 +88,7 @@ from ..runtime.registry import build_strategy
 from ..utils.backoff import BackoffPolicy
 from ..utils.rng import SplitMix64
 from .scenarios import Scenario
-from .store import SurveyRecord, read_json, write_json
+from .store import RecordTable, SurveyRecord, read_json, write_json
 
 __all__ = [
     "SurveyOptions",
@@ -140,6 +149,12 @@ class SurveyOptions:
 class SurveyReport:
     """Outcome of :func:`run_survey`: merged records plus run metadata.
 
+    ``records`` is the survey's :class:`~repro.survey.store.RecordTable`, in
+    scenario order; it builds a :class:`~repro.survey.store.SurveyRecord`
+    only for the rows a caller reads, and :attr:`ok`, :attr:`unsupported`,
+    :attr:`failed`, :meth:`strategy_histogram` and :meth:`summary_rows` read
+    its columns, building records only for the rows they return.
+
     The recovery counters report the run's fault traffic: ``retries`` is
     every shard attempt after the first, ``crash_recoveries`` every pool
     respawn after a broken worker, ``quarantined`` the shards abandoned
@@ -148,7 +163,7 @@ class SurveyReport:
     (``site:kind`` → count) when a chaos plan was active.
     """
 
-    records: List[SurveyRecord]
+    records: RecordTable
     elapsed_seconds: float
     workers: int
     shard_paths: List[str] = field(default_factory=list)
@@ -159,26 +174,43 @@ class SurveyReport:
     quarantined: int = 0
     chaos_faults: Dict[str, int] = field(default_factory=dict)
 
+    def _with_status(self, *statuses: str) -> List[SurveyRecord]:
+        records = self.records
+        return [
+            records[row]
+            for row, status in enumerate(records.columns["status"])
+            if status in statuses
+        ]
+
     @property
     def ok(self) -> List[SurveyRecord]:
-        return [record for record in self.records if record.status == "ok"]
+        return self._with_status("ok")
 
     @property
     def unsupported(self) -> List[SurveyRecord]:
-        return [record for record in self.records if record.status == "unsupported"]
+        return self._with_status("unsupported")
 
     @property
     def failed(self) -> List[SurveyRecord]:
         """Records that did not produce a measurement: unexpected errors
         (status ``"error"``) and quarantined scenarios (status ``"failed"``)."""
-        return [record for record in self.records if record.status in ("error", "failed")]
+        return self._with_status("error", "failed")
+
+    def _measured_rows(self) -> Dict[str, List[int]]:
+        """The rows of the measured records per strategy name, alphabetically
+        (one pass over the status and strategy columns)."""
+        columns = self.records.columns
+        rows: Dict[str, List[int]] = {}
+        for row, (status, strategy) in enumerate(
+            zip(columns["status"], columns["strategy"])
+        ):
+            if status == "ok":
+                rows.setdefault(strategy or "?", []).append(row)
+        return dict(sorted(rows.items()))
 
     def strategy_histogram(self) -> Dict[str, int]:
         """Measured-record count per strategy name, alphabetically."""
-        histogram: Dict[str, int] = {}
-        for record in self.ok:
-            histogram[record.strategy or "?"] = histogram.get(record.strategy or "?", 0) + 1
-        return dict(sorted(histogram.items()))
+        return {strategy: len(rows) for strategy, rows in self._measured_rows().items()}
 
     def summary_rows(self) -> List[Dict[str, object]]:
         """Tabular summary used by the CLI (one row per strategy).
@@ -186,98 +218,127 @@ class SurveyReport:
         When the report contains simulation records a ``mean makespan``
         column is appended (averaged over each strategy's simulated phases).
         """
-        with_makespan = any(r.makespan is not None for r in self.ok)
-        rows: List[Dict[str, object]] = []
-        for strategy, count in self.strategy_histogram().items():
-            group = [r for r in self.ok if r.strategy == strategy]
-            row: Dict[str, object] = {
+        columns = self.records.columns
+        dilation = columns["dilation"]
+        average = columns["average_dilation"]
+        holds = columns["matches_prediction"]
+        makespans = columns["makespan"]
+        groups = self._measured_rows()
+        with_makespan = any(
+            makespans[row] is not None for rows in groups.values() for row in rows
+        )
+        summary: List[Dict[str, object]] = []
+        for strategy, rows in groups.items():
+            entry: Dict[str, object] = {
                 "strategy": strategy,
-                "pairs": count,
-                "max dilation": max(r.dilation for r in group),
+                "pairs": len(rows),
+                "max dilation": max(dilation[row] for row in rows),
                 "mean avg-dilation": round(
-                    sum(r.average_dilation for r in group) / count, 3
+                    sum(average[row] for row in rows) / len(rows), 3
                 ),
-                "prediction holds": sum(1 for r in group if r.matches_prediction),
+                "prediction holds": sum(1 for row in rows if holds[row]),
             }
             if with_makespan:
-                simulated = [r.makespan for r in group if r.makespan is not None]
-                row["mean makespan"] = (
+                simulated = [
+                    makespans[row] for row in rows if makespans[row] is not None
+                ]
+                entry["mean makespan"] = (
                     round(sum(simulated) / len(simulated), 1) if simulated else "-"
                 )
-            rows.append(row)
-        return rows
+            summary.append(entry)
+        return summary
 
 
-def _graph_columns(graph) -> Tuple[str, int]:
-    """A graph's identification columns: its repr and its edge count."""
-    return repr(graph), graph.num_edges()
+def _graph_columns(graph) -> Tuple[str, int, int]:
+    """A graph's identification columns: its repr, edge count and size."""
+    return _shape_columns(graph.kind_value, graph.shape)
 
 
-def _record_base(
-    scenario: Scenario, guest, host, graph_columns=_graph_columns
-) -> Dict[str, object]:
-    """The identification columns shared by every record of a scenario.
+@functools.lru_cache(maxsize=_SHAPE_MEMO_SIZE)
+def _shape_columns(kind: str, shape: Tuple[int, ...]) -> Tuple[str, int, int]:
+    """:func:`_graph_columns` memoized once per kind and shape, with the
+    bound of :func:`~repro.graphs.base.make_graph`'s interning.  Keyed on
+    the pair, not the graph, so the memo keeps no graph (nor its derived
+    arrays) alive after the interning drops it."""
+    graph = make_graph(kind, shape)
+    return repr(graph), graph.num_edges(), graph.size
 
-    One definition for both evaluation paths: the per-scenario reference
-    below and the batched shard evaluator (:mod:`repro.survey.batch`), whose
-    byte-identity contract would silently break if the two drifted.  The
-    batched evaluator passes its shard's memo of :func:`_graph_columns`, so
-    each graph's columns are derived once per shard; ``scenario_id`` and
-    ``faults`` stay per scenario.
-    """
-    guest_name, guest_edges = graph_columns(guest)
-    host_name, _ = graph_columns(host)
-    return dict(
-        scenario_id=scenario.scenario_id,
-        guest=guest_name,
-        host=host_name,
-        nodes=host.size,
-        guest_edges=guest_edges,
-        guest_size=guest.size,
-        faults=scenario.faults or None,
-    )
+
+# The column builders below are the one definition of each block of a
+# record's columns, for both evaluators: the per-scenario reference
+# (:func:`evaluate_scenario`) and the batched shard evaluator
+# (:mod:`repro.survey.batch`), whose byte-identity contract would silently
+# break if the two drifted.  Each writes its block into one row of a
+# :class:`~repro.survey.store.RecordTable` and leaves the other cells alone.
+
+
+def _record_base(table: RecordTable, row: int, scenario: Scenario, guest, host) -> None:
+    """The identification columns shared by every record of a scenario:
+    ``scenario_id``, the graph columns and ``faults``."""
+    guest_name, guest_edges, guest_size = _graph_columns(guest)
+    host_name, _, nodes = _graph_columns(host)
+    columns = table.columns
+    columns["scenario_id"][row] = scenario.scenario_id
+    columns["guest"][row] = guest_name
+    columns["host"][row] = host_name
+    columns["nodes"][row] = nodes
+    columns["guest_edges"][row] = guest_edges
+    columns["guest_size"][row] = guest_size
+    columns["faults"][row] = scenario.faults or None
 
 
 def _construction_columns(
-    strategy: Optional[str], embedding, dilation, average, congestion
-) -> Dict[str, object]:
+    table: RecordTable,
+    row: int,
+    strategy: Optional[str],
+    embedding,
+    dilation,
+    average,
+    congestion,
+) -> None:
     """The columns of a measured construction: ``status`` ``"ok"`` through
     ``matches_prediction``, with the theorem's prediction read from
     ``embedding`` and checked against the measured ``dilation``."""
-    return dict(
-        status="ok",
-        strategy=strategy,
-        predicted_dilation=embedding.predicted_dilation,
-        dilation=dilation,
-        average_dilation=average,
-        congestion=congestion,
-        matches_prediction=embedding.matches_prediction(measured=dilation),
-    )
+    predicted = embedding.predicted_dilation
+    holds = embedding.matches_prediction(measured=dilation)
+    columns = table.columns
+    columns["status"][row] = "ok"
+    columns["strategy"][row] = strategy
+    columns["predicted_dilation"][row] = predicted
+    columns["dilation"][row] = dilation
+    columns["average_dilation"][row] = average
+    columns["congestion"][row] = congestion
+    columns["matches_prediction"][row] = holds
 
 
-def _simulation_columns(traffic: str, result) -> Dict[str, object]:
+def _simulation_columns(table: RecordTable, row: int, traffic: str, result) -> None:
     """The columns of a simulated phase: ``traffic`` through ``makespan``."""
     statistics = result.statistics
-    return dict(
-        traffic=traffic,
-        messages=statistics.num_messages,
-        max_hops=statistics.max_hops,
-        max_link_load=statistics.max_link_load_messages,
-        estimated_time=statistics.estimated_completion_time,
-        makespan=result.makespan,
-    )
+    columns = table.columns
+    columns["traffic"][row] = traffic
+    columns["messages"][row] = statistics.num_messages
+    columns["max_hops"][row] = statistics.max_hops
+    columns["max_link_load"][row] = statistics.max_link_load_messages
+    columns["estimated_time"][row] = statistics.estimated_completion_time
+    columns["makespan"][row] = result.makespan
 
 
-def _failure_columns(error: BaseException) -> Dict[str, object]:
+def _failure_columns(table: RecordTable, row: int, error: BaseException) -> None:
     """The columns of a scenario that raised: ``"unsupported"`` with the
     message when the strategy has no construction for the pair, ``"error"``
     with ``Type: message`` for anything else."""
+    columns = table.columns
     if isinstance(error, UnsupportedEmbeddingError):
-        return dict(status="unsupported", error=str(error))
-    return dict(status="error", error=f"{type(error).__name__}: {error}")
+        columns["status"][row] = "unsupported"
+        columns["error"][row] = str(error)
+    else:
+        columns["status"][row] = "error"
+        columns["error"][row] = f"{type(error).__name__}: {error}"
 
 
-def _fault_columns(scenario: Scenario, guest, host) -> Dict[str, object]:
+def _fault_columns(
+    table: RecordTable, row: int, scenario: Scenario, guest, host
+) -> None:
     """Build on the pristine host, degrade, repair, re-measure.
 
     The named strategy is constructed (and cached) for the *pristine* host;
@@ -292,20 +353,24 @@ def _fault_columns(scenario: Scenario, guest, host) -> Dict[str, object]:
     faults = scenario.fault_spec().apply(host)
     repaired = repair_embedding(embedding, faults)
     dilation, average_dilation = fault_dilation_summary(repaired, faults)
-    columns = _construction_columns(
-        scenario.strategy, embedding, dilation, average_dilation, None
+    _construction_columns(
+        table, row, scenario.strategy, embedding, dilation, average_dilation, None
     )
-    columns["matches_prediction"] = None
+    table.columns["matches_prediction"][row] = None
     if scenario.traffic:
         pattern = traffic_pattern(scenario.traffic, guest)
         result = simulate_phase(HostNetwork(host), repaired, pattern, faults=faults)
-        columns.update(_simulation_columns(scenario.traffic, result))
-    return columns
+        _simulation_columns(table, row, scenario.traffic, result)
 
 
 def _optimize_columns(
-    scenario: Scenario, guest, host, guest_edges: int, options: SurveyOptions
-) -> Dict[str, object]:
+    table: RecordTable,
+    row: int,
+    scenario: Scenario,
+    guest,
+    host,
+    options: SurveyOptions,
+) -> None:
     """Run the embedding search and report what it found.
 
     The search configuration is the fixed
@@ -321,59 +386,64 @@ def _optimize_columns(
     from ..optimize import SUITE_OPTIONS, optimize_embedding
 
     result = optimize_embedding(guest, host, SUITE_OPTIONS)
-    columns = _construction_columns(
+    guest_edges = _graph_columns(guest)[1]
+    _construction_columns(
+        table,
+        row,
         scenario.strategy,
         result.embedding,
         result.dilation,
         result.dilation_total / guest_edges if guest_edges else 0.0,
         result.congestion if options.with_congestion else None,
     )
-    columns["matches_prediction"] = None
-    columns.update(
-        search_objective=result.objective,
-        search_steps=result.steps,
-        improved=result.improved,
-    )
-    return columns
+    columns = table.columns
+    columns["matches_prediction"][row] = None
+    columns["search_objective"][row] = result.objective
+    columns["search_steps"][row] = result.steps
+    columns["improved"][row] = result.improved
 
 
-def evaluate_scenario(scenario: Scenario, options: SurveyOptions) -> SurveyRecord:
-    """Embed and measure one scenario, capturing failures as record status.
+def _evaluate_row(
+    table: RecordTable, row: int, scenario: Scenario, options: SurveyOptions
+) -> None:
+    """The per-scenario reference evaluation of ``scenario``, into ``row``.
 
     Embedding scenarios measure the vectorized costs; simulation scenarios
     (``scenario.traffic`` set) additionally place the named traffic pattern
-    on the host network and run the store-and-forward phase simulation.  The
-    backend and the construction memo come from the ambient context.
+    on the host network and run the store-and-forward phase simulation.  A
+    scenario that raises records the failure in its status columns, and
+    the row's ``elapsed_seconds`` is its own evaluation time.
     """
     guest = scenario.guest_graph()
     host = scenario.host_graph()
-    base = _record_base(scenario, guest, host)
     started = time.perf_counter()
     try:
         if scenario.faults:
-            columns = _fault_columns(scenario, guest, host)
+            _fault_columns(table, row, scenario, guest, host)
         elif scenario.strategy == "optimize" and not scenario.traffic:
-            columns = _optimize_columns(
-                scenario, guest, host, base["guest_edges"], options
-            )
+            _optimize_columns(table, row, scenario, guest, host, options)
         elif scenario.traffic:
             embedding = build_strategy(scenario.strategy, guest, host)
             pattern = traffic_pattern(scenario.traffic, guest)
             result = simulate_phase(HostNetwork(host), embedding, pattern)
-            columns = _construction_columns(
+            _construction_columns(
+                table,
+                row,
                 scenario.strategy,
                 embedding,
                 embedding.dilation(),
                 embedding.average_dilation(),
                 embedding.edge_congestion() if options.with_congestion else None,
             )
-            columns.update(_simulation_columns(scenario.traffic, result))
+            _simulation_columns(table, row, scenario.traffic, result)
         else:
             embedding = embed(guest, host)
             report = evaluate_embedding(
                 embedding, with_congestion=options.with_congestion
             )
-            columns = _construction_columns(
+            _construction_columns(
+                table,
+                row,
                 embedding.strategy,
                 embedding,
                 report.dilation,
@@ -381,10 +451,22 @@ def evaluate_scenario(scenario: Scenario, options: SurveyOptions) -> SurveyRecor
                 report.congestion,
             )
     except Exception as error:  # noqa: BLE001 - one bad pair must not kill a sweep
-        columns = _failure_columns(error)
-    return SurveyRecord(
-        elapsed_seconds=time.perf_counter() - started, **columns, **base
-    )
+        table.clear(row)  # drop what a measurement wrote before it raised
+        _failure_columns(table, row, error)
+    _record_base(table, row, scenario, guest, host)
+    table.columns["elapsed_seconds"][row] = time.perf_counter() - started
+
+
+def evaluate_scenario(scenario: Scenario, options: SurveyOptions) -> SurveyRecord:
+    """Embed and measure one scenario, capturing failures as record status.
+
+    The per-scenario reference: one row evaluated into a one-row table
+    through the same column builders as the batched evaluator.  The
+    backend and the construction memo come from the ambient context.
+    """
+    table = RecordTable.blank(1)
+    _evaluate_row(table, 0, scenario, options)
+    return table[0]
 
 
 #: True inside a survey pool worker process (set by the pool initializer).
@@ -405,15 +487,15 @@ def _install_worker_context(context: ExecutionContext) -> None:
 
 def evaluate_shard(
     scenarios: Sequence[Scenario], options: SurveyOptions
-) -> List[SurveyRecord]:
-    """Evaluate one shard, batched by default.
+) -> RecordTable:
+    """Evaluate one shard into a record table, batched by default.
 
     The ambient context routes the shard: ``batch=True`` (the default) with
     an array-capable backend goes through the stacked kernels of
     :mod:`repro.survey.batch`; ``use_context(batch=False)`` — or a resolved
-    loop backend — runs the retained per-scenario reference.  Both produce
-    identical records (``elapsed_seconds`` aside), which the differential
-    suite ``tests/test_survey_batch.py`` pins.
+    loop backend — runs the retained per-scenario reference, row by row.
+    Both produce identical records (``elapsed_seconds`` aside), which the
+    differential suite ``tests/test_survey_batch.py`` pins.
 
     Public because the service layer (:mod:`repro.service`) answers whole
     coalesced request batches through exactly this routing.
@@ -423,7 +505,10 @@ def evaluate_shard(
         from .batch import evaluate_shard_batched
 
         return evaluate_shard_batched(scenarios, options)
-    return [evaluate_scenario(scenario, options) for scenario in scenarios]
+    table = RecordTable.blank(len(scenarios))
+    for row, scenario in enumerate(scenarios):
+        _evaluate_row(table, row, scenario, options)
+    return table
 
 
 def _chaos_since(before: Dict[str, int]) -> Dict[str, int]:
@@ -440,21 +525,21 @@ def _run_shard(
     scenarios: Sequence[Scenario],
     options: SurveyOptions,
     attempt: int = 0,
-) -> Tuple[
-    int, Union[List[SurveyRecord], Exception], Dict, Tuple[int, int], Dict[str, int]
-]:
+) -> Tuple[int, Union[RecordTable, Exception], Dict, Tuple[int, int], Dict[str, int]]:
     """Worker entry point: evaluate one shard under the ambient context.
 
-    Returns the shard's records plus, in a pool worker, the cache entries
-    the worker stored since its last shard (its journal: new entries and
-    replaced ones, such as an improved optimum), so the parent can merge
+    Returns the shard's record table plus, in a pool worker, the cache
+    entries the worker stored since its last shard (its journal: new entries
+    and replaced ones, such as an improved optimum), so the parent can merge
     them and keep one growing memo across shards and invocations, and the
     shard's (hits, misses) so pooled runs report true cache traffic; inline,
     the shard wrote the parent's own cache, so both stay empty.  Last comes
     the shard's injected-fault tally, so chaos counters survive the pool.
-    A pool worker returns a failed shard's exception in place of its
-    records, so its tally reaches the parent too (:func:`_merge_worker_result`
-    raises it there); inline, the exception propagates.
+    A pool worker returns a failed shard's exception in place of its table,
+    with the same journal, counters and tally, so the constructions it
+    built and the faults it fired reach the parent too
+    (:func:`_merge_worker_result` merges them, then raises the exception);
+    inline, the exception propagates.
 
     ``attempt`` keys the chaos plane's ``survey.shard`` injection point: a
     seeded plan decides crash-or-not as a pure function of
@@ -462,6 +547,9 @@ def _run_shard(
     pool scheduling, and a retried shard draws a *fresh* decision.
     """
     chaos_before = chaos_counters()
+    cache = current().cache if _IN_POOL_WORKER else None
+    if cache is not None:
+        hits, misses = cache.hits, cache.misses
     try:
         fault = inject(
             "survey.shard",
@@ -472,23 +560,24 @@ def _run_shard(
             if _IN_POOL_WORKER:
                 os._exit(1)  # a real crash: no cleanup, no result, broken pool
             raise InjectedFault(fault.kind, "survey.shard")
-        cache = current().cache
-        if _IN_POOL_WORKER and cache is not None:
-            hits, misses = cache.hits, cache.misses
-            records = evaluate_shard(scenarios, options)
-            delta = cache.take_journal()
-            counters = (cache.hits - hits, cache.misses - misses)
-        else:
-            records = evaluate_shard(scenarios, options)
-            delta, counters = {}, (0, 0)
+        outcome = evaluate_shard(scenarios, options)
         if options.shard_dir is not None:
             shard_path = Path(options.shard_dir) / f"shard-{shard_index:04d}.json"
-            write_json(records, shard_path)
+            write_json(outcome, shard_path)
     except Exception as error:  # noqa: BLE001 - the parent decides the retry
         if not _IN_POOL_WORKER:
             raise
-        return shard_index, error, {}, (0, 0), _chaos_since(chaos_before)
-    return shard_index, records, delta, counters, _chaos_since(chaos_before)
+        outcome = error
+    if cache is None:
+        return shard_index, outcome, {}, (0, 0), _chaos_since(chaos_before)
+    counters = (cache.hits - hits, cache.misses - misses)
+    return (
+        shard_index,
+        outcome,
+        cache.take_journal(),
+        counters,
+        _chaos_since(chaos_before),
+    )
 
 
 def _shards(scenarios: Sequence[Scenario], shard_size: int) -> List[Sequence[Scenario]]:
@@ -498,8 +587,8 @@ def _shards(scenarios: Sequence[Scenario], shard_size: int) -> List[Sequence[Sce
 
 def _load_finished_shard(
     path: Path, shard: Sequence[Scenario], options: SurveyOptions
-) -> Optional[List[SurveyRecord]]:
-    """Records of a previously finished shard file, or ``None``.
+) -> Optional[RecordTable]:
+    """The records of a previously finished shard file, or ``None``.
 
     A shard file is only reused when it parses, its record ids match the
     shard's scenario ids one-for-one (same sweep, same sharding) and its
@@ -526,7 +615,7 @@ def _load_finished_shard(
         if record.status == "ok"
     ):
         return None
-    return records
+    return RecordTable.from_records(records)
 
 
 @dataclass
@@ -540,7 +629,7 @@ class _Recovery:
 
 def _quarantine_records(
     shard: Sequence[Scenario], error: BaseException
-) -> List[SurveyRecord]:
+) -> RecordTable:
     """Status-``"failed"`` records for a shard abandoned after N attempts.
 
     The identification columns are filled from the scenarios themselves
@@ -548,42 +637,48 @@ def _quarantine_records(
     it runs in the parent); the measurement columns stay ``None``.
     """
     message = f"quarantined after repeated shard failures: {type(error).__name__}: {error}"
-    records = []
-    for scenario in shard:
+    table = RecordTable.blank(len(shard))
+    for row, scenario in enumerate(shard):
         try:
             guest = scenario.guest_graph()
             host = scenario.host_graph()
-            base = _record_base(scenario, guest, host)
+            _record_base(table, row, scenario, guest, host)
         except Exception:  # noqa: BLE001 - a poison scenario must still record
-            base = dict(
+            poison = SurveyRecord(
                 scenario_id=scenario.scenario_id,
                 guest=f"{scenario.guest_kind}:{scenario.guest_shape}",
                 host=f"{scenario.host_kind}:{scenario.host_shape}",
                 nodes=0,
                 guest_edges=0,
+                status="failed",
                 guest_size=0,
                 faults=scenario.faults or None,
             )
-        records.append(SurveyRecord(status="failed", error=message, **base))
-    return records
+            table.put(row, poison)
+    columns = table.columns
+    columns["status"] = ["failed"] * len(shard)
+    columns["error"] = [message] * len(shard)
+    columns["elapsed_seconds"] = [0.0] * len(shard)
+    return table
 
 
 def _merge_worker_result(result, results, context) -> None:
-    """Fold one finished shard into the parent: chaos tally, then records
-    and cache — or, for a shard that failed, raise its exception."""
-    index, records, delta, (hits, misses), chaos_delta = result
+    """Fold one finished shard into the parent: chaos tally and cache
+    traffic, then its table — or, for a shard that failed, raise its
+    exception."""
+    index, outcome, delta, (hits, misses), chaos_delta = result
     if chaos_delta:
         merge_chaos_counters(chaos_delta)
-    if isinstance(records, Exception):
-        raise records
-    results[index] = records
     if context.cache is not None:
-        # Fold the worker's memo traffic back into the parent: its stored
-        # entries keep the cache growing across shards, and the counters
-        # keep `--cache` reporting truthful.
+        # Fold the worker's memo traffic back into the parent, failed
+        # shards' included: its stored entries keep the cache growing
+        # across shards, and the counters keep `--cache` reporting truthful.
         context.cache.merge(delta)
         context.cache.hits += hits
         context.cache.misses += misses
+    if isinstance(outcome, Exception):
+        raise outcome
+    results[index] = outcome
 
 
 def _run_inline(pending, options, results, recovery, rng) -> None:
@@ -742,7 +837,7 @@ def run_survey(
     # a replayed fault schedule replays its recovery delays too.
     rng = SplitMix64(context.chaos.seed if context.chaos is not None else 0)
     shards = _shards(scenarios, shard_size)
-    results: Dict[int, List[SurveyRecord]] = {}
+    results: Dict[int, RecordTable] = {}
     shard_paths: List[str] = []
     reused: List[int] = []
     if options.shard_dir is not None and options.resume:
@@ -765,11 +860,8 @@ def run_survey(
             str(Path(options.shard_dir) / f"shard-{index:04d}.json")
             for index in sorted(results)
         ]
-    merged: List[SurveyRecord] = []
-    for index in sorted(results):
-        merged.extend(results[index])
     return SurveyReport(
-        records=merged,
+        records=RecordTable.concat(results[index] for index in sorted(results)),
         elapsed_seconds=time.perf_counter() - started,
         workers=workers,
         shard_paths=shard_paths,

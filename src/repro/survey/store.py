@@ -1,7 +1,11 @@
-"""Result store for embedding surveys: records, JSON/CSV persistence, shards.
+"""Result store for embedding surveys: records, tables, JSON/CSV persistence.
 
 A :class:`SurveyRecord` is one measured guest/host pair, flat enough to be a
-CSV row and loss-free as JSON.  The two formats round-trip through
+CSV row and loss-free as JSON.  A :class:`RecordTable` holds many of them as
+columns, one list per entry of :data:`FIELDS`: the survey evaluators fill a
+table per shard, the runner concatenates the shards' tables, and the writers
+encode it column by column, so a :class:`SurveyRecord` is built only when a
+caller indexes or iterates a table.  The two formats round-trip through
 :func:`write_records` / :func:`read_records` (dispatched on file extension);
 :func:`merge_shards` combines the per-worker shard files written by the
 parallel runner into one deterministic record list.
@@ -9,16 +13,31 @@ parallel runner into one deterministic record list.
 
 from __future__ import annotations
 
+import collections.abc
 import csv
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..utils.atomicio import atomic_write
 
 __all__ = [
     "SurveyRecord",
+    "RecordTable",
     "write_json",
     "read_json",
     "write_csv",
@@ -120,33 +139,192 @@ class SurveyRecord:
         return cls(**{key: data.get(key) for key in FIELDS})  # type: ignore[arg-type]
 
 
-#: Encodes one record object as ``json.dump(..., indent=1)`` lays it out at
-#: its depth in the document, braces aside: the C encoder writes the member
-#: separator, newline and indent itself, so no encoded text is rewritten.
-_RECORD_ENCODER = json.JSONEncoder(separators=(",\n   ", ": "))
+#: A record's cells in :data:`FIELDS` order, which is also the order of the
+#: dataclass fields, so ``SurveyRecord(*_ROW(record))`` rebuilds a record.
+_ROW = operator.attrgetter(*FIELDS)
+
+
+class RecordTable(collections.abc.Sequence):
+    """Survey records as columns: one list of cells per entry of :data:`FIELDS`.
+
+    A table is what a shard evaluates into and what the writers read: the
+    evaluators fill a :meth:`blank` table row by row through the column
+    builders of :mod:`repro.survey.runner`, :meth:`concat` joins the shards'
+    tables in shard order, and :func:`write_json` / :func:`write_csv` encode
+    it column by column.  A :class:`SurveyRecord` is built only when a caller
+    asks for one: an integer index (negative included) returns a record, a
+    slice a ``list`` of records, and iteration yields records.  A table
+    equals any sequence of equal records, in either order of the ``==``, and
+    it pickles as its columns, which is what a pool worker ships.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: Mapping[str, List[object]]):
+        #: Column name -> one cell per row, in :data:`FIELDS` order.
+        self.columns: Dict[str, List[object]] = {name: columns[name] for name in FIELDS}
+        if len({len(column) for column in self.columns.values()}) > 1:
+            raise ValueError("every column of a RecordTable needs one cell per row")
+
+    @classmethod
+    def blank(cls, rows: int) -> "RecordTable":
+        """``rows`` rows whose every cell is ``None``, for an evaluator to fill."""
+        return cls({name: [None] * rows for name in FIELDS})
+
+    @classmethod
+    def from_records(cls, records: Iterable[SurveyRecord]) -> "RecordTable":
+        """The table of ``records``; a table is returned as it is."""
+        if isinstance(records, RecordTable):
+            return records
+        rows = [_ROW(record) for record in records]
+        if not rows:
+            return cls.blank(0)
+        return cls(dict(zip(FIELDS, map(list, zip(*rows)))))
+
+    @classmethod
+    def concat(cls, tables: Iterable["RecordTable"]) -> "RecordTable":
+        """One table of every row of ``tables``, in their order."""
+        tables = list(tables)
+        chain = itertools.chain.from_iterable
+        return cls(
+            {
+                name: list(chain(table.columns[name] for table in tables))
+                for name in FIELDS
+            }
+        )
+
+    def put(self, row: int, record: SurveyRecord) -> None:
+        """Overwrite every cell of ``row`` with the fields of ``record``."""
+        for column, value in zip(self.columns.values(), _ROW(record)):
+            column[row] = value
+
+    def clear(self, row: int) -> None:
+        """Reset every cell of ``row`` to ``None``."""
+        for column in self.columns.values():
+            column[row] = None
+
+    def __len__(self) -> int:
+        return len(self.columns["scenario_id"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[row] for row in range(len(self))[index]]
+        return SurveyRecord(*[column[index] for column in self.columns.values()])
+
+    def __iter__(self) -> Iterator[SurveyRecord]:
+        return itertools.starmap(SurveyRecord, zip(*self.columns.values()))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RecordTable):
+            return self.columns == other.columns
+        if isinstance(other, collections.abc.Sequence) and not isinstance(
+            other, (str, bytes)
+        ):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    def __reduce__(self):
+        return RecordTable, (self.columns,)
+
+    def __repr__(self) -> str:
+        return f"RecordTable({len(self)} records)"
+
+
+#: Rows per chunk of a write: the writers hold one chunk's cells and text at
+#: a time, never the whole document (a whole perfbench ``sweep`` document in
+#: memory raised its peak RSS by a fifth).
+_CHUNK_ROWS = 64
+
+#: Cell texts one column keeps across chunks; a column of mostly distinct
+#: values starts its memo over when it fills.
+_CELL_MEMO = 256
+
+
+class _CellTexts(dict):
+    """One column's cell texts, each encoded once per distinct ``(type, value)``.
+
+    The type is part of the key because ``1``, ``1.0`` and ``True`` are
+    equal dict keys that encode differently.  A float zero is never kept:
+    ``0.0 == -0.0`` too, and the two print differently.
+    """
+
+    __slots__ = ("encode",)
+
+    def __init__(self, encode: Callable[[object], str]):
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, key: Tuple[type, object]) -> str:
+        value = key[1]
+        text = self.encode(value)
+        if value or not isinstance(value, float):
+            if len(self) >= _CELL_MEMO:
+                self.clear()
+            self[key] = text
+        return text
+
+
+def _chunks(
+    table: RecordTable, encoders: Sequence[Callable[[object], str]]
+) -> Iterator[Iterator[Tuple[str, ...]]]:
+    """The table's rows as tuples of cell texts, one iterator per chunk;
+    ``encoders`` holds one encoder per column, in :data:`FIELDS` order."""
+    memos = [_CellTexts(encode) for encode in encoders]
+    columns = list(table.columns.values())
+    for start in range(0, len(table), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        yield zip(
+            *[
+                [texts[(value.__class__, value)] for value in column[start:stop]]
+                for texts, column in zip(memos, columns)
+            ]
+        )
+
+
+_JSON_VALUE = json.JSONEncoder().encode
+
+
+def _json_member(name: str) -> Callable[[object], str]:
+    """Encodes one value as the ``"name": value`` member of a record object."""
+    prefix = f"{json.dumps(name)}: "
+    return lambda value: prefix + _JSON_VALUE(value)
+
+
+#: One member encoder per column; the C encoder writes each value as
+#: ``json.dump`` does (floats by ``float.__repr__``, ``NaN``/``Infinity``).
+_JSON_MEMBERS = tuple(_json_member(name) for name in FIELDS)
+
+#: How ``json.dump(..., indent=1)`` lays out the members of a record object
+#: at its depth in the document, and the records of the list.
+_MEMBER_SEPARATOR = ",\n   "
+_RECORD_SEPARATOR = "\n  },\n  {\n   "
 
 
 def write_json(records: Sequence[SurveyRecord], path: PathLike) -> Path:
     """Write records as a JSON document (list of objects plus a count header).
 
-    The bytes are exactly ``json.dump(payload, indent=1)`` plus a newline,
-    but streamed: the header, record separators and footer are written by
-    hand and each record goes through the C encoder on its own, so the
-    document is never held in memory (``json.dump`` with an indent runs the
-    pure-Python encoder).  The write is atomic (temp file + ``os.replace``):
-    a kill mid-write leaves the previous document intact instead of a torn
-    shard that silently fails the resume check and costs a full recompute.
+    ``records`` is a :class:`RecordTable` or any sequence of records (which
+    is converted to one first).  The bytes are exactly
+    ``json.dump(payload, indent=1)`` plus a newline, but written from the
+    columns: each column's cells are encoded once per distinct value, and
+    the records are joined and written a chunk of rows at a time, so the
+    document is never held in memory.  The write is atomic (temp file +
+    ``os.replace``): a kill mid-write leaves the previous document intact
+    instead of a torn shard that silently fails the resume check and costs
+    a full recompute.
     """
     path = Path(path)
-    encode = _RECORD_ENCODER.encode
+    table = RecordTable.from_records(records)
     with atomic_write(path) as handle:
-        handle.write(f'{{\n "format": "repro-survey/1",\n "count": {len(records)},\n')
-        if records:
+        handle.write(f'{{\n "format": "repro-survey/1",\n "count": {len(table)},\n')
+        if len(table):
             separator = ' "records": [\n  {\n   '
-            for record in records:
+            for rows in _chunks(table, _JSON_MEMBERS):
                 handle.write(separator)
-                handle.write(encode(record.as_dict())[1:-1])
-                separator = "\n  },\n  {\n   "
+                handle.write(_RECORD_SEPARATOR.join(map(_MEMBER_SEPARATOR.join, rows)))
+                separator = _RECORD_SEPARATOR
             handle.write("\n  }\n ]\n}\n")
         else:
             handle.write(' "records": []\n}\n')
@@ -206,20 +384,27 @@ _CSV_PARSERS = {
 }
 
 
+def _csv_text(value: object) -> str:
+    """A cell as ``csv.DictWriter`` writes :func:`_csv_cell` of it."""
+    return str(_csv_cell(value))
+
+
 def write_csv(records: Sequence[SurveyRecord], path: PathLike) -> Path:
     """Write records as a CSV table with the :data:`FIELDS` columns.
 
+    ``records`` is a :class:`RecordTable` or any sequence of records.  The
+    bytes are those of a ``csv.DictWriter`` over the records' dicts, written
+    from the columns a chunk of rows at a time, like :func:`write_json`.
     Atomic like :func:`write_json`: the table appears all at once or not at
     all, never truncated mid-row.
     """
     path = Path(path)
+    table = RecordTable.from_records(records)
     with atomic_write(path, newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(FIELDS))
-        writer.writeheader()
-        for record in records:
-            writer.writerow(
-                {key: _csv_cell(value) for key, value in record.as_dict().items()}
-            )
+        writer = csv.writer(handle)
+        writer.writerow(FIELDS)
+        for rows in _chunks(table, (_csv_text,) * len(FIELDS)):
+            writer.writerows(rows)
     return path
 
 

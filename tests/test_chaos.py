@@ -16,6 +16,7 @@ import pytest
 
 from repro.runtime import (
     ChaosPlan,
+    ConstructionCache,
     ExecutionContext,
     InjectedFault,
     chaos_counters,
@@ -278,6 +279,29 @@ class TestSurveyRecovery:
             report = run_survey(scenarios_for_suite("smoke")[:4], options)
         assert report.workers == workers
         assert report.chaos_faults == expected
+
+    # The same four torn shards under a fresh construction cache: each
+    # attempt looks its scenario's construction up once (8 lookups), and
+    # the 4 constructions built must reach the parent's cache although
+    # every shard failed.  A retry may land on a pool worker that never
+    # built the shard, so only the sum of hits and misses is fixed.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_shards_keep_their_cache_journal_and_counters(
+        self, tmp_path, workers
+    ):
+        cache = ConstructionCache()
+        options = SurveyOptions(
+            workers=workers,
+            shard_size=1,
+            shard_dir=str(tmp_path),
+            retry=TWO_ATTEMPTS,
+        )
+        with use_context(cache=cache, chaos="torn_write:1.0,seed=1"):
+            report = run_survey(scenarios_for_suite("smoke")[:4], options)
+        assert report.workers == workers
+        assert report.quarantined == 4
+        assert len(cache) == 4
+        assert cache.hits + cache.misses == 8
 
     def test_quarantined_shards_are_not_persisted_so_reruns_retry_them(
         self, tmp_path

@@ -4,9 +4,12 @@ Covers the bugfix half of the service PR: atomic artifact writes
 (``atomic_write`` + its ``store.py``/``cache.py`` call sites), recovery from
 files truncated mid-byte (a torn shard is recomputed, a torn cache pickle
 warns and starts cold), the case-insensitive CSV boolean parser, and the
-Ctrl-C exit path of the CLI.
+Ctrl-C exit path of the CLI; also the bytes of the streaming, column-wise
+JSON and CSV writers against ``json.dump`` and ``csv.DictWriter``.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -30,6 +33,7 @@ from repro.survey import (
     write_csv,
     write_json,
 )
+from repro.survey.store import FIELDS, _csv_cell
 from repro.utils import atomic_write
 
 pytestmark = pytest.mark.smoke
@@ -217,6 +221,60 @@ class TestStreamingJsonWriter:
             **records[0].as_dict(),
             "average_dilation": None,
         }
+
+
+#: Values that are equal dict keys yet encode differently (``1``, ``1.0`` and
+#: ``True``; ``0``, ``0.0``, ``-0.0`` and ``False``), next to the cells a
+#: writer might confuse with them: ``None`` and its text, a boolean's text,
+#: the special floats and an int past the float mantissa.
+MIXED_CELLS = [
+    1, 1.0, True, 0, 0.0, -0.0, False, None,
+    math.nan, math.inf, 2**53 + 1, "null", "true",
+]
+
+
+def dict_writer_csv(records):
+    """The CSV ``write_csv`` wrote before it read columns: a ``DictWriter``."""
+    buffer = io.StringIO(newline="")
+    writer = csv.DictWriter(buffer, fieldnames=list(FIELDS))
+    writer.writeheader()
+    for record in records:
+        writer.writerow({key: _csv_cell(value) for key, value in record.as_dict().items()})
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestWriterTypeFidelity:
+    """Both writers encode each cell by its own type and value.
+
+    Every value of :data:`MIXED_CELLS` lands in an int, a float, a bool and
+    a str column, forwards and then backwards, so a column meets ``1``
+    before ``True`` and ``True`` before ``1``: a cell memo keyed by value
+    alone writes one of them as the other.
+    """
+
+    @pytest.fixture
+    def records(self):
+        cells = MIXED_CELLS + MIXED_CELLS[::-1]
+        return [
+            make_record(
+                f"s{index}",
+                dilation=cells[index],
+                average_dilation=cells[(index + 3) % len(cells)],
+                matches_prediction=cells[(index + 6) % len(cells)],
+                strategy=cells[(index + 9) % len(cells)],
+            )
+            for index in range(len(cells))
+        ]
+
+    def test_json_is_json_dump(self, records, tmp_path):
+        path = tmp_path / "records.json"
+        write_json(records, path)
+        assert path.read_bytes() == indent_one_dump(records)
+
+    def test_csv_is_dict_writer(self, records, tmp_path):
+        path = tmp_path / "records.csv"
+        write_csv(records, path)
+        assert path.read_bytes() == dict_writer_csv(records)
 
 
 class TestBoolCells:

@@ -16,7 +16,9 @@ Two contracts are pinned here:
   run one at a time or merged into one loop.
 """
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +53,7 @@ from repro.survey import (
     run_survey,
     scenarios_for_suite,
 )
-from repro.survey.batch import _ShardState
-from repro.survey.runner import _graph_columns, _record_base, evaluate_scenario
+from repro.survey.runner import _graph_columns, _shape_columns, evaluate_scenario
 
 from .strategies import same_size_shape_pairs
 
@@ -762,22 +763,35 @@ class TestDerivedArrayMemoization:
         assert [tuple(row) for row in digits.tolist()] == list(graph.nodes())
 
     def test_record_columns_derived_once_per_graph(self):
-        # The batched evaluator's per-shard memo must not change a column.
-        described = []
-
-        def graph_columns(graph):
-            described.append(graph)
-            return _graph_columns(graph)
-
-        state = _ShardState(graph_columns)
+        # The graph columns are memoized once per kind and shape, across
+        # shards, and the memo must not change a column.
+        _shape_columns.cache_clear()
         scenarios = all_pairs(12)
-        for scenario in scenarios:
-            guest, host = scenario.guest_graph(), scenario.host_graph()
-            memoized = _record_base(scenario, guest, host, state.graph_columns)
-            assert memoized == _record_base(scenario, guest, host)
+        options = SurveyOptions(workers=1)
+        for start in range(0, len(scenarios), 5):
+            shard = scenarios[start : start + 5]
+            for scenario, record in zip(shard, evaluate_shard_batched(shard, options)):
+                guest, host = scenario.guest_graph(), scenario.host_graph()
+                assert (record.guest, record.guest_edges, record.guest_size) == (
+                    repr(guest),
+                    guest.num_edges(),
+                    guest.size,
+                )
+                assert (record.host, record.nodes) == (repr(host), host.size)
         guests = {s.guest_graph() for s in scenarios}
         hosts = {s.host_graph() for s in scenarios}
-        assert len(described) == len(guests | hosts)
+        assert _shape_columns.cache_info().misses == len(guests | hosts)
+
+    def test_record_columns_memo_keeps_no_graph_alive(self):
+        # Keyed on kind and shape: a graph the interning no longer holds
+        # must not stay alive (with its derived arrays) through the memo.
+        graph = Torus((5, 7))
+        columns = _graph_columns(graph)
+        dropped = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert dropped() is None
+        assert _graph_columns(Torus((5, 7))) == columns == ("Torus(5, 7)", 70, 35)
 
 
 class TestContextAndCli:
